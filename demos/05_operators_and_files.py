@@ -38,7 +38,8 @@ print(f"operator norm estimate: {dense.norm_estimate():.4f} "
 free = MatrixFreeOperator(domain, codomain, dense.apply, dense.apply_adjoint)
 solver = build_shift_solver(free, gamma=0.5)
 x = rng.standard_normal(30)
-res = domain.norm(solver.shifted_apply(solver.apply(x)) - x) / domain.norm(x)
+z = solver.apply(x)
+res = domain.norm(z + free.normal_apply(z) / solver.gamma - x) / domain.norm(x)
 print(f"matrix-free resolvent residual: {res:.2e} (strategy: {solver.strategy})")
 
 # File round-trip: write an operator and data vector, reassemble a problem,

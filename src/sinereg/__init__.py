@@ -3,7 +3,7 @@ shift-and-invert rational Krylov subspace, with a conjugate-gradient
 baseline on the polynomial subspace, discrepancy-principle stopping,
 spectral diagnostics, and reproduction harnesses."""
 
-from .cgne import CgneState, cgne_init, cgne_step, run_cgne
+from .cgne import cgne_init, cgne_step, run_cgne
 from .diagnostics import (
     KrylovBasis,
     OrthogonalityReport,
@@ -48,23 +48,24 @@ from .problems import (
     random_problem,
     save_vector,
 )
-from .resolvent import ShiftSolver, build_shift_solver, resolvent_apply
-from .sine import (
+from .resolvent import ShiftSolver, build_shift_solver
+from .sine import run_sine, sine_init, sine_step
+from .spaces import InnerProductSpace
+from .stopping import (
     EPS_BREAKDOWN,
-    SineState,
+    KrylovState,
+    RunReport,
+    StoppingRule,
     breakdown_scale,
     detect_breakdown,
-    run_sine,
-    sine_init,
-    sine_step,
+    discrepancy_met,
+    drive,
 )
-from .spaces import InnerProductSpace
-from .stopping import RunReport, StoppingRule, discrepancy_met
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CgneState", "cgne_init", "cgne_step", "run_cgne",
+    "cgne_init", "cgne_step", "run_cgne",
     "KrylovBasis", "OrthogonalityReport", "ResidualFunction", "RitzSpectrum",
     "build_basis", "check_interlacing", "orthogonality_audit",
     "projected_gram", "residual_function_eval", "ritz_values",
@@ -78,9 +79,9 @@ __all__ = [
     "norm_estimate", "save_dense_operator",
     "Problem", "add_noise", "load_problem", "load_vector",
     "multiplication_problem", "random_problem", "save_vector",
-    "ShiftSolver", "build_shift_solver", "resolvent_apply",
-    "EPS_BREAKDOWN", "SineState", "breakdown_scale", "detect_breakdown",
+    "ShiftSolver", "build_shift_solver",
     "run_sine", "sine_init", "sine_step",
     "InnerProductSpace",
-    "RunReport", "StoppingRule", "discrepancy_met",
+    "EPS_BREAKDOWN", "KrylovState", "RunReport", "StoppingRule",
+    "breakdown_scale", "detect_breakdown", "discrepancy_met", "drive",
 ]

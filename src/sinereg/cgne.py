@@ -9,69 +9,17 @@ same discrepancy rule used by the rational-subspace solver.
 """
 
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from .exceptions import DimensionError, NumericalError
-from .sine import EPS_BREAKDOWN
-from .stopping import RunReport, StoppingRule, discrepancy_met
+from .stopping import KrylovState, RunReport, StoppingRule, drive
 
-__all__ = ["CgneState", "cgne_init", "cgne_step", "run_cgne"]
-
-
-@dataclass
-class CgneState:
-    """Iteration state for the CGLS recurrence; single-owner."""
-
-    op: object
-    iteration: int
-    iterate: np.ndarray
-    residual: np.ndarray
-    direction: np.ndarray
-    mapped_direction: np.ndarray
-    mapped_norm_sq: float
-    normal_residual_sq: float
-    initial_direction_norm: float
-    truth: np.ndarray | None = None
-    residual_norms: list[float] = field(default_factory=list)
-    error_norms: list[float] | None = None
-    alphas: list[float] = field(default_factory=list)
-    betas: list[float] = field(default_factory=list)
-    keep_history: bool = False
-    residual_vectors: list[np.ndarray] | None = None
+__all__ = ["cgne_init", "cgne_step", "run_cgne"]
 
 
 def cgne_init(problem, x0=None, keep_history=False):
-    """Set up r = y - T x0, s = T* r, p = s, q = T p."""
-    op = problem.operator
-    if x0 is None:
-        x = np.zeros(op.domain_dim)
-        r = problem.y_delta.copy()
-    else:
-        x = op.domain.check_vector(x0, "starting iterate").copy()
-        r = problem.y_delta - op.apply(x)
-    s = op.apply_adjoint(r)
-    p = s.copy()
-    q = op.apply(p)
-    state = CgneState(
-        op=op,
-        iteration=0,
-        iterate=x,
-        residual=r,
-        direction=p,
-        mapped_direction=q,
-        mapped_norm_sq=op.codomain.inner(q, q),
-        normal_residual_sq=op.domain.inner(s, s),
-        initial_direction_norm=op.domain.norm(p),
-        truth=problem.truth,
-        keep_history=keep_history,
-    )
-    state.residual_norms.append(op.codomain.norm(r))
-    if problem.truth is not None:
-        state.error_norms = [op.domain.norm(x - problem.truth)]
-    if keep_history:
-        state.residual_vectors = [r.copy()]
+    """Set up r = y - T x0, p = T* r, q = T p."""
+    state = KrylovState.start(problem, x0=x0, keep_history=keep_history)
+    state.normal_residual_sq = state.op.domain.inner(state.direction, state.direction)
     return state
 
 
@@ -82,75 +30,30 @@ def cgne_step(state):
             f"cannot step after exact breakdown at iteration {state.iteration}"
         )
     op = state.op
-    dom, ran = op.domain, op.codomain
-
     alpha = state.normal_residual_sq / state.mapped_norm_sq
     x = state.iterate + alpha * state.direction
     r = state.residual - alpha * state.mapped_direction
     s = op.apply_adjoint(r)
-    ns = dom.inner(s, s)
+    ns = op.domain.inner(s, s)
     beta = ns / state.normal_residual_sq
-    p = s + beta * state.direction
-    q = op.apply(p)
-
-    state.iteration += 1
-    state.iterate = x
-    state.residual = r
-    state.direction = p
-    state.mapped_direction = q
-    state.mapped_norm_sq = ran.inner(q, q)
     state.normal_residual_sq = ns
-    state.residual_norms.append(ran.norm(r))
-    state.alphas.append(alpha)
-    state.betas.append(beta)
-    if state.error_norms is not None:
-        state.error_norms.append(dom.norm(x - state.truth))
-    if state.keep_history:
-        state.residual_vectors.append(r.copy())
+    state.advance(x, r, s + beta * state.direction, alpha, beta)
     return state
-
-
-def _cgne_breakdown(state, scale):
-    return bool(np.sqrt(state.mapped_norm_sq) <= EPS_BREAKDOWN * scale)
 
 
 def run_cgne(problem, rule, x0=None, keep_history=False):
     """Iterate CGLS to the discrepancy principle, breakdown, or the cap.
 
-    Mirrors the rational-subspace runner: discrepancy is checked on the
-    initial residual (stopping index 0 is possible) and the report has the
-    identical shape.
+    Shares :func:`drive` with the rational-subspace runner, so the tests
+    run in the same order (stopping index 0 is possible) and the report
+    has the identical shape.
     """
     if not isinstance(rule, StoppingRule):
         raise DimensionError("run_cgne expects a StoppingRule")
     start = time.perf_counter()
     state = cgne_init(problem, x0=x0, keep_history=keep_history)
     cap = rule.resolve_cap(problem.operator.domain_dim)
-    scale = state.op.norm_estimate() ** 2 * state.initial_direction_norm
-    breakdown_step = None
-    while True:
-        if discrepancy_met(state.residual_norms[-1], rule):
-            terminated = "discrepancy"
-            break
-        if _cgne_breakdown(state, scale):
-            terminated = "breakdown"
-            breakdown_step = state.iteration
-            break
-        if state.iteration >= cap:
-            terminated = "iteration_cap"
-            break
-        cgne_step(state)
-    elapsed = time.perf_counter() - start
-    return RunReport(
-        solver="cgne",
-        stopping_index=state.iteration,
-        iterate=state.iterate.copy(),
-        residual_history=list(state.residual_norms),
-        error_history=None if state.error_norms is None else list(state.error_norms),
-        terminated_by=terminated,
-        breakdown_step=breakdown_step,
-        elapsed_seconds=elapsed,
-        alphas=list(state.alphas),
-        betas=list(state.betas),
-        state=state,
+    terminated = drive(state, cgne_step, rule, cap)
+    return RunReport.from_state(
+        "cgne", state, terminated, time.perf_counter() - start
     )

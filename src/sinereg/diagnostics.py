@@ -38,12 +38,10 @@ _RANK_LOSS_RATIO = 1e-12
 class KrylovBasis:
     """Orthonormal basis (weighted inner product) of a search subspace.
 
-    ``vectors`` has one orthonormal vector per column; ``raw`` keeps the
-    direction vectors the basis was built from.
+    ``vectors`` has one orthonormal vector per column.
     """
 
     vectors: np.ndarray
-    raw: list[np.ndarray]
     space: object
 
     @property
@@ -83,8 +81,7 @@ def build_basis(w_history, space):
                 "should have been flagged earlier"
             )
         vs.append(v / after)
-    return KrylovBasis(vectors=np.column_stack(vs), raw=[np.asarray(w) for w in w_history],
-                       space=space)
+    return KrylovBasis(vectors=np.column_stack(vs), space=space)
 
 
 def projected_gram(basis, op):

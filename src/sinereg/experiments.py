@@ -19,8 +19,8 @@ from .diagnostics import (
 from .operators import DiagonalOperator
 from .problems import multiplication_problem
 from .resolvent import build_shift_solver
-from .sine import breakdown_scale, detect_breakdown, run_sine, sine_init, sine_step
-from .stopping import StoppingRule, discrepancy_met
+from .sine import run_sine, sine_init, sine_step
+from .stopping import StoppingRule, drive
 
 __all__ = [
     "CompareResult",
@@ -48,7 +48,8 @@ class CompareResult:
     fill the table; ``stopping_index_sine`` is still the first discrepancy
     index and ``iterate_sine`` the iterate there. When that run breaks
     down early its residual column is padded with the breakdown value (the
-    iterate no longer changes).
+    iterate no longer changes). ``terminated_by_sine`` is "discrepancy",
+    "breakdown", or "table_exhausted" when the table ended first.
     """
 
     residuals_sine: list[float]
@@ -91,36 +92,23 @@ def run_compare(problem, gamma, rule):
 
     solver = build_shift_solver(problem.operator, gamma)
     state = sine_init(problem, gamma)
-    scale = breakdown_scale(state)
-    broke_down = False
-    m_sine = None
-    iterate_sine = None
-    if discrepancy_met(state.residual_norms[-1], rule):
-        m_sine = 0
-        iterate_sine = state.iterate.copy()
-    while state.iteration < table_len - 1:
-        if detect_breakdown(state, scale):
-            broke_down = True
-            break
-        sine_step(state, solver)
-        if m_sine is None and discrepancy_met(state.residual_norms[-1], rule):
-            m_sine = state.iteration
-            iterate_sine = state.iterate.copy()
-    res_s = list(state.residual_norms)
-    # after breakdown the iterate is frozen, so the residual column repeats
-    while len(res_s) < table_len:
-        res_s.append(res_s[-1])
 
-    if m_sine is not None:
-        terminated_s = "discrepancy"
-    elif broke_down:
-        terminated_s = "breakdown"
-        m_sine = state.iteration
-        iterate_sine = state.iterate.copy()
-    else:
+    def step(st):
+        sine_step(st, solver)
+
+    terminated_s = drive(state, step, rule, table_len - 1)
+    m_sine = state.iteration
+    iterate_sine = state.iterate.copy()
+    if terminated_s == "discrepancy":
+        # fill the table; a zero threshold stops only on an exactly zero
+        # residual, which later steps would keep at zero
+        drive(state, step, StoppingRule(rule.tau, 0.0), table_len - 1)
+    elif terminated_s == "iteration_cap":
         terminated_s = "table_exhausted"
-        m_sine = state.iteration
-        iterate_sine = state.iterate.copy()
+    res_s = list(state.residual_norms)
+    # after breakdown or a zero residual the iterate is frozen, so the
+    # residual column repeats
+    res_s += [res_s[-1]] * (table_len - len(res_s))
 
     r0 = res_s[0]
     res_c = list(rep_c.residual_history)

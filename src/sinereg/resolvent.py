@@ -7,15 +7,23 @@ shift gamma is fixed for a whole run); matrix-free backends fall back to
 an inner conjugate-gradient solve.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 
-from .exceptions import DimensionError, NumericalError
+from .exceptions import NumericalError
 from .operators import DenseOperator, DiagonalOperator
 
-__all__ = ["ShiftSolver", "build_shift_solver", "resolvent_apply"]
+__all__ = ["ShiftSolver", "build_shift_solver"]
 
 DEFAULT_RESOLVENT_TOL = 1e-13
+
+
+def _check_gamma(gamma):
+    """Reject a shift that is not a finite positive number."""
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
 
 
 class ShiftSolver:
@@ -52,11 +60,6 @@ class ShiftSolver:
             rhs = self.op.domain.weights * v if not self.op.domain.is_unit else v
             return scipy.linalg.cho_solve(self._data, rhs)
         return self._apply_cg(v)
-
-    def shifted_apply(self, v):
-        """Forward map (I + T*T/gamma) v, used for residual checks."""
-        v = self.op.domain.check_vector(v, "input")
-        return v + self.op.normal_apply(v) / self.gamma
 
     def _apply_cg(self, b):
         space = self.op.domain
@@ -95,8 +98,7 @@ def build_shift_solver(op, gamma, tol=DEFAULT_RESOLVENT_TOL, max_iter=None):
     inner CG at relative tolerance ``tol`` with an iteration cap of
     ``max_iter`` (default 10 * domain_dim).
     """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     if isinstance(op, DiagonalOperator):
         factors = 1.0 + op.diagonal * op.diagonal / gamma
         return ShiftSolver(op, gamma, "diagonal", tol, data=factors)
@@ -122,9 +124,3 @@ def build_shift_solver(op, gamma, tol=DEFAULT_RESOLVENT_TOL, max_iter=None):
         max_iter = 10 * op.domain_dim
     return ShiftSolver(op, gamma, "cg", tol, max_iter=max_iter)
 
-
-def resolvent_apply(solver, v):
-    """Functional form of :meth:`ShiftSolver.apply`."""
-    if not isinstance(solver, ShiftSolver):
-        raise DimensionError("resolvent_apply expects a ShiftSolver")
-    return solver.apply(v)

@@ -23,99 +23,20 @@ through the audit path (:meth:`Problem.residual`), never substituted.
 """
 
 import time
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from .exceptions import DimensionError, NumericalError
-from .resolvent import ShiftSolver, build_shift_solver
-from .stopping import RunReport, StoppingRule, discrepancy_met
+from .resolvent import ShiftSolver, _check_gamma, build_shift_solver
+from .stopping import KrylovState, RunReport, StoppingRule, drive
 
-__all__ = [
-    "SineState",
-    "sine_init",
-    "sine_step",
-    "detect_breakdown",
-    "breakdown_scale",
-    "run_sine",
-    "EPS_BREAKDOWN",
-]
-
-# Relative threshold deciding that a mapped direction has vanished. Exact
-# breakdown only happens in exact arithmetic; double-precision roundoff is
-# ~1.1e-16, so 1e-14 leaves headroom for accumulation.
-EPS_BREAKDOWN = 1e-14
-
-
-@dataclass
-class SineState:
-    """Full iteration state; single-owner, mutated by :func:`sine_step`.
-
-    ``mapped_direction`` is T applied to the current search direction, and
-    ``mapped_norm_sq`` its squared range norm; both are maintained so that
-    breakdown can be tested without an extra operator application.
-    """
-
-    op: object
-    gamma: float
-    iteration: int
-    iterate: np.ndarray
-    residual: np.ndarray
-    direction: np.ndarray
-    mapped_direction: np.ndarray
-    mapped_norm_sq: float
-    initial_direction_norm: float
-    truth: np.ndarray | None = None
-    filtered_gradient: np.ndarray | None = None
-    alpha: float | None = None
-    beta: float | None = None
-    residual_norms: list[float] = field(default_factory=list)
-    error_norms: list[float] | None = None
-    alphas: list[float] = field(default_factory=list)
-    betas: list[float] = field(default_factory=list)
-    keep_history: bool = False
-    direction_history: list[np.ndarray] | None = None
-    mapped_history: list[np.ndarray] | None = None
-    residual_vectors: list[np.ndarray] | None = None
+__all__ = ["sine_init", "sine_step", "run_sine"]
 
 
 def sine_init(problem, gamma, x0=None, keep_history=False):
-    """Initialize the iteration: r = y - T x0, w = T* r, q = T w.
-
-    ``x0`` defaults to zero; a nonzero start folds prior information into
-    the data residual, so the subspace is spanned from y - T x0.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    op = problem.operator
-    if x0 is None:
-        x = np.zeros(op.domain_dim)
-        r = problem.y_delta.copy()
-    else:
-        x = op.domain.check_vector(x0, "starting iterate").copy()
-        r = problem.y_delta - op.apply(x)
-    w = op.apply_adjoint(r)
-    q = op.apply(w)
-    state = SineState(
-        op=op,
-        gamma=float(gamma),
-        iteration=0,
-        iterate=x,
-        residual=r,
-        direction=w,
-        mapped_direction=q,
-        mapped_norm_sq=op.codomain.inner(q, q),
-        initial_direction_norm=op.domain.norm(w),
-        truth=problem.truth,
-        keep_history=keep_history,
-    )
-    state.residual_norms.append(op.codomain.norm(r))
-    if problem.truth is not None:
-        state.error_norms = [op.domain.norm(x - problem.truth)]
-    if keep_history:
-        state.direction_history = [w.copy()]
-        state.mapped_history = [q.copy()]
-        state.residual_vectors = [r.copy()]
+    """Initialize the iteration at x0 (see :meth:`KrylovState.start`)
+    for the shift ``gamma``."""
+    _check_gamma(gamma)
+    state = KrylovState.start(problem, x0=x0, keep_history=keep_history)
+    state.gamma = float(gamma)
     return state
 
 
@@ -136,63 +57,24 @@ def sine_step(state, solver):
             f"cannot step after exact breakdown at iteration {state.iteration}"
         )
     op = state.op
-    dom, ran = op.domain, op.codomain
-
     q = state.mapped_direction
     dj = state.mapped_norm_sq
-    alpha = ran.inner(state.residual, q) / dj
+    alpha = op.codomain.inner(state.residual, q) / dj
     x = state.iterate + alpha * state.direction
     r = state.residual - alpha * q
     s = op.apply_adjoint(q)
     t = solver.apply(op.apply_adjoint(r))
-    beta = dom.inner(t, s) / dj
-    w = t - beta * state.direction
-    q_next = op.apply(w)
-
-    state.iteration += 1
-    state.iterate = x
-    state.residual = r
-    state.direction = w
-    state.mapped_direction = q_next
-    state.mapped_norm_sq = ran.inner(q_next, q_next)
-    state.filtered_gradient = t
-    state.alpha = alpha
-    state.beta = beta
-    state.residual_norms.append(ran.norm(r))
-    state.alphas.append(alpha)
-    state.betas.append(beta)
-    if state.error_norms is not None:
-        state.error_norms.append(dom.norm(x - state.truth))
-    if state.keep_history:
-        state.direction_history.append(w.copy())
-        state.mapped_history.append(q_next.copy())
-        state.residual_vectors.append(r.copy())
+    beta = op.domain.inner(t, s) / dj
+    state.advance(x, r, t - beta * state.direction, alpha, beta)
     return state
 
 
-def breakdown_scale(state):
-    """Reference magnitude for breakdown tests: ||T||^2 * ||w_0||."""
-    return state.op.norm_estimate() ** 2 * state.initial_direction_norm
-
-
-def detect_breakdown(state, scale=None):
-    """True iff the current mapped direction has (numerically) vanished.
-
-    The test is ||q|| <= EPS_BREAKDOWN * scale with the default scale from
-    :func:`breakdown_scale`; an exactly zero q is always a breakdown, even
-    when the scale itself is zero.
-    """
-    if scale is None:
-        scale = breakdown_scale(state)
-    return bool(np.sqrt(state.mapped_norm_sq) <= EPS_BREAKDOWN * scale)
-
-
 def run_sine(problem, gamma, rule, x0=None, keep_history=False):
-    """Iterate to the discrepancy principle, breakdown, or the cap.
+    """Iterate to the discrepancy principle, breakdown, or the cap
+    (see :func:`drive` for the order of the tests).
 
-    The discrepancy test runs on the initial residual before any step, so
-    a stopping index of 0 is possible. Returns a :class:`RunReport`; an
-    iteration-cap termination is reported, not raised.
+    Returns a :class:`RunReport`; an iteration-cap termination is
+    reported, not raised.
     """
     if not isinstance(rule, StoppingRule):
         raise DimensionError("run_sine expects a StoppingRule")
@@ -200,33 +82,7 @@ def run_sine(problem, gamma, rule, x0=None, keep_history=False):
     solver = build_shift_solver(problem.operator, gamma)
     state = sine_init(problem, gamma, x0=x0, keep_history=keep_history)
     cap = rule.resolve_cap(problem.operator.domain_dim)
-    scale = breakdown_scale(state)
-    breakdown_step = None
-    while True:
-        if discrepancy_met(state.residual_norms[-1], rule):
-            terminated = "discrepancy"
-            break
-        if detect_breakdown(state, scale):
-            terminated = "breakdown"
-            breakdown_step = state.iteration
-            break
-        if state.iteration >= cap:
-            terminated = "iteration_cap"
-            break
-        sine_step(state, solver)
-    elapsed = time.perf_counter() - start
-    report = RunReport(
-        solver="sine",
-        stopping_index=state.iteration,
-        iterate=state.iterate.copy(),
-        residual_history=list(state.residual_norms),
-        error_history=None if state.error_norms is None else list(state.error_norms),
-        terminated_by=terminated,
-        breakdown_step=breakdown_step,
-        elapsed_seconds=elapsed,
-        gamma=float(gamma),
-        alphas=list(state.alphas),
-        betas=list(state.betas),
-        state=state,
+    terminated = drive(state, lambda st: sine_step(st, solver), rule, cap)
+    return RunReport.from_state(
+        "sine", state, terminated, time.perf_counter() - start
     )
-    return report

@@ -69,11 +69,6 @@ class InnerProductSpace:
     def norm(self, u):
         return float(np.sqrt(self.inner(u, u)))
 
-    def sqrt_weights(self):
-        """Componentwise sqrt of the weights, for embedding weighted
-        least-squares problems into Euclidean ones."""
-        return np.sqrt(self.weights)
-
     def __eq__(self, other):
         if not isinstance(other, InnerProductSpace):
             return NotImplemented

@@ -1,12 +1,107 @@
-"""Discrepancy-principle stopping rule and the run report shared by solvers."""
+"""Shared iteration machinery: the Krylov state both solvers step, the
+discrepancy-principle stopping rule, the breakdown test, the one driver
+loop, and the run report."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["StoppingRule", "discrepancy_met", "RunReport", "DEFAULT_MAX_ITERS"]
+__all__ = [
+    "KrylovState", "StoppingRule", "discrepancy_met", "EPS_BREAKDOWN",
+    "breakdown_scale", "detect_breakdown", "drive", "RunReport",
+    "DEFAULT_MAX_ITERS",
+]
 
 DEFAULT_MAX_ITERS = 10000
+
+# Relative threshold deciding that a mapped direction has vanished. Exact
+# breakdown only happens in exact arithmetic; double-precision roundoff is
+# ~1.1e-16, so 1e-14 leaves headroom for accumulation.
+EPS_BREAKDOWN = 1e-14
+
+
+@dataclass
+class KrylovState:
+    """Iteration state of a residual-minimizing Krylov recurrence;
+    single-owner, mutated by a step function through :meth:`advance`.
+
+    ``direction`` is the search direction w, ``mapped_direction`` its image
+    q = T w and ``mapped_norm_sq`` the squared range norm of q; both are
+    maintained so that breakdown can be tested without an extra operator
+    application. ``gamma`` is the shift of a SINE state and
+    ``normal_residual_sq`` the squared norm of T* r of a CGNE state; each
+    is None for the other method. With ``keep_history`` the w, q and r of
+    every iterate are retained.
+    """
+
+    op: object
+    initial_direction_norm: float
+    iteration: int = 0
+    iterate: np.ndarray | None = None
+    residual: np.ndarray | None = None
+    direction: np.ndarray | None = None
+    mapped_direction: np.ndarray | None = None
+    mapped_norm_sq: float | None = None
+    truth: np.ndarray | None = None
+    gamma: float | None = None
+    normal_residual_sq: float | None = None
+    residual_norms: list[float] = field(default_factory=list)
+    error_norms: list[float] | None = None
+    alphas: list[float] = field(default_factory=list)
+    betas: list[float] = field(default_factory=list)
+    keep_history: bool = False
+    direction_history: list[np.ndarray] | None = None
+    mapped_history: list[np.ndarray] | None = None
+    residual_vectors: list[np.ndarray] | None = None
+
+    @classmethod
+    def start(cls, problem, x0=None, keep_history=False):
+        """Iterate 0: r = y - T x0 (x0 defaults to zero), w = T* r, q = T w.
+
+        A nonzero start folds prior information into the data residual,
+        so the subspace is spanned from y - T x0.
+        """
+        op = problem.operator
+        if x0 is None:
+            x = np.zeros(op.domain_dim)
+            r = problem.y_delta.copy()
+        else:
+            x = op.domain.check_vector(x0, "starting iterate").copy()
+            r = problem.y_delta - op.apply(x)
+        w = op.apply_adjoint(r)
+        state = cls(op=op, initial_direction_norm=op.domain.norm(w),
+                    truth=problem.truth, keep_history=keep_history,
+                    error_norms=None if problem.truth is None else [])
+        if keep_history:
+            state.direction_history, state.mapped_history = [], []
+            state.residual_vectors = []
+        state._record(x, r, w)
+        return state
+
+    def advance(self, x, r, w, alpha, beta):
+        """Move to the next iterate x with residual r and direction w,
+        reached with step size alpha and conjugation coefficient beta."""
+        self.iteration += 1
+        self.alphas.append(alpha)
+        self.betas.append(beta)
+        self._record(x, r, w)
+
+    def _record(self, x, r, w):
+        op = self.op
+        q = op.apply(w)
+        self.iterate = x
+        self.residual = r
+        self.direction = w
+        self.mapped_direction = q
+        self.mapped_norm_sq = op.codomain.inner(q, q)
+        self.residual_norms.append(op.codomain.norm(r))
+        if self.error_norms is not None:
+            self.error_norms.append(op.domain.norm(x - self.truth))
+        if self.keep_history:
+            self.direction_history.append(w.copy())
+            self.mapped_history.append(q.copy())
+            self.residual_vectors.append(r.copy())
 
 
 @dataclass(frozen=True)
@@ -29,10 +124,12 @@ class StoppingRule:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if not self.tau > 1.0:
-            raise ValueError(f"tau must be strictly greater than 1, got {self.tau}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        if not (math.isfinite(self.tau) and self.tau > 1.0):
+            raise ValueError(
+                f"tau must be finite and strictly greater than 1, got {self.tau}"
+            )
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
 
@@ -51,6 +148,41 @@ def discrepancy_met(residual_norm, rule):
     if residual_norm < 0:
         raise ValueError(f"residual norm must be nonnegative, got {residual_norm}")
     return residual_norm <= rule.threshold
+
+
+def breakdown_scale(state):
+    """Reference magnitude for breakdown tests: ||T||^2 * ||w_0||."""
+    return state.op.norm_estimate() ** 2 * state.initial_direction_norm
+
+
+def detect_breakdown(state, scale=None):
+    """True iff the current mapped direction has (numerically) vanished.
+
+    The test is ||q|| <= EPS_BREAKDOWN * scale with the default scale from
+    :func:`breakdown_scale`; an exactly zero q is always a breakdown, even
+    when the scale itself is zero.
+    """
+    if scale is None:
+        scale = breakdown_scale(state)
+    return bool(np.sqrt(state.mapped_norm_sq) <= EPS_BREAKDOWN * scale)
+
+
+def drive(state, step, rule, cap):
+    """Call ``step(state)`` until the run stops; return the reason.
+
+    Before every step the tests run in one order: the discrepancy
+    principle on the current residual (so a stopping index of 0 is
+    possible), then breakdown, then ``state.iteration >= cap``. The result
+    is "discrepancy", "breakdown" or "iteration_cap".
+    """
+    scale = breakdown_scale(state)
+    while not discrepancy_met(state.residual_norms[-1], rule):
+        if detect_breakdown(state, scale):
+            return "breakdown"
+        if state.iteration >= cap:
+            return "iteration_cap"
+        step(state)
+    return "discrepancy"
 
 
 @dataclass
@@ -75,9 +207,29 @@ class RunReport:
     gamma: float | None = None
     alphas: list[float] = field(default_factory=list)
     betas: list[float] = field(default_factory=list)
-    # solver state snapshot (set when the run kept vector history); never
-    # serialized, used by the diagnostics pass
+    # the final KrylovState of the run; never serialized, read by the
+    # diagnostics pass (its vector histories exist only with keep_history)
     state: object | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_state(cls, solver, state, terminated_by, elapsed_seconds):
+        """Report of a run that stopped at ``state`` for ``terminated_by``."""
+        return cls(
+            solver=solver,
+            stopping_index=state.iteration,
+            iterate=state.iterate.copy(),
+            residual_history=list(state.residual_norms),
+            error_history=None
+            if state.error_norms is None
+            else list(state.error_norms),
+            terminated_by=terminated_by,
+            breakdown_step=state.iteration if terminated_by == "breakdown" else None,
+            elapsed_seconds=elapsed_seconds,
+            gamma=state.gamma,
+            alphas=list(state.alphas),
+            betas=list(state.betas),
+            state=state,
+        )
 
     @property
     def final_residual(self):

@@ -15,9 +15,14 @@ def weighted_lstsq_minimizer(op, y, basis_cols):
     b = np.column_stack(basis_cols)
     q, _ = np.linalg.qr(b)
     u = np.column_stack([op.apply(q[:, k]) for k in range(q.shape[1])])
-    sw = op.codomain.sqrt_weights()
+    sw = np.sqrt(op.codomain.weights)
     c, *_ = np.linalg.lstsq(sw[:, None] * u, sw * y, rcond=None)
     return q @ c
+
+
+def shifted_apply(solver, v):
+    """Forward map (I + T*T/gamma) v of a shift solver, for residual checks."""
+    return v + solver.op.normal_apply(v) / solver.gamma
 
 
 def rational_basis(op, solver, y, m):

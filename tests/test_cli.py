@@ -125,6 +125,28 @@ class TestCompare:
         assert len(rows) == 21
         assert all(row[3] == "1" for row in rows[1:])
 
+    def test_rank_deficient_files_problem_exits_zero(self, tmp_path):
+        save_vector(np.array([1.0, 0.5, 0.0, 0.0]), tmp_path / "d.csv")
+        save_vector(np.ones(4), tmp_path / "y.csv")
+        cfg = write_config(
+            tmp_path,
+            {
+                "gamma": 1.0,
+                "problem": {
+                    "kind": "files",
+                    "operator": str(tmp_path / "d.csv"),
+                    "operator_kind": "diagonal",
+                    "data": str(tmp_path / "y.csv"),
+                    "delta": 0.0,
+                },
+            },
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["report"]["terminated_by_sine"] == "breakdown"
+        assert payload["report"]["stopping_index_sine"] == 2
+
 
 class TestRateCheck:
     def test_short_grid(self, tmp_path):

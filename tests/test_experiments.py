@@ -15,6 +15,7 @@ from sinereg import (
     run_compare,
     run_diagnostics,
     run_ratecheck,
+    run_sine,
 )
 
 
@@ -89,6 +90,19 @@ class TestCompare:
         assert resid == pytest.approx(
             result.residuals_sine[result.stopping_index_sine], rel=1e-10
         )
+
+    def test_breakdown_at_table_end_labelled_as_run_sine(self):
+        # both solvers break down at 2, the last row of the table
+        op = DiagonalOperator(np.array([1.0, 0.5, 0.0, 0.0]))
+        p = Problem(operator=op, y_delta=np.ones(4), delta=0.0)
+        rule = StoppingRule(tau=1.001, delta=0.0)
+        result = run_compare(p, gamma=1.0, rule=rule)
+        report = run_sine(p, gamma=1.0, rule=rule)
+        assert (report.terminated_by, report.stopping_index) == ("breakdown", 2)
+        assert result.terminated_by_sine == "breakdown"
+        assert result.stopping_index_sine == 2
+        assert result.terminated_by_cgne == "breakdown"
+        assert np.array_equal(result.iterate_sine, report.iterate)
 
     def test_m0_short_circuit(self):
         op = DiagonalOperator(np.ones(3))

@@ -59,8 +59,12 @@ class TestInit:
 
     def test_gamma_validation(self):
         p = identity_problem(2, np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            sine_init(p, gamma=0.0)
+        rule = StoppingRule(tau=1.001, delta=0.0)
+        for gamma in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="gamma"):
+                sine_init(p, gamma=gamma)
+            with pytest.raises(ValueError, match="gamma"):
+                run_sine(p, gamma, rule)
 
 
 class TestStep:
@@ -70,7 +74,7 @@ class TestStep:
         solver = build_shift_solver(p.operator, gamma=1.0)
         state = sine_init(p, gamma=1.0)
         sine_step(state, solver)
-        assert state.alpha == pytest.approx(1.0, rel=1e-15)
+        assert state.alphas[-1] == pytest.approx(1.0, rel=1e-15)
         assert state.iterate == pytest.approx(e1, abs=1e-15)
         assert state.residual == pytest.approx(np.zeros(3), abs=1e-15)
 
@@ -215,7 +219,7 @@ class TestInvariants:
             if detect_breakdown(state):
                 break
             sine_step(state, solver)
-            assert state.alpha != 0.0
+            assert state.alphas[-1] != 0.0
 
     @pytest.mark.parametrize("seed", range(3))
     def test_galerkin_orthogonality_and_conjugacy(self, seed):

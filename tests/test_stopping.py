@@ -1,23 +1,28 @@
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sinereg import RunReport, StoppingRule, discrepancy_met
 
 
-def test_tau_strictly_greater_than_one():
-    with pytest.raises(ValueError):
-        StoppingRule(tau=1.0, delta=1e-3)
-    with pytest.raises(ValueError):
-        StoppingRule(tau=0.5, delta=1e-3)
-    StoppingRule(tau=1.0001, delta=1e-3)
+@given(st.floats(max_value=1.0) | st.sampled_from([math.inf, math.nan]),
+       st.floats(min_value=0.0, max_value=1e6))
+@example(tau=1.0, delta=1e-3)
+@example(tau=0.5, delta=1e-3)
+def test_tau_strictly_greater_than_one(tau, delta):
+    with pytest.raises(ValueError, match="tau"):
+        StoppingRule(tau=tau, delta=delta)
+    StoppingRule(tau=1.0001, delta=delta)
 
 
-def test_delta_nonnegative():
-    with pytest.raises(ValueError):
-        StoppingRule(tau=2.0, delta=-1e-3)
+@given(st.floats(max_value=-1e-300) | st.sampled_from([math.inf, math.nan]))
+@example(delta=-1e-3)
+def test_delta_nonnegative(delta):
+    with pytest.raises(ValueError, match="delta"):
+        StoppingRule(tau=2.0, delta=delta)
 
 
 def test_zero_residual_always_met():
