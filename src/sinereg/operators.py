@@ -34,6 +34,12 @@ _NORM_SEED = 20210828  # fixed start vector for reproducible norm estimates
 class LinearOperator:
     """Base class: a linear map between two inner-product spaces.
 
+    Besides ``apply``/``apply_adjoint`` a backend may supply
+    :meth:`norm_bound`, a cheap upper bound U >= ||T||. The iteration
+    driver tests breakdown against it first and runs the power iteration
+    of :meth:`norm_estimate` only when a mapped direction nears the
+    threshold that U implies, or when the backend has no bound.
+
     Parameters
     ----------
     domain : InnerProductSpace
@@ -66,6 +72,10 @@ class LinearOperator:
     def normal_apply(self, x):
         """T* T x, the normal-equation operator."""
         return self.apply_adjoint(self.apply(x))
+
+    def norm_bound(self):
+        """Cheap upper bound on ||T||, or None when the backend has none."""
+        return None
 
     def norm_estimate(self):
         """Cached operator-norm estimate, see :func:`norm_estimate`."""
@@ -115,6 +125,13 @@ class DenseOperator(LinearOperator):
         z = self.matrix.T @ (self.codomain.weights * y)
         return z / self.domain.weights
 
+    def norm_bound(self):
+        """Weighted Frobenius norm ||W_r^{1/2} A W_d^{-1/2}||_F >= ||T||,
+        summed row by row with no matrix-sized temporary."""
+        a = self.matrix
+        row_sq = np.einsum("ij,ij,j->i", a, a, 1.0 / self.domain.weights)
+        return float(np.sqrt(row_sq @ self.codomain.weights))
+
 
 class DiagonalOperator(LinearOperator):
     """Square multiplication operator x -> d * x on a single space.
@@ -145,6 +162,11 @@ class DiagonalOperator(LinearOperator):
 
     def apply_adjoint(self, y):
         return self.apply(y)
+
+    def norm_bound(self):
+        """max |d_i|, the exact norm in any weighted product on the space."""
+        d = self.diagonal
+        return float(max(d.max(), -d.min()))
 
 
 class MatrixFreeOperator(LinearOperator):

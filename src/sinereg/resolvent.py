@@ -26,6 +26,15 @@ def _check_gamma(gamma):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
 
 
+def _check_finite_residual(rz, k):
+    """Stop an inner solve at its first non-finite squared residual."""
+    if not math.isfinite(rz):
+        raise NumericalError(
+            "inner resolvent solve produced a non-finite residual at inner "
+            f"iteration {k}"
+        )
+
+
 class ShiftSolver:
     """Applies (I + T*T/gamma)^{-1} for a fixed operator and shift.
 
@@ -67,16 +76,18 @@ class ShiftSolver:
         x = np.zeros_like(b)
         r = b.copy()
         rz = space.inner(r, r)
+        _check_finite_residual(rz, 0)
         if np.sqrt(rz) <= target:
             return x
         p = r.copy()
         max_iter = self._max_iter
-        for _ in range(max_iter):
+        for k in range(1, max_iter + 1):
             bp = p + self.op.normal_apply(p) / self.gamma
             alpha = rz / space.inner(p, bp)
             x = x + alpha * p
             r = r - alpha * bp
             rz_new = space.inner(r, r)
+            _check_finite_residual(rz_new, k)
             if np.sqrt(rz_new) <= target:
                 return x
             p = r + (rz_new / rz) * p

@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .exceptions import NumericalError
+
 __all__ = [
     "KrylovState", "StoppingRule", "discrepancy_met", "EPS_BREAKDOWN",
     "breakdown_scale", "detect_breakdown", "drive", "RunReport",
@@ -151,7 +153,12 @@ def discrepancy_met(residual_norm, rule):
 
 
 def breakdown_scale(state):
-    """Reference magnitude for breakdown tests: ||T||^2 * ||w_0||."""
+    """Reference magnitude for breakdown tests: ||T||^2 * ||w_0||, with
+    ||T|| from the power iteration of :meth:`LinearOperator.norm_estimate`.
+
+    :func:`drive` computes it only when the operator's cheap bound cannot
+    rule breakdown out, and then once per run.
+    """
     return state.op.norm_estimate() ** 2 * state.initial_direction_norm
 
 
@@ -173,16 +180,41 @@ def drive(state, step, rule, cap):
     Before every step the tests run in one order: the discrepancy
     principle on the current residual (so a stopping index of 0 is
     possible), then breakdown, then ``state.iteration >= cap``. The result
-    is "discrepancy", "breakdown" or "iteration_cap".
+    is "discrepancy", "breakdown" or "iteration_cap". A residual norm or
+    squared mapped-direction norm that is not finite raises
+    :class:`NumericalError` naming the iteration.
+
+    Breakdown is tested bound first. The power-iteration estimate is a
+    Rayleigh quotient, so it never exceeds ||T|| <= U for the operator's
+    :meth:`~LinearOperator.norm_bound` U. While ||q|| > EPS_BREAKDOWN *
+    2 U^2 * ||w_0|| (the 2 covers rounding), :func:`detect_breakdown`
+    would say no, and no power iteration runs. Otherwise, or when the
+    operator has no bound, :func:`breakdown_scale` is computed once and
+    :func:`detect_breakdown` decides, so every outcome is the one the
+    eager test gives.
     """
-    scale = breakdown_scale(state)
-    while not discrepancy_met(state.residual_norms[-1], rule):
-        if detect_breakdown(state, scale):
-            return "breakdown"
+    bound = state.op.norm_bound()
+    clear = (math.inf if bound is None
+             else EPS_BREAKDOWN * 2 * bound * bound * state.initial_direction_norm)
+    scale = None
+    while True:
+        residual_norm = state.residual_norms[-1]
+        if not (math.isfinite(residual_norm) and math.isfinite(state.mapped_norm_sq)):
+            raise NumericalError(
+                f"non-finite value at iteration {state.iteration}: residual "
+                f"norm {residual_norm}, squared mapped-direction norm "
+                f"{state.mapped_norm_sq}"
+            )
+        if discrepancy_met(residual_norm, rule):
+            return "discrepancy"
+        if math.sqrt(state.mapped_norm_sq) <= clear:
+            if scale is None:
+                scale = breakdown_scale(state)
+            if detect_breakdown(state, scale):
+                return "breakdown"
         if state.iteration >= cap:
             return "iteration_cap"
         step(state)
-    return "discrepancy"
 
 
 @dataclass

@@ -2,10 +2,21 @@
 
 These deliberately avoid the solver recurrences: subspace minimizers come
 from explicitly built basis matrices and a dense least-squares solve,
-derivatives from finite differences, spectra from full eigensolves.
+derivatives from finite differences, spectra from full eigensolves. The
+eager driver reuses the step functions but none of ``drive``'s logic.
 """
 
 import numpy as np
+
+from sinereg import (
+    build_shift_solver,
+    cgne_init,
+    cgne_step,
+    detect_breakdown,
+    discrepancy_met,
+    sine_init,
+    sine_step,
+)
 
 
 def weighted_lstsq_minimizer(op, y, basis_cols):
@@ -54,3 +65,26 @@ def dense_matrix_of(op):
 def forward_difference_at_zero(f, h=1e-7):
     """Estimate -f'(0) as (f(0) - f(h)) / h."""
     return (f(0.0) - f(h)) / h
+
+
+def eager_run(problem, rule, gamma=None):
+    """Run SINE (with ``gamma``) or CGNE (without) under the plain stopping
+    loop: discrepancy, then breakdown tested with the full power-iteration
+    scale before every step, then the cap. Returns the final state
+    and the termination reason."""
+    if gamma is None:
+        state, step = cgne_init(problem), cgne_step
+    else:
+        solver = build_shift_solver(problem.operator, gamma)
+        state = sine_init(problem, gamma)
+
+        def step(st):
+            sine_step(st, solver)
+    cap = rule.resolve_cap(problem.operator.domain_dim)
+    while not discrepancy_met(state.residual_norms[-1], rule):
+        if detect_breakdown(state):
+            return state, "breakdown"
+        if state.iteration >= cap:
+            return state, "iteration_cap"
+        step(state)
+    return state, "discrepancy"

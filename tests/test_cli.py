@@ -218,6 +218,24 @@ class TestErrorsAndSeeds:
         assert main(["solve", "--config", str(tmp_path / "none.json"),
                      "--out", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize("solver", ["sine", "cgne"])
+    def test_overflowing_operator_exit_one(self, tmp_path, capsys, solver):
+        """Finite inputs whose products overflow stop at once with the
+        iteration named, not at the iteration cap."""
+        save_vector(np.array([1e200, 1.0]), tmp_path / "d.csv")
+        save_vector(np.ones(2), tmp_path / "y.csv")
+        cfg = write_config(tmp_path, {
+            "solver": solver, "gamma": 1.0, "tau": 1.01, "delta": 0.0,
+            "problem": {"kind": "files", "operator_kind": "diagonal",
+                        "operator": str(tmp_path / "d.csv"),
+                        "data": str(tmp_path / "y.csv"), "delta": 0.0},
+        })
+        with np.errstate(over="ignore"):
+            code = main(["solve", "--config", str(cfg),
+                         "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "non-finite value at iteration 0" in capsys.readouterr().err
+
     def test_unknown_solver_exit_one(self, tmp_path):
         cfg = write_config(tmp_path, benchmark_config(solver="jacobi"))
         assert main(["solve", "--config", str(cfg),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sinereg import (
     DataFormatError,
@@ -113,6 +114,42 @@ class TestNormEstimate:
     def test_cached_on_operator(self):
         op = DiagonalOperator(np.array([1.0, 5.0]))
         assert op.norm_estimate() == op.norm_estimate()
+
+
+class TestNormBound:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12),
+           st.booleans(), st.booleans(), st.sampled_from([1.0, 1e-8, 0.0]))
+    def test_bounds_power_iteration_and_norm(self, seed, rows, cols, dense,
+                                             weighted, scale):
+        rng = np.random.default_rng(seed)
+        dom = InnerProductSpace(cols, rng.uniform(0.2, 5.0, cols) if weighted else None)
+        if dense:
+            ran = InnerProductSpace(rows, rng.uniform(0.2, 5.0, rows) if weighted else None)
+            a = scale * rng.standard_normal((rows, cols))
+            op = DenseOperator(a, dom, ran)
+        else:
+            ran = dom
+            a = np.diag(scale * rng.standard_normal(cols))
+            op = DiagonalOperator(np.diag(a), dom)
+        embedded = (np.sqrt(ran.weights)[:, None] * a) / np.sqrt(dom.weights)
+        exact = np.linalg.norm(embedded, 2)
+        bound, estimate = op.norm_bound(), norm_estimate(op)
+        # equality holds in exact arithmetic for rank <= 1, so rounding may
+        # put either side an ulp ahead; drive's factor 2 on U^2 covers that
+        assert bound >= estimate * (1 - 1e-12)
+        assert bound >= exact * (1 - 1e-12)
+        assert 2 * bound * bound >= estimate * estimate
+        if scale == 0.0:
+            assert op.norm_bound() == 0.0
+
+    def test_diagonal_bound_is_max_abs(self):
+        assert DiagonalOperator(np.array([0.5, -3.0, 2.0])).norm_bound() == 3.0
+
+    def test_matrix_free_has_no_bound(self):
+        dense, free = random_backends(6, 4, 0)
+        assert free.norm_bound() is None
+        assert dense.norm_bound() == pytest.approx(np.linalg.norm(dense.matrix))
 
 
 class TestBackendsAgree:

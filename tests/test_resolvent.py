@@ -127,3 +127,28 @@ def test_weighted_diagonal_resolvent_matches_formula():
     solver = build_shift_solver(op, gamma)
     v = np.random.default_rng(3).standard_normal(n)
     assert solver.apply(v) == pytest.approx(v / (1 + d * d / gamma), rel=1e-14)
+
+
+def test_inner_cg_stops_at_first_nan():
+    """A NaN from the operator ends the inner solve at once instead of
+    spinning through its 10 * dim iteration cap."""
+    calls = []
+
+    def forward(x):
+        calls.append(1)
+        return np.full_like(x, np.nan)
+    space = InnerProductSpace(16)
+    op = MatrixFreeOperator(space, space, forward, lambda y: y)
+    solver = build_shift_solver(op, gamma=1.0)
+    with pytest.raises(NumericalError, match="non-finite residual at inner iteration 1"):
+        solver.apply(np.ones(16))
+    assert len(calls) == 1
+
+
+def test_inner_cg_rejects_non_finite_right_hand_side():
+    space = InnerProductSpace(4)
+    op = MatrixFreeOperator(space, space, lambda x: x, lambda y: y)
+    solver = build_shift_solver(op, gamma=1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NumericalError, match="inner iteration 0"):
+            solver.apply(np.array([1.0, bad, 0.0, 0.0]))
