@@ -13,24 +13,14 @@ import sys
 from pathlib import Path
 
 from .cgne import run_cgne
-from .exceptions import DataFormatError, DimensionError, NumericalError
-from .experiments import (
-    RateCheckConfig,
-    run_compare,
-    run_diagnostics,
-    run_ratecheck,
-)
-from .problems import (
-    Problem,
-    add_noise,
-    load_problem,
-    load_vector,
-    multiplication_problem,
-    random_problem,
-)
+from .exceptions import NumericalError
+from .experiments import RateCheckConfig, run_compare, run_diagnostics, run_ratecheck
+from .problems import (Problem, add_noise, load_problem, load_vector,
+                       multiplication_problem, random_problem)
 from .sine import run_sine
 from .stopping import StoppingRule
 
+# Defaults that no library signature states: the paper's benchmark set-up.
 DEFAULT_DELTA_GRID = [1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5]
 
 _OK = ("discrepancy", "breakdown")
@@ -51,102 +41,93 @@ def _load_config(path):
     return cfg
 
 
-def _build_problem(cfg, seed_override=None):
-    pc = dict(cfg.get("problem", {}))
+def _take(section, **casts):
+    """The keys of ``section`` that are set (present and not null), each
+    converted by its cast, so the library's own defaults fill the rest."""
+    out = {}
+    for key, cast in casts.items():
+        if section.get(key) is not None:
+            try:
+                out[key] = cast(section[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config key {key!r}: {exc}") from exc
+    return out
+
+
+def _get(section, key, cast, default):
+    return _take(section, **{key: cast}).get(key, default)
+
+
+def _problem_config(cfg):
+    pc = cfg.get("problem", {})
+    if not isinstance(pc, dict):
+        raise ConfigError("config key 'problem' must be a JSON object")
+    return pc
+
+
+def _build_problem(pc):
     kind = pc.get("kind", "multiplication")
-    if seed_override is not None:
-        pc["seed"] = seed_override
     if kind == "multiplication":
-        n = int(pc.get("n", 4096))
-        exponent = float(pc.get("exponent", 1.0))
-        delta = float(pc.get("delta", 1e-3))
-        noise = pc.get("noise", "constant")
-        problem = multiplication_problem(n, exponent, 0.0)
-        if delta > 0:
-            y_delta = add_noise(
-                problem.y_delta, delta, noise,
-                seed=int(pc.get("seed", 0)), space=problem.range_space,
-            )
-            problem = Problem(
-                operator=problem.operator, y_delta=y_delta, delta=delta,
-                truth=problem.truth, source_mu=problem.source_mu,
-                source_rho=problem.source_rho,
-            )
-        return problem
-    if kind == "random":
-        return random_problem(
-            rows=int(pc["rows"]),
-            cols=int(pc["cols"]),
-            decay=pc.get("decay", "geometric"),
-            rate=float(pc.get("rate", 0.5)),
-            seed=int(pc.get("seed", 0)),
-            delta=float(pc.get("delta", 0.0)),
-            noise_mode=pc.get("noise", "random-direction"),
+        exact = multiplication_problem(
+            _get(pc, "n", int, 4096), _get(pc, "exponent", float, 1.0), 0.0
         )
+        delta = _get(pc, "delta", float, 1e-3)
+        y_delta = add_noise(exact.y_delta, delta, pc.get("noise", "constant"),
+                            space=exact.range_space, **_take(pc, seed=int))
+        return Problem(exact.operator, y_delta, delta, truth=exact.truth)
+    if kind == "random":
+        if "rows" not in pc or "cols" not in pc:
+            raise ConfigError("problem kind 'random' needs 'rows' and 'cols'")
+        kw = _take(pc, rows=int, cols=int, decay=str, rate=float, seed=int,
+                   delta=float, noise=str)
+        if "noise" in kw:
+            kw["noise_mode"] = kw.pop("noise")
+        return random_problem(**kw)
     if kind == "files":
         if "operator" not in pc or "data" not in pc:
-            raise ConfigError(
-                "problem kind 'files' needs 'operator' and 'data' paths"
-            )
-        return load_problem(pc["operator"], pc["data"], pc)
+            raise ConfigError("problem kind 'files' needs 'operator' and 'data' paths")
+        return load_problem(pc["operator"], pc["data"],
+                            {**pc, **_take(pc, delta=float)})
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
-def _build_rule(cfg, problem):
-    tau = float(cfg.get("tau", 1.001))
-    delta = cfg.get("delta")
-    delta = problem.delta if delta is None else float(delta)
-    max_iters = cfg.get("max_iters")
-    return StoppingRule(tau=tau, delta=delta,
-                        max_iters=None if max_iters is None else int(max_iters))
-
-
-def _load_x0(cfg):
-    path = cfg.get("x0")
-    return None if path is None else load_vector(path)
+def _setup(cfg):
+    """The problem, stopping rule and shift a solving command runs with."""
+    problem = _build_problem(_problem_config(cfg))
+    rule = StoppingRule(
+        tau=_get(cfg, "tau", float, 1.001),
+        delta=_get(cfg, "delta", float, problem.delta),
+        **_take(cfg, max_iters=int),
+    )
+    return problem, rule, _get(cfg, "gamma", float, 1e-3)
 
 
 def _write_json(out_dir, name, payload):
-    path = Path(out_dir) / name
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    return path
+    (out_dir / name).write_text(json.dumps(payload, indent=2))
 
 
 def _write_csv(out_dir, name, header, rows):
-    path = Path(out_dir) / name
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    return path
+    with open(out_dir / name, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
 
 
 def cmd_solve(cfg, out_dir):
-    problem = _build_problem(cfg, cfg.get("_seed_override"))
-    rule = _build_rule(cfg, problem)
-    x0 = _load_x0(cfg)
-    history = bool(cfg.get("history", False))
+    problem, rule, gamma = _setup(cfg)
+    x0 = None if cfg.get("x0") is None else load_vector(cfg["x0"])
     solver = cfg.get("solver", "sine")
     if solver == "sine":
-        gamma = float(cfg.get("gamma", 1e-3))
-        report = run_sine(problem, gamma, rule, x0=x0, keep_history=history)
+        report = run_sine(problem, gamma, rule, x0=x0)
     elif solver == "cgne":
-        report = run_cgne(problem, rule, x0=x0, keep_history=history)
+        report = run_cgne(problem, rule, x0=x0)
     else:
         raise ConfigError(f"unknown solver {solver!r}")
     _write_json(out_dir, "report.json", {"config": cfg, "report": report.to_dict()})
+    header, columns = ["m", "residual"], [report.residual_history]
     if report.error_history is not None:
-        rows = [
-            (m, rn, en)
-            for m, (rn, en) in enumerate(
-                zip(report.residual_history, report.error_history)
-            )
-        ]
-        _write_csv(out_dir, "residuals.csv", ["m", "residual", "error"], rows)
-    else:
-        rows = list(enumerate(report.residual_history))
-        _write_csv(out_dir, "residuals.csv", ["m", "residual"], rows)
+        header.append("error")
+        columns.append(report.error_history)
+    rows = [(m, *values) for m, values in enumerate(zip(*columns))]
+    _write_csv(out_dir, "residuals.csv", header, rows)
     print(
         f"{solver}: stopping index {report.stopping_index} "
         f"({report.terminated_by}), final residual {report.final_residual:.6e}"
@@ -155,9 +136,7 @@ def cmd_solve(cfg, out_dir):
 
 
 def cmd_compare(cfg, out_dir):
-    problem = _build_problem(cfg, cfg.get("_seed_override"))
-    rule = _build_rule(cfg, problem)
-    gamma = float(cfg.get("gamma", 1e-3))
+    problem, rule, gamma = _setup(cfg)
     result = run_compare(problem, gamma, rule)
     _write_json(out_dir, "report.json", {"config": cfg, "report": result.to_dict()})
     rows = [
@@ -187,12 +166,10 @@ def cmd_compare(cfg, out_dir):
 
 def cmd_ratecheck(cfg, out_dir):
     config = RateCheckConfig(
-        delta_grid=tuple(cfg.get("delta_grid", DEFAULT_DELTA_GRID)),
-        mu=float(cfg.get("mu", 0.5)),
-        tau=float(cfg.get("tau", 1.001)),
-        gamma=float(cfg.get("gamma", 1e-3)),
-        n=int(cfg.get("n", 4096)),
-        max_iters=cfg.get("max_iters"),
+        delta_grid=_get(cfg, "delta_grid", lambda g: tuple(map(float, g)),
+                        DEFAULT_DELTA_GRID),
+        mu=_get(cfg, "mu", float, 0.5),
+        **_take(cfg, tau=float, gamma=float, n=int, max_iters=int),
     )
     result = run_ratecheck(config)
     _write_json(out_dir, "report.json", {"config": cfg, "report": result.to_dict()})
@@ -208,19 +185,12 @@ def cmd_ratecheck(cfg, out_dir):
 
 
 def cmd_diagnose(cfg, out_dir):
-    if not cfg.get("history", False):
-        raise ConfigError(
-            "diagnostics need the run history: set \"history\": true in the "
-            "config (or pass --history)"
-        )
-    problem = _build_problem(cfg, cfg.get("_seed_override"))
-    rule = _build_rule(cfg, problem)
-    gamma = float(cfg.get("gamma", 1e-3))
+    problem, rule, gamma = _setup(cfg)
     report = run_diagnostics(problem, gamma, rule)
     _write_json(out_dir, "diagnostics.json",
                 {"config": cfg, "report": report.to_dict()})
     n_ritz = len(report.ritz)
-    inter_ok = all(report.interlacing) if report.interlacing else True
+    inter_ok = all(report.interlacing)
     print(
         f"diagnostics: {n_ritz} spectra, interlacing "
         f"{'all true' if inter_ok else 'VIOLATED'}, "
@@ -250,21 +220,16 @@ def main(argv=None):
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the problem seed")
-        p.add_argument("--history", action="store_true",
-                       help="retain per-iteration vector history")
+                       help="override the problem seed (echoed as problem.seed)")
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
         if args.seed is not None:
-            cfg["_seed_override"] = args.seed
-        if args.history:
-            cfg["history"] = True
+            cfg["problem"] = {**_problem_config(cfg), "seed": args.seed}
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out_dir)
-    except (ConfigError, DataFormatError, DimensionError, NumericalError,
-            ValueError, OSError) as exc:
+    except (ValueError, NumericalError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .exceptions import DimensionError, NumericalError
+from .resolvent import _check_gamma
 
 __all__ = [
     "KrylovBasis",
@@ -32,6 +33,9 @@ __all__ = [
 # A direction annihilated to below this fraction of its input norm means
 # the inputs were numerically dependent although no breakdown was flagged.
 _RANK_LOSS_RATIO = 1e-12
+
+# Relative slack of each strict inequality in the interlacing check.
+INTERLACING_SLACK = 1e-10
 
 
 @dataclass
@@ -144,12 +148,12 @@ def ritz_values(s_matrix):
     return RitzSpectrum(values=np.sort(vals))
 
 
-def check_interlacing(prev, nxt, slack=1e-10):
+def check_interlacing(prev, nxt):
     """Strict interlacing of consecutive spectra, with relative slack.
 
     With prev = (u_1 < ... < u_{m-1}) and nxt = (l_1 < ... < l_m), checks
     l_1 < u_1 < l_2 < u_2 < ... < u_{m-1} < l_m, accepting each inequality
-    up to ``slack`` relative to the magnitudes involved.
+    up to ``INTERLACING_SLACK`` relative to the magnitudes involved.
     """
     u = prev.values
     l = nxt.values
@@ -159,7 +163,7 @@ def check_interlacing(prev, nxt, slack=1e-10):
         )
 
     def lt(a, b):
-        return a < b + slack * max(abs(a), abs(b))
+        return a < b + INTERLACING_SLACK * max(abs(a), abs(b))
 
     for i in range(u.size):
         if not (lt(l[i], u[i]) and lt(u[i], l[i + 1])):
@@ -181,8 +185,7 @@ class ResidualFunction:
 
     def __post_init__(self):
         self.zeros = np.atleast_1d(np.asarray(self.zeros, dtype=float))
-        if self.gamma <= 0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
+        _check_gamma(self.gamma)
         if np.any(self.zeros <= 0):
             raise ValueError("zeros must be strictly positive")
 

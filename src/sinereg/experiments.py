@@ -1,7 +1,8 @@
 """Experiment harnesses: per-iteration solver comparison, noise-sweep rate
 checks with a log-log slope fit, and the diagnostics driver."""
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -60,7 +61,6 @@ class CompareResult:
     terminated_by_cgne: str
     dominance: list[bool]
     iterate_sine: np.ndarray | None = None
-    iterate_cgne: np.ndarray | None = None
 
     @property
     def dominance_all(self):
@@ -124,7 +124,6 @@ def run_compare(problem, gamma, rule):
         terminated_by_cgne=rep_c.terminated_by,
         dominance=dominance,
         iterate_sine=iterate_sine,
-        iterate_cgne=rep_c.iterate,
     )
 
 
@@ -134,7 +133,7 @@ class RateCheckConfig:
 
     ``mu`` is the source-condition exponent of the truth (truth t^(2 mu)),
     so mu = 1/2 means truth t and mu = 3/2 means truth t^3. The grid must
-    be strictly decreasing and positive.
+    be strictly decreasing, positive and finite.
     """
 
     delta_grid: tuple
@@ -149,26 +148,19 @@ class RateCheckConfig:
         object.__setattr__(self, "delta_grid", grid)
         if len(grid) == 0:
             raise ValueError("delta grid must be nonempty")
-        if any(d <= 0 for d in grid):
-            raise ValueError("delta grid entries must be positive")
+        if not all(math.isfinite(d) and d > 0 for d in grid):
+            raise ValueError("delta grid entries must be finite and positive")
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise ValueError("delta grid must be strictly decreasing")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ValueError(f"mu must be finite and positive, got {self.mu}")
 
     @property
     def truth_exponent(self):
         return 2.0 * self.mu
 
     def to_dict(self):
-        return {
-            "delta_grid": list(self.delta_grid),
-            "mu": self.mu,
-            "tau": self.tau,
-            "gamma": self.gamma,
-            "n": self.n,
-            "max_iters": self.max_iters,
-        }
+        return {**asdict(self), "delta_grid": list(self.delta_grid)}
 
 
 @dataclass
@@ -179,12 +171,7 @@ class RateRecord:
     flagged: bool  # hit the iteration cap; excluded from the fit
 
     def to_dict(self):
-        return {
-            "delta": float(self.delta),
-            "stopping_index": int(self.stopping_index),
-            "error": float(self.error),
-            "flagged": bool(self.flagged),
-        }
+        return asdict(self)
 
 
 @dataclass

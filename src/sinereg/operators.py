@@ -28,7 +28,12 @@ __all__ = [
     "save_dense_operator",
 ]
 
-_NORM_SEED = 20210828  # fixed start vector for reproducible norm estimates
+# Power iteration of norm_estimate: at most NORM_ITERS steps, stopping when
+# the Rayleigh quotient changes by less than NORM_RTOL relatively, from a
+# start vector drawn from a fixed seed for reproducible estimates.
+NORM_ITERS = 50
+NORM_RTOL = 1e-6
+_NORM_SEED = 20210828
 
 
 class LinearOperator:
@@ -193,29 +198,26 @@ class MatrixFreeOperator(LinearOperator):
         return self.domain.check_vector(x, "adjoint output")
 
 
-def norm_estimate(op, iters=50, rtol=1e-6, seed=_NORM_SEED):
-    """Estimate the operator norm ||T|| by power iteration on T*T.
-
-    Runs at most ``iters`` iterations, stopping early when the Rayleigh
-    quotient changes by less than ``rtol`` relatively. The start vector is
-    drawn from a fixed seed so that tolerance scaling derived from the
-    estimate is reproducible. A zero operator returns 0.
+def norm_estimate(op):
+    """Estimate the operator norm ||T|| by power iteration on T*T
+    (``NORM_ITERS`` steps at most, ``NORM_RTOL`` relative change, fixed
+    seed). A zero operator returns 0.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_NORM_SEED)
     v = rng.standard_normal(op.domain_dim)
     nv = op.domain.norm(v)
     if nv == 0:  # only possible for dim-0 edge cases, guarded anyway
         return 0.0
     v = v / nv
     lam = 0.0
-    for k in range(iters):
+    for k in range(NORM_ITERS):
         u = op.normal_apply(v)
         lam_new = op.domain.inner(u, v)
         nu = op.domain.norm(u)
         if nu == 0.0:
             return 0.0
         v = u / nu
-        if k > 0 and abs(lam_new - lam) <= rtol * abs(lam_new):
+        if k > 0 and abs(lam_new - lam) <= NORM_RTOL * abs(lam_new):
             lam = lam_new
             break
         lam = lam_new

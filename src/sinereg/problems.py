@@ -2,6 +2,7 @@
 seeded random dense problems with prescribed singular-value decay,
 calibrated noise injection, and file-based problem loading."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,31 +28,32 @@ __all__ = [
 ]
 
 
+def _check_delta(delta):
+    """Reject a noise level that is not a finite nonnegative number."""
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError(f"noise level must be finite and nonnegative, got {delta}")
+
+
 @dataclass
 class Problem:
     """An inverse problem instance: operator, noisy data, noise level.
 
-    ``truth`` is the exact solution when known; ``source_mu``/``source_rho``
-    record smoothness metadata (the exponent and radius of the source set
-    the truth belongs to) and are informational only.
+    ``truth`` is the exact solution when known.
     """
 
     operator: LinearOperator
     y_delta: np.ndarray
     delta: float
     truth: np.ndarray | None = None
-    source_mu: float | None = None
-    source_rho: float | None = None
 
     def __post_init__(self):
+        _check_delta(self.delta)
         # copies keep the instance immune to later mutation of caller arrays
         self.y_delta = self.operator.codomain.check_vector(
             self.y_delta, "data"
         ).copy()
         if not np.all(np.isfinite(self.y_delta)):
             raise ValueError("data vector contains non-finite entries")
-        if self.delta < 0:
-            raise ValueError(f"noise level must be nonnegative, got {self.delta}")
         if self.truth is not None:
             self.truth = self.operator.domain.check_vector(self.truth, "truth").copy()
 
@@ -92,21 +94,12 @@ def multiplication_problem(n, truth_exponent, delta):
         raise DimensionError(f"grid size must be at least 2, got {n}")
     if truth_exponent <= 0:
         raise ValueError(f"truth exponent must be positive, got {truth_exponent}")
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
     t = (np.arange(1, n + 1) - 0.5) / n
     space = InnerProductSpace(n, weights=np.full(n, 1.0 / n))
     op = DiagonalOperator(t, space)
     truth = t**truth_exponent
     y_delta = t * truth + delta
-    return Problem(
-        operator=op,
-        y_delta=y_delta,
-        delta=float(delta),
-        truth=truth,
-        source_mu=truth_exponent / 2.0,
-        source_rho=1.0,
-    )
+    return Problem(operator=op, y_delta=y_delta, delta=float(delta), truth=truth)
 
 
 def random_problem(rows, cols, decay="geometric", rate=0.5, seed=0, delta=0.0,
@@ -155,8 +148,7 @@ def add_noise(y, delta, mode, seed=0, space=None):
     seeded Gaussian vector rescaled to weighted norm delta.
     """
     y = np.asarray(y, dtype=float)
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    _check_delta(delta)
     if space is None:
         space = InnerProductSpace(y.size)
     y = space.check_vector(y, "data")
@@ -215,7 +207,7 @@ def load_problem(operator_path, data_path, config):
             f"data vector {data_path} has length {y.size}, but operator "
             f"{operator_path} has range dimension {op.range_dim}"
         )
-    if "delta" not in config:
+    if config.get("delta") is None:
         raise DataFormatError("problem config is missing the required key 'delta'")
     delta = float(config["delta"])
     return Problem(operator=op, y_delta=y, delta=delta)

@@ -17,7 +17,10 @@ from .operators import DenseOperator, DiagonalOperator
 
 __all__ = ["ShiftSolver", "build_shift_solver"]
 
-DEFAULT_RESOLVENT_TOL = 1e-13
+# Relative residual tolerance of the inner CG solve, and its iteration
+# cap per domain dimension.
+RESOLVENT_TOL = 1e-13
+CG_ITERS_PER_DIM = 10
 
 
 def _check_gamma(gamma):
@@ -47,18 +50,18 @@ class ShiftSolver:
     gamma : float
         Positive shift.
     strategy : str
-        "diagonal", "cholesky", or "cg".
-    tol : float
-        Relative residual tolerance guaranteed by ``apply``.
+        "diagonal", "cholesky", or "cg". The "cg" strategy reaches relative
+        residual ``RESOLVENT_TOL`` within ``max_iter`` inner iterations
+        (default ``CG_ITERS_PER_DIM * domain_dim``) or raises.
     """
 
-    def __init__(self, op, gamma, strategy, tol, data=None, max_iter=None):
+    def __init__(self, op, gamma, strategy, data=None, max_iter=None):
         self.op = op
         self.gamma = float(gamma)
         self.strategy = strategy
-        self.tol = float(tol)
         self._data = data
-        self._max_iter = max_iter
+        self._max_iter = (CG_ITERS_PER_DIM * op.domain_dim if max_iter is None
+                          else max_iter)
 
     def apply(self, v):
         """Return (I + T*T/gamma)^{-1} v."""
@@ -72,7 +75,7 @@ class ShiftSolver:
 
     def _apply_cg(self, b):
         space = self.op.domain
-        target = self.tol * space.norm(b)
+        target = RESOLVENT_TOL * space.norm(b)
         x = np.zeros_like(b)
         r = b.copy()
         rz = space.inner(r, r)
@@ -94,25 +97,24 @@ class ShiftSolver:
             rz = rz_new
         raise NumericalError(
             "inner resolvent solve did not reach relative tolerance "
-            f"{self.tol:g} within {max_iter} iterations "
+            f"{RESOLVENT_TOL:g} within {max_iter} iterations "
             f"(achieved residual {np.sqrt(rz):.3e}, target {target:.3e})"
         )
 
 
-def build_shift_solver(op, gamma, tol=DEFAULT_RESOLVENT_TOL, max_iter=None):
+def build_shift_solver(op, gamma):
     """Build a :class:`ShiftSolver` for (I + T*T/gamma).
 
     Dense backends factor M = W_d + A^T W_r A / gamma (symmetric positive
     definite in the Euclidean sense) once with Cholesky; the weighted map
     B = I + T*T/gamma satisfies B x = v iff M x = W_d v. Diagonal backends
     divide componentwise by 1 + d_i^2/gamma. Anything else is solved by
-    inner CG at relative tolerance ``tol`` with an iteration cap of
-    ``max_iter`` (default 10 * domain_dim).
+    inner CG (see :class:`ShiftSolver`).
     """
     _check_gamma(gamma)
     if isinstance(op, DiagonalOperator):
         factors = 1.0 + op.diagonal * op.diagonal / gamma
-        return ShiftSolver(op, gamma, "diagonal", tol, data=factors)
+        return ShiftSolver(op, gamma, "diagonal", data=factors)
     if isinstance(op, DenseOperator):
         a = op.matrix
         wr = op.codomain.weights if not op.codomain.is_unit else None
@@ -130,8 +132,6 @@ def build_shift_solver(op, gamma, tol=DEFAULT_RESOLVENT_TOL, max_iter=None):
                 f"(gamma={gamma:g}); the matrix is positive definite in exact "
                 f"arithmetic, so this indicates severe rounding: {exc}"
             ) from exc
-        return ShiftSolver(op, gamma, "cholesky", tol, data=factor)
-    if max_iter is None:
-        max_iter = 10 * op.domain_dim
-    return ShiftSolver(op, gamma, "cg", tol, max_iter=max_iter)
+        return ShiftSolver(op, gamma, "cholesky", data=factor)
+    return ShiftSolver(op, gamma, "cg")
 

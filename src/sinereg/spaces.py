@@ -69,15 +69,6 @@ class InnerProductSpace:
     def norm(self, u):
         return float(np.sqrt(self.inner(u, u)))
 
-    def __eq__(self, other):
-        if not isinstance(other, InnerProductSpace):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        if self._weights is None and other._weights is None:
-            return True
-        return bool(np.array_equal(self.weights, other.weights))
-
     def __repr__(self):
         kind = "unit" if self._weights is None else "weighted"
         return f"InnerProductSpace(dim={self.dim}, {kind})"

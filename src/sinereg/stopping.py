@@ -286,21 +286,3 @@ class RunReport:
             "alphas": [float(v) for v in self.alphas],
             "betas": [float(v) for v in self.betas],
         }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            solver=d["solver"],
-            stopping_index=d["stopping_index"],
-            iterate=np.asarray(d["iterate"], dtype=float),
-            residual_history=list(d["residual_history"]),
-            terminated_by=d["terminated_by"],
-            error_history=None
-            if d.get("error_history") is None
-            else list(d["error_history"]),
-            breakdown_step=d.get("breakdown_step"),
-            elapsed_seconds=d.get("elapsed_seconds", 0.0),
-            gamma=d.get("gamma"),
-            alphas=list(d.get("alphas", [])),
-            betas=list(d.get("betas", [])),
-        )

@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from sinereg import RunReport, save_dense_operator, save_vector
+from sinereg import (RateCheckConfig, StoppingRule, random_problem, run_sine,
+                     save_dense_operator, save_vector)
 from sinereg.cli import main
 
 
@@ -40,9 +41,8 @@ class TestSolve:
         payload = json.loads((out / "report.json").read_text())
         assert payload["report"]["stopping_index"] == 2
         assert payload["report"]["terminated_by"] == "discrepancy"
-        # report JSON re-parses into an equal structure
-        report = RunReport.from_dict(payload["report"])
-        assert report.to_dict() == payload["report"]
+        # the report survives a JSON round trip unchanged
+        assert json.loads(json.dumps(payload["report"])) == payload["report"]
         rows = read_csv(out / "residuals.csv")
         assert rows[0] == ["m", "residual", "error"]
         assert len(rows) == 4  # header + m = 0, 1, 2
@@ -180,13 +180,8 @@ class TestRateCheck:
 
 
 class TestDiagnose:
-    def test_requires_history_flag(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, benchmark_config())
-        out = tmp_path / "out"
-        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) == 1
-        assert "history" in capsys.readouterr().err
-
     def test_history_flag_enables(self, tmp_path):
+        """diagnose keeps the run history itself: no flag or key is needed."""
         cfg = write_config(
             tmp_path,
             benchmark_config(
@@ -195,8 +190,7 @@ class TestDiagnose:
             ),
         )
         out = tmp_path / "out"
-        code = main(["diagnose", "--config", str(cfg), "--out", str(out),
-                     "--history"])
+        code = main(["diagnose", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         payload = json.loads((out / "diagnostics.json").read_text())
         rep = payload["report"]
@@ -262,6 +256,102 @@ class TestErrorsAndSeeds:
         base, seeded_a, seeded_b = outs
         assert seeded_a["report"]["iterate"] == seeded_b["report"]["iterate"]
         assert base["report"]["iterate"] != seeded_a["report"]["iterate"]
+        assert base["config"]["problem"]["seed"] == 0
+        assert seeded_a["config"]["problem"]["seed"] == 123
+
+    def test_seed_echoed_without_problem_section(self, tmp_path):
+        cfg = write_config(tmp_path, {"problem": {"kind": "multiplication", "n": 64}})
+        bare = write_config(tmp_path, {}, name="bare.json")
+        for path, problem in ((cfg, {"kind": "multiplication", "n": 64, "seed": 5}),
+                              (bare, {"seed": 5})):
+            out = tmp_path / path.stem
+            assert main(["solve", "--config", str(path), "--out", str(out),
+                         "--seed", "5"]) == 0
+            payload = json.loads((out / "report.json").read_text())
+            assert payload["config"]["problem"] == problem
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("command, payload, key", [
+        ("solve", {"gamma": [1]}, "gamma"),
+        ("compare", {"tau": "high"}, "tau"),
+        ("diagnose", {"problem": {"kind": "multiplication", "n": [64]}}, "n"),
+        ("solve", {"problem": {"kind": "random", "rows": 8, "cols": {}}}, "cols"),
+        ("ratecheck", {"max_iters": "five"}, "max_iters"),
+        ("ratecheck", {"delta_grid": 1e-3}, "delta_grid"),
+    ])
+    def test_failed_conversion_exit_one_names_key(self, tmp_path, capsys,
+                                                   command, payload, key):
+        cfg = write_config(tmp_path, payload)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed_args", [[], ["--seed", "3"]])
+    @pytest.mark.parametrize("problem", [None, [1], "random"])
+    def test_problem_not_an_object_exit_one(self, tmp_path, capsys, seed_args,
+                                            problem):
+        cfg = write_config(tmp_path, {"problem": problem})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     *seed_args]) == 1
+        assert "'problem' must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["multiplication", "random"])
+    @pytest.mark.parametrize("delta", ["NaN", "Infinity", "-1"])
+    def test_bad_problem_delta_exit_one(self, tmp_path, capsys, kind, delta):
+        """A problem noise level that is not finite and nonnegative exits 1."""
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"problem": {"kind": "%s", "rows": 6, "cols": 4, '
+                       '"delta": %s}}' % (kind, delta))
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "finite and nonnegative" in capsys.readouterr().err
+
+    def test_random_problem_needs_rows_and_cols(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"problem": {"kind": "random", "rows": 8}})
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "'rows' and 'cols'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given, cap", [("5", 5), (2.5, 2)])
+    def test_max_iters_converted_alike_by_ratecheck_and_solve(self, tmp_path,
+                                                              given, cap):
+        def run(command, payload):
+            out = tmp_path / f"{command}-{payload['max_iters']!r}"
+            code = main([command, "--config", str(write_config(tmp_path, payload)),
+                         "--out", str(out)])
+            return code, json.loads((out / "report.json").read_text())["report"]
+
+        grid = {"delta_grid": [1e-3, 1e-4], "mu": 0.5, "n": 256}
+        code, report = run("ratecheck", {**grid, "max_iters": given})
+        assert (code, report) == run("ratecheck", {**grid, "max_iters": cap})
+        assert report["config"]["max_iters"] == cap
+        solve = {"delta": 1e-9, "problem": {"kind": "multiplication", "n": 64}}
+        code, report = run("solve", {**solve, "max_iters": given})
+        assert code == 2 and report["stopping_index"] == cap
+
+
+class TestLibraryDefaults:
+    """Keys a config leaves out take the library's defaults, not copies."""
+
+    def test_random_problem_with_only_rows_and_cols(self, tmp_path):
+        cfg = write_config(tmp_path, {"problem": {"kind": "random", "rows": 12,
+                                                  "cols": 8}})
+        out = tmp_path / "out"
+        code = main(["solve", "--config", str(cfg), "--out", str(out)])
+        expected = run_sine(random_problem(12, 8), 1e-3, StoppingRule(1.001, 0.0))
+        assert code == (0 if expected.terminated_by in ("discrepancy", "breakdown")
+                        else 2)
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["report"]["iterate"] == expected.to_dict()["iterate"]
+
+    def test_ratecheck_with_only_grid_and_mu(self, tmp_path):
+        grid = [1e-2, 1e-3]
+        cfg = write_config(tmp_path, {"delta_grid": grid, "mu": 0.5})
+        out = tmp_path / "out"
+        assert main(["ratecheck", "--config", str(cfg), "--out", str(out)]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["report"]["config"] == RateCheckConfig(grid, 0.5).to_dict()
 
 
 def test_console_entry_point(tmp_path):

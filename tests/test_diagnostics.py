@@ -183,6 +183,11 @@ class TestResidualFunction:
             err = p.range_space.norm(state.residual_vectors[m] - predicted)
             assert err <= 1e-8 * ynorm
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0])
+    def test_bad_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="finite and positive"):
+            ResidualFunction(gamma=gamma, zeros=np.array([1.0]))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ResidualFunction(gamma=-1.0, zeros=np.array([1.0]))

@@ -130,6 +130,20 @@ class TestRateCheck:
         with pytest.raises(ValueError):
             RateCheckConfig(delta_grid=(1e-2,), mu=-1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    def test_non_finite_mu_and_grid_rejected(self, bad):
+        with pytest.raises(ValueError, match="mu must be finite"):
+            RateCheckConfig(delta_grid=(1e-2,), mu=bad)
+        with pytest.raises(ValueError, match="finite and positive"):
+            RateCheckConfig(delta_grid=(bad, 1e-3), mu=0.5)
+
+    def test_to_dict_lists_every_field(self):
+        config = RateCheckConfig(delta_grid=(1e-2, 1e-3), mu=0.5, max_iters=7)
+        assert config.to_dict() == {
+            "delta_grid": [1e-2, 1e-3], "mu": 0.5, "tau": 1.001,
+            "gamma": 1e-3, "n": 4096, "max_iters": 7,
+        }
+
     def test_truth_exponent_mapping(self):
         assert RateCheckConfig(delta_grid=(1e-2,), mu=0.5).truth_exponent == 1.0
         assert RateCheckConfig(delta_grid=(1e-2,), mu=1.5).truth_exponent == 3.0

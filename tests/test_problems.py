@@ -37,11 +37,6 @@ class TestMultiplicationProblem:
         assert p.operator.diagonal == pytest.approx([1 / 8, 3 / 8, 5 / 8, 7 / 8])
         assert p.y_delta == pytest.approx(p.operator.diagonal ** 2)
 
-    def test_source_metadata(self):
-        assert multiplication_problem(16, 1, 0.0).source_mu == pytest.approx(0.5)
-        assert multiplication_problem(16, 3, 0.0).source_mu == pytest.approx(1.5)
-        assert multiplication_problem(16, 3, 0.0).source_rho == 1.0
-
     def test_truth_consistency_invariant(self):
         delta = 2.5e-4
         p = multiplication_problem(512, 3, delta)
@@ -183,8 +178,9 @@ class TestLoadProblem:
     def test_missing_delta(self, tmp_path):
         save_dense_operator(np.eye(2), tmp_path / "op.csv")
         save_vector(np.array([1.0, 0.0]), tmp_path / "y.csv")
-        with pytest.raises(DataFormatError, match="delta"):
-            load_problem(tmp_path / "op.csv", tmp_path / "y.csv", {})
+        for config in ({}, {"delta": None}):
+            with pytest.raises(DataFormatError, match="delta"):
+                load_problem(tmp_path / "op.csv", tmp_path / "y.csv", config)
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(DataFormatError):
@@ -208,6 +204,18 @@ class TestProblemValidation:
         p = multiplication_problem(8, 1, 0.0)
         with pytest.raises(ValueError):
             Problem(operator=p.operator, y_delta=p.y_delta, delta=-1.0)
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -1.0])
+    def test_bad_delta_rejected_by_every_constructor(self, delta):
+        p = multiplication_problem(8, 1, 0.0)
+        for build in (
+            lambda: Problem(operator=p.operator, y_delta=p.y_delta, delta=delta),
+            lambda: multiplication_problem(8, 1, delta),
+            lambda: random_problem(6, 4, delta=delta),
+            lambda: add_noise(np.ones(3), delta, "constant"),
+        ):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                build()
 
     def test_error_norm_requires_truth(self):
         p = multiplication_problem(8, 1, 0.0)

@@ -7,6 +7,7 @@ from sinereg import (
     InnerProductSpace,
     MatrixFreeOperator,
     NumericalError,
+    ShiftSolver,
     build_shift_solver,
 )
 
@@ -104,7 +105,7 @@ def test_matrix_free_uses_inner_cg():
 
 def test_matrix_free_nonconvergence_reports_residual():
     _, free = make_ops(20, 14, 24)
-    solver = build_shift_solver(free, gamma=1e-4, max_iter=2)
+    solver = ShiftSolver(free, 1e-4, "cg", max_iter=2)
     v = np.random.default_rng(25).standard_normal(14)
     with pytest.raises(NumericalError, match="achieved residual"):
         solver.apply(v)

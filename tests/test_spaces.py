@@ -48,11 +48,3 @@ def test_validation_errors():
     space = InnerProductSpace(3)
     with pytest.raises(DimensionError):
         space.check_vector(np.ones(4))
-
-
-def test_space_equality():
-    assert InnerProductSpace(5) == InnerProductSpace(5)
-    assert InnerProductSpace(5) != InnerProductSpace(6)
-    w = np.full(4, 0.25)
-    assert InnerProductSpace(4, weights=w) == InnerProductSpace(4, weights=w.copy())
-    assert InnerProductSpace(4, weights=w) != InnerProductSpace(4, weights=2 * w)
