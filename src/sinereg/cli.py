@@ -54,6 +54,13 @@ def _take(section, **casts):
     return out
 
 
+def _int(value):
+    """``value`` as an int; a number that is not integral is rejected."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not an integer")
+    return int(value)
+
+
 def _get(section, key, cast, default):
     return _take(section, **{key: cast}).get(key, default)
 
@@ -69,16 +76,16 @@ def _build_problem(pc):
     kind = pc.get("kind", "multiplication")
     if kind == "multiplication":
         exact = multiplication_problem(
-            _get(pc, "n", int, 4096), _get(pc, "exponent", float, 1.0), 0.0
+            _get(pc, "n", _int, 4096), _get(pc, "exponent", float, 1.0), 0.0
         )
         delta = _get(pc, "delta", float, 1e-3)
         y_delta = add_noise(exact.y_delta, delta, pc.get("noise", "constant"),
-                            space=exact.range_space, **_take(pc, seed=int))
+                            space=exact.range_space, **_take(pc, seed=_int))
         return Problem(exact.operator, y_delta, delta, truth=exact.truth)
     if kind == "random":
         if "rows" not in pc or "cols" not in pc:
             raise ConfigError("problem kind 'random' needs 'rows' and 'cols'")
-        kw = _take(pc, rows=int, cols=int, decay=str, rate=float, seed=int,
+        kw = _take(pc, rows=_int, cols=_int, decay=str, rate=float, seed=_int,
                    delta=float, noise=str)
         if "noise" in kw:
             kw["noise_mode"] = kw.pop("noise")
@@ -97,7 +104,7 @@ def _setup(cfg):
     rule = StoppingRule(
         tau=_get(cfg, "tau", float, 1.001),
         delta=_get(cfg, "delta", float, problem.delta),
-        **_take(cfg, max_iters=int),
+        **_take(cfg, max_iters=_int),
     )
     return problem, rule, _get(cfg, "gamma", float, 1e-3)
 
@@ -169,7 +176,7 @@ def cmd_ratecheck(cfg, out_dir):
         delta_grid=_get(cfg, "delta_grid", lambda g: tuple(map(float, g)),
                         DEFAULT_DELTA_GRID),
         mu=_get(cfg, "mu", float, 0.5),
-        **_take(cfg, tau=float, gamma=float, n=int, max_iters=int),
+        **_take(cfg, tau=float, gamma=float, n=_int, max_iters=_int),
     )
     result = run_ratecheck(config)
     _write_json(out_dir, "report.json", {"config": cfg, "report": result.to_dict()})
@@ -219,12 +226,13 @@ def main(argv=None):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the problem seed (echoed as problem.seed)")
+        if name != "ratecheck":
+            p.add_argument("--seed", type=int, default=None,
+                           help="override the problem seed (echoed as problem.seed)")
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
-        if args.seed is not None:
+        if getattr(args, "seed", None) is not None:
             cfg["problem"] = {**_problem_config(cfg), "seed": args.seed}
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -15,6 +15,7 @@ import scipy.linalg
 
 from .exceptions import DimensionError, NumericalError
 from .resolvent import _check_gamma
+from .stopping import _plain
 
 __all__ = [
     "KrylovBasis",
@@ -241,14 +242,9 @@ class OrthogonalityReport:
         return max(self.conjugacy, default=0.0)
 
     def to_dict(self):
-        return {
-            "galerkin": [float(v) for v in self.galerkin],
-            "galerkin_adjoint": [float(v) for v in self.galerkin_adjoint],
-            "conjugacy": [float(v) for v in self.conjugacy],
-            "max_galerkin": float(self.max_galerkin),
-            "max_galerkin_adjoint": float(self.max_galerkin_adjoint),
-            "max_conjugacy": float(self.max_conjugacy),
-        }
+        return {**_plain(self), "max_galerkin": self.max_galerkin,
+                "max_galerkin_adjoint": self.max_galerkin_adjoint,
+                "max_conjugacy": self.max_conjugacy}
 
 
 def orthogonality_audit(state):

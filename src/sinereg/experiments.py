@@ -2,7 +2,7 @@
 checks with a log-log slope fit, and the diagnostics driver."""
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .operators import DiagonalOperator
 from .problems import multiplication_problem
 from .resolvent import build_shift_solver
 from .sine import run_sine, sine_init, sine_step
-from .stopping import StoppingRule, drive
+from .stopping import StoppingRule, _plain, drive
 
 __all__ = [
     "CompareResult",
@@ -60,23 +60,15 @@ class CompareResult:
     terminated_by_sine: str
     terminated_by_cgne: str
     dominance: list[bool]
-    iterate_sine: np.ndarray | None = None
+    # never serialized
+    iterate_sine: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def dominance_all(self):
         return all(self.dominance)
 
     def to_dict(self):
-        return {
-            "residuals_sine": [float(v) for v in self.residuals_sine],
-            "residuals_cgne": [float(v) for v in self.residuals_cgne],
-            "stopping_index_sine": int(self.stopping_index_sine),
-            "stopping_index_cgne": int(self.stopping_index_cgne),
-            "terminated_by_sine": self.terminated_by_sine,
-            "terminated_by_cgne": self.terminated_by_cgne,
-            "dominance": [bool(v) for v in self.dominance],
-            "dominance_all": bool(self.dominance_all),
-        }
+        return {**_plain(self), "dominance_all": self.dominance_all}
 
 
 def run_compare(problem, gamma, rule):
@@ -160,7 +152,7 @@ class RateCheckConfig:
         return 2.0 * self.mu
 
     def to_dict(self):
-        return {**asdict(self), "delta_grid": list(self.delta_grid)}
+        return _plain(self)
 
 
 @dataclass
@@ -171,7 +163,7 @@ class RateRecord:
     flagged: bool  # hit the iteration cap; excluded from the fit
 
     def to_dict(self):
-        return asdict(self)
+        return _plain(self)
 
 
 @dataclass
@@ -187,11 +179,7 @@ class RateCheckResult:
         return sum(r.flagged for r in self.records) / len(self.records)
 
     def to_dict(self):
-        return {
-            "records": [r.to_dict() for r in self.records],
-            "slope": None if self.slope is None else float(self.slope),
-            "config": self.config,
-        }
+        return _plain(self)
 
 
 def run_ratecheck(config):
@@ -251,17 +239,7 @@ class DiagnosticsReport:
     terminated_by: str = ""
 
     def to_dict(self):
-        return {
-            "ritz": [[float(v) for v in row] for row in self.ritz],
-            "interlacing": [bool(v) for v in self.interlacing],
-            "rprime": [float(v) for v in self.rprime],
-            "orthogonality": self.orthogonality,
-            "residual_identity_max": None
-            if self.residual_identity_max is None
-            else float(self.residual_identity_max),
-            "stopping_index": int(self.stopping_index),
-            "terminated_by": self.terminated_by,
-        }
+        return _plain(self)
 
 
 def run_diagnostics(problem, gamma, rule):

@@ -25,7 +25,9 @@ __all__ = [
     "norm_estimate",
     "load_dense_operator",
     "load_diagonal_operator",
+    "load_vector",
     "save_dense_operator",
+    "save_vector",
 ]
 
 # Power iteration of norm_estimate: at most NORM_ITERS steps, stopping when
@@ -225,6 +227,8 @@ def norm_estimate(op):
 
 
 def _load_matrix(path):
+    """The finite 2-d array in a Matrix Market (.mtx, .mtx.gz) or
+    headerless CSV file; the one parser of every loader."""
     path = str(path)
     try:
         if path.endswith(".mtx") or path.endswith(".mtx.gz"):
@@ -237,10 +241,20 @@ def _load_matrix(path):
     except OSError:
         raise
     except Exception as exc:
-        raise DataFormatError(f"{path}: cannot parse operator file: {exc}") from exc
+        raise DataFormatError(f"{path}: cannot parse file: {exc}") from exc
     if not np.all(np.isfinite(a)):
-        raise DataFormatError(f"{path}: operator contains non-finite entries")
+        raise DataFormatError(f"{path}: file contains non-finite entries")
     return a
+
+
+def load_vector(path):
+    """Read a one-column .mtx or headerless CSV file into a float vector."""
+    a = _load_matrix(path)
+    if a.shape[1] != 1:
+        raise DataFormatError(
+            f"{path}: expected exactly one column, got shape {a.shape}"
+        )
+    return a[:, 0]
 
 
 def load_dense_operator(path, domain=None, codomain=None):
@@ -253,16 +267,10 @@ def load_dense_operator(path, domain=None, codomain=None):
 
 
 def load_diagonal_operator(path, space=None):
-    """Load a diagonal operator from a one-column CSV file."""
-    a = _load_matrix(path)
-    if a.ndim != 2 or a.shape[1] != 1:
-        raise DataFormatError(
-            f"{path}: diagonal operator file must have exactly one column, "
-            f"got shape {a.shape}"
-        )
+    """Load a diagonal operator from a one-column file (see :func:`load_vector`)."""
     try:
-        return DiagonalOperator(a[:, 0], space=space)
-    except (DimensionError, ValueError) as exc:
+        return DiagonalOperator(load_vector(path), space=space)
+    except DimensionError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
@@ -274,3 +282,8 @@ def save_dense_operator(matrix, path):
         scipy.io.mmwrite(path, a, precision=17)
     else:
         np.savetxt(path, a, delimiter=",", fmt="%.17e")
+
+
+def save_vector(v, path):
+    """Write a vector as one column of .mtx or CSV, see :func:`save_dense_operator`."""
+    save_dense_operator(np.asarray(v, dtype=float)[:, None], path)

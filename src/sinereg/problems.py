@@ -14,6 +14,8 @@ from .operators import (
     DenseOperator,
     load_dense_operator,
     load_diagonal_operator,
+    load_vector,
+    save_vector,
 )
 from .spaces import InnerProductSpace
 
@@ -92,8 +94,10 @@ def multiplication_problem(n, truth_exponent, delta):
     """
     if n < 2:
         raise DimensionError(f"grid size must be at least 2, got {n}")
-    if truth_exponent <= 0:
-        raise ValueError(f"truth exponent must be positive, got {truth_exponent}")
+    if not (math.isfinite(truth_exponent) and truth_exponent > 0):
+        raise ValueError(
+            f"truth exponent must be finite and positive, got {truth_exponent}"
+        )
     t = (np.arange(1, n + 1) - 0.5) / n
     space = InnerProductSpace(n, weights=np.full(n, 1.0 / n))
     op = DiagonalOperator(t, space)
@@ -117,8 +121,8 @@ def random_problem(rows, cols, decay="geometric", rate=0.5, seed=0, delta=0.0,
         raise DimensionError(
             f"need rows >= cols >= 1, got rows={rows}, cols={cols}"
         )
-    if rate <= 0:
-        raise ValueError(f"decay rate must be positive, got {rate}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"decay rate must be finite and positive, got {rate}")
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
     v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
@@ -163,32 +167,8 @@ def add_noise(y, delta, mode, seed=0, space=None):
     raise ValueError(f"unknown noise mode {mode!r}")
 
 
-def load_vector(path):
-    """Read a headerless one-column CSV into a float vector."""
-    try:
-        a = np.loadtxt(str(path), delimiter=",", dtype=float, ndmin=2)
-    except OSError:
-        raise
-    except Exception as exc:
-        raise DataFormatError(f"{path}: cannot parse vector file: {exc}") from exc
-    if a.shape[1] != 1:
-        raise DataFormatError(
-            f"{path}: vector file must have exactly one column, got shape {a.shape}"
-        )
-    v = a[:, 0]
-    if not np.all(np.isfinite(v)):
-        raise DataFormatError(f"{path}: vector contains non-finite entries")
-    return v
-
-
-def save_vector(v, path):
-    """Write a vector as a one-column CSV with full float64 precision."""
-    np.savetxt(str(path), np.asarray(v, dtype=float)[:, None], delimiter=",",
-               fmt="%.17e")
-
-
 def load_problem(operator_path, data_path, config):
-    """Assemble a Problem from an operator file and a data CSV.
+    """Assemble a Problem from an operator file and a data file.
 
     ``config`` keys: "delta" (required, >= 0), "operator_kind" ("dense",
     the default, or "diagonal"). Dimensions and finiteness are validated

@@ -51,17 +51,15 @@ class ShiftSolver:
         Positive shift.
     strategy : str
         "diagonal", "cholesky", or "cg". The "cg" strategy reaches relative
-        residual ``RESOLVENT_TOL`` within ``max_iter`` inner iterations
-        (default ``CG_ITERS_PER_DIM * domain_dim``) or raises.
+        residual ``RESOLVENT_TOL`` within ``CG_ITERS_PER_DIM * domain_dim``
+        inner iterations or raises.
     """
 
-    def __init__(self, op, gamma, strategy, data=None, max_iter=None):
+    def __init__(self, op, gamma, strategy, data=None):
         self.op = op
         self.gamma = float(gamma)
         self.strategy = strategy
         self._data = data
-        self._max_iter = (CG_ITERS_PER_DIM * op.domain_dim if max_iter is None
-                          else max_iter)
 
     def apply(self, v):
         """Return (I + T*T/gamma)^{-1} v."""
@@ -69,8 +67,7 @@ class ShiftSolver:
         if self.strategy == "diagonal":
             return v / self._data
         if self.strategy == "cholesky":
-            rhs = self.op.domain.weights * v if not self.op.domain.is_unit else v
-            return scipy.linalg.cho_solve(self._data, rhs)
+            return scipy.linalg.cho_solve(self._data, self.op.domain.weights * v)
         return self._apply_cg(v)
 
     def _apply_cg(self, b):
@@ -83,7 +80,7 @@ class ShiftSolver:
         if np.sqrt(rz) <= target:
             return x
         p = r.copy()
-        max_iter = self._max_iter
+        max_iter = CG_ITERS_PER_DIM * space.dim
         for k in range(1, max_iter + 1):
             bp = p + self.op.normal_apply(p) / self.gamma
             alpha = rz / space.inner(p, bp)
@@ -120,10 +117,7 @@ def build_shift_solver(op, gamma):
         wr = op.codomain.weights if not op.codomain.is_unit else None
         awa = a.T @ (wr[:, None] * a) if wr is not None else a.T @ a
         m = awa / gamma
-        if op.domain.is_unit:
-            m[np.diag_indices_from(m)] += 1.0
-        else:
-            m[np.diag_indices_from(m)] += op.domain.weights
+        m[np.diag_indices_from(m)] += op.domain.weights
         try:
             factor = scipy.linalg.cho_factor(m)
         except scipy.linalg.LinAlgError as exc:

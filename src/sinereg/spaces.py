@@ -30,8 +30,9 @@ class InnerProductSpace:
         if dim < 1:
             raise DimensionError(f"space dimension must be positive, got {dim}")
         self.dim = int(dim)
-        if weights is None:
-            self._weights = None
+        self.is_unit = weights is None
+        if self.is_unit:
+            w = np.ones(self.dim)
         else:
             w = np.array(weights, dtype=float)  # own copy
             if w.shape != (self.dim,):
@@ -40,18 +41,9 @@ class InnerProductSpace:
                 )
             if not np.all(np.isfinite(w)) or np.any(w <= 0):
                 raise ValueError("weights must be finite and strictly positive")
-            self._weights = w
-
-    @property
-    def weights(self):
-        """Weight vector (ones if the space is unweighted)."""
-        if self._weights is None:
-            return np.ones(self.dim)
-        return self._weights
-
-    @property
-    def is_unit(self):
-        return self._weights is None
+        # the weight vector, ones if the space is unweighted; frozen
+        self.weights = w
+        self.weights.setflags(write=False)
 
     def check_vector(self, v, what="vector"):
         v = np.asarray(v, dtype=float)
@@ -62,13 +54,13 @@ class InnerProductSpace:
         return v
 
     def inner(self, u, v):
-        if self._weights is None:
+        if self.is_unit:
             return float(np.dot(u, v))
-        return float(np.dot(self._weights * u, v))
+        return float(np.dot(self.weights * u, v))
 
     def norm(self, u):
         return float(np.sqrt(self.inner(u, u)))
 
     def __repr__(self):
-        kind = "unit" if self._weights is None else "weighted"
+        kind = "unit" if self.is_unit else "weighted"
         return f"InnerProductSpace(dim={self.dim}, {kind})"

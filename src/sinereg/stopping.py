@@ -1,9 +1,9 @@
 """Shared iteration machinery: the Krylov state both solvers step, the
 discrepancy-principle stopping rule, the breakdown test, the one driver
-loop, and the run report."""
+loop, the run report, and the one JSON converter of every report."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -217,6 +217,22 @@ def drive(state, step, rule, cap):
         step(state)
 
 
+def _plain(value):
+    """``value`` in plain Python for ``json.dumps``: a dataclass becomes a
+    dict of its fields (all but those marked ``repr=False``), an array, list
+    or tuple a list, and a numpy scalar a Python number."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in fields(value) if f.repr}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    return value
+
+
 @dataclass
 class RunReport:
     """Outcome of a regularized solve.
@@ -269,20 +285,4 @@ class RunReport:
 
     def to_dict(self):
         """Plain-python dict, safe for ``json.dumps``."""
-        return {
-            "solver": self.solver,
-            "stopping_index": int(self.stopping_index),
-            "iterate": [float(v) for v in self.iterate],
-            "residual_history": [float(v) for v in self.residual_history],
-            "error_history": None
-            if self.error_history is None
-            else [float(v) for v in self.error_history],
-            "terminated_by": self.terminated_by,
-            "breakdown_step": None
-            if self.breakdown_step is None
-            else int(self.breakdown_step),
-            "elapsed_seconds": float(self.elapsed_seconds),
-            "gamma": None if self.gamma is None else float(self.gamma),
-            "alphas": [float(v) for v in self.alphas],
-            "betas": [float(v) for v in self.betas],
-        }
+        return _plain(self)

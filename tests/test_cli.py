@@ -270,6 +270,17 @@ class TestErrorsAndSeeds:
             payload = json.loads((out / "report.json").read_text())
             assert payload["config"]["problem"] == problem
 
+    def test_ratecheck_rejects_seed(self, tmp_path, capsys):
+        """ratecheck has no seed to override, so --seed is an unknown flag."""
+        cfg = write_config(tmp_path, {"delta_grid": [1e-3], "n": 64})
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["ratecheck", "--config", str(cfg), "--out", str(out),
+                  "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
 
 class TestConfigTypes:
     @pytest.mark.parametrize("command, payload, key", [
@@ -279,6 +290,16 @@ class TestConfigTypes:
         ("solve", {"problem": {"kind": "random", "rows": 8, "cols": {}}}, "cols"),
         ("ratecheck", {"max_iters": "five"}, "max_iters"),
         ("ratecheck", {"delta_grid": 1e-3}, "delta_grid"),
+        # integer keys reject a fractional part instead of truncating it
+        ("solve", {"problem": {"kind": "multiplication", "n": 64.9}}, "n"),
+        ("solve", {"problem": {"kind": "random", "rows": 8.5, "cols": 4}}, "rows"),
+        ("compare", {"problem": {"kind": "random", "rows": 8, "cols": 4.2}},
+         "cols"),
+        ("diagnose", {"problem": {"kind": "random", "rows": 8, "cols": 4,
+                                  "seed": 0.5}}, "seed"),
+        ("solve", {"max_iters": 1.7}, "max_iters"),
+        ("ratecheck", {"max_iters": 2.5}, "max_iters"),
+        ("ratecheck", {"n": 64.5}, "n"),
     ])
     def test_failed_conversion_exit_one_names_key(self, tmp_path, capsys,
                                                    command, payload, key):
@@ -313,7 +334,20 @@ class TestConfigTypes:
                      "--out", str(tmp_path / "out")]) == 1
         assert "'rows' and 'cols'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("given, cap", [("5", 5), (2.5, 2)])
+    @pytest.mark.parametrize("problem, message", [
+        ('"kind": "multiplication", "exponent": %s', "truth exponent"),
+        ('"kind": "random", "rows": 6, "cols": 4, "rate": %s', "decay rate"),
+    ], ids=["exponent", "rate"])
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "0", "-1"])
+    def test_bad_exponent_or_rate_exit_one(self, tmp_path, capsys, problem,
+                                           message, value):
+        cfg = tmp_path / "config.json"
+        cfg.write_text('{"problem": {%s}}' % (problem % value))
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert f"{message} must be finite and positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("given, cap", [("5", 5), (5.0, 5)])
     def test_max_iters_converted_alike_by_ratecheck_and_solve(self, tmp_path,
                                                               given, cap):
         def run(command, payload):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -240,7 +242,7 @@ class TestLoaders:
     def test_diagonal_rejects_two_columns(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("1.0,2.0\n3.0,4.0\n")
-        with pytest.raises(DataFormatError):
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
             load_diagonal_operator(path)
 
     def test_rejects_nonfinite_entries(self, tmp_path):

@@ -194,6 +194,17 @@ class TestLoadProblem:
             load_vector(bad)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_exponent_and_rate_must_be_finite_and_positive(bad):
+    """Rejected up front, before an all-zero truth, a rank-1 operator or a
+    misleading late error can arise."""
+    with pytest.raises(ValueError, match="truth exponent must be finite and positive"):
+        multiplication_problem(64, bad, 1e-3)
+    with pytest.raises(ValueError, match="decay rate must be finite and positive"):
+        random_problem(6, 4, "algebraic", rate=bad)
+
+
 class TestProblemValidation:
     def test_data_dimension_checked(self):
         p = multiplication_problem(8, 1, 0.0)
