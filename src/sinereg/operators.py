@@ -11,6 +11,8 @@ Operators are immutable after construction and safe to share across
 threads for read-only application.
 """
 
+import gzip
+
 import numpy as np
 import scipy.io
 
@@ -275,15 +277,17 @@ def load_diagonal_operator(path, space=None):
 
 
 def save_dense_operator(matrix, path):
-    """Write a dense matrix to .mtx or CSV with full float64 precision."""
+    """Write a dense matrix to .mtx, .mtx.gz or CSV with full float64 precision."""
     a = np.asarray(matrix, dtype=float)
     path = str(path)
-    if path.endswith(".mtx"):
-        scipy.io.mmwrite(path, a, precision=17)
+    if path.endswith((".mtx", ".mtx.gz")):
+        # a handle, because mmwrite appends ".mtx" to a path ending in ".gz"
+        with (gzip.open if path.endswith(".gz") else open)(path, "wb") as fh:
+            scipy.io.mmwrite(fh, a, precision=17)
     else:
         np.savetxt(path, a, delimiter=",", fmt="%.17e")
 
 
 def save_vector(v, path):
-    """Write a vector as one column of .mtx or CSV, see :func:`save_dense_operator`."""
+    """Write a vector as one column, see :func:`save_dense_operator`."""
     save_dense_operator(np.asarray(v, dtype=float)[:, None], path)

@@ -67,7 +67,12 @@ class ShiftSolver:
         if self.strategy == "diagonal":
             return v / self._data
         if self.strategy == "cholesky":
-            return scipy.linalg.cho_solve(self._data, self.op.domain.weights * v)
+            # cho_factor checked the factor once; rescanning it per solve
+            # costs more than the solve, so only the new input is checked
+            b = self.op.domain.weights * v
+            if not np.isfinite(b).all():
+                raise NumericalError("shift solve input has non-finite entries")
+            return scipy.linalg.cho_solve(self._data, b, check_finite=False)
         return self._apply_cg(v)
 
     def _apply_cg(self, b):

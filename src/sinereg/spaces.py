@@ -2,9 +2,10 @@
 
 A discretized function space is represented as R^dim equipped with the
 inner product <u, v> = sum_i w_i u_i v_i for positive quadrature weights
-w_i. With unit weights this is the Euclidean product, computed on the
-identical arithmetic path, so unweighted problems behave bit-for-bit like
-plain numpy.
+w_i. When every weight equals one value c, as on a midpoint grid with
+weights 1/n, the product is c * dot(u, v): one BLAS pass over the operands
+and no temporary vector. A unit space is the case c = 1, so unweighted
+problems behave bit-for-bit like plain numpy.
 """
 
 import numpy as np
@@ -16,6 +17,9 @@ __all__ = ["InnerProductSpace"]
 
 class InnerProductSpace:
     """R^dim with the weighted inner product sum(w * u * v).
+
+    Uniform weights (all equal to c, unit weights included) take the path
+    c * dot(u, v); other weights take dot(w * u, v).
 
     Parameters
     ----------
@@ -44,6 +48,8 @@ class InnerProductSpace:
         # the weight vector, ones if the space is unweighted; frozen
         self.weights = w
         self.weights.setflags(write=False)
+        # the common weight when all weights are equal, else None
+        self._uniform = float(w[0]) if w.min() == w.max() else None
 
     def check_vector(self, v, what="vector"):
         v = np.asarray(v, dtype=float)
@@ -54,8 +60,8 @@ class InnerProductSpace:
         return v
 
     def inner(self, u, v):
-        if self.is_unit:
-            return float(np.dot(u, v))
+        if self._uniform is not None:
+            return self._uniform * float(np.dot(u, v))
         return float(np.dot(self.weights * u, v))
 
     def norm(self, u):

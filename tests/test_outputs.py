@@ -2,6 +2,7 @@
 fixed key set whose values equal the report's attributes, and vectors
 survive a save/load round trip through each file format bit for bit."""
 
+import gzip
 import json
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from sinereg import (
     RateCheckConfig,
     StoppingRule,
+    load_dense_operator,
     load_diagonal_operator,
     load_vector,
     multiplication_problem,
@@ -20,6 +22,7 @@ from sinereg import (
     run_diagnostics,
     run_ratecheck,
     run_sine,
+    save_dense_operator,
     save_vector,
 )
 from sinereg import problems
@@ -120,12 +123,33 @@ def test_diagnostics_and_orthogonality_reports(dense, kind):
     )) == d["orthogonality"]
 
 
-@pytest.mark.parametrize("suffix", [".csv", ".mtx"])
+def _is_matrix_market(path):
+    """Whether the file starts with the Matrix Market banner; a .gz file
+    must also be gzip, or reading it raises."""
+    with (gzip.open if path.suffix == ".gz" else open)(path, "rb") as fh:
+        return fh.read(14) == b"%%MatrixMarket"
+
+
+SUFFIXES = [".csv", ".mtx", ".mtx.gz"]
+
+
+@pytest.mark.parametrize("suffix", SUFFIXES)
 def test_vector_round_trip_bit_exact(tmp_path, suffix):
     v = np.random.default_rng(9).standard_normal(7) * np.logspace(-300, 300, 7)
     path = tmp_path / f"v{suffix}"
     save_vector(v, path)
-    assert path.read_text().startswith("%%MatrixMarket") == (suffix == ".mtx")
+    assert list(tmp_path.iterdir()) == [path]
+    assert _is_matrix_market(path) == (suffix != ".csv")
     assert np.array_equal(load_vector(path), v)
     assert np.array_equal(problems.load_vector(path), v)
     assert np.array_equal(load_diagonal_operator(path).diagonal, v)
+
+
+@pytest.mark.parametrize("suffix", SUFFIXES)
+def test_dense_operator_round_trip_bit_exact(tmp_path, suffix):
+    a = np.random.default_rng(10).standard_normal((5, 3)) * np.logspace(-300, 300, 3)
+    path = tmp_path / f"a{suffix}"
+    save_dense_operator(a, path)
+    assert list(tmp_path.iterdir()) == [path]
+    assert _is_matrix_market(path) == (suffix != ".csv")
+    assert np.array_equal(load_dense_operator(path).matrix, a)

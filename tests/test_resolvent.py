@@ -156,3 +156,13 @@ def test_inner_cg_rejects_non_finite_right_hand_side():
     for bad in (np.inf, np.nan):
         with pytest.raises(NumericalError, match="inner iteration 0"):
             solver.apply(np.array([1.0, bad, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_cholesky_rejects_non_finite_right_hand_side(weighted):
+    """The per-solve check that stands in for cho_solve's own scan."""
+    dense, _ = make_ops(6, 4, seed=5, weighted=weighted)
+    solver = build_shift_solver(dense, gamma=1e-2)
+    for bad in (np.inf, -np.inf, np.nan):
+        with pytest.raises(NumericalError, match="non-finite"):
+            solver.apply(np.array([1.0, bad, 0.0, 0.0]))

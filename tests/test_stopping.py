@@ -139,6 +139,29 @@ def test_lazy_breakdown_matches_eager_reference(problem, gamma):
     assert report.residual_history == state.residual_norms
 
 
+def weighted_inner(space, u, v):
+    """The general weighted formula, which uniform spaces no longer take."""
+    return float(np.dot(space.weights * u, v))
+
+
+@pytest.mark.parametrize("n", [1000, 4096])
+@pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4, 1e-5])
+def test_uniform_inner_product_keeps_solver_outcomes(monkeypatch, n, delta):
+    """c * dot(u, v) on the 1/n midpoint grid rounds differently from
+    dot(w * u, v) (except where 1/n is a power of two, as for n = 4096),
+    but no stop moves and iterates agree to 1e-12."""
+    problem = multiplication_problem(n, 1, delta)
+    rule = StoppingRule(1.001, delta)
+    runs = [lambda: run_sine(problem, 1e-3, rule), lambda: run_cgne(problem, rule)]
+    fast = [run() for run in runs]
+    monkeypatch.setattr(InnerProductSpace, "inner", weighted_inner)
+    for new, old in zip(fast, [run() for run in runs]):
+        assert new.terminated_by == old.terminated_by
+        assert new.stopping_index == old.stopping_index
+        diff = np.linalg.norm(new.iterate - old.iterate)
+        assert diff <= 1e-12 * np.linalg.norm(old.iterate)
+
+
 def count_norm_estimates(monkeypatch):
     """Record the operator of every power iteration run from now on."""
     calls = []
