@@ -55,10 +55,7 @@ class KrylovBasis:
 
     def gram(self):
         """Inner-product matrix of the basis (identity up to rounding)."""
-        v = self.vectors
-        if self.space.is_unit:
-            return v.T @ v
-        return (self.space.weights[:, None] * v).T @ v
+        return self.space.gram(self.vectors, self.vectors)
 
 
 def build_basis(w_history, space):
@@ -102,11 +99,9 @@ def projected_gram(basis, op):
             f"basis lives in dimension {v.shape[0]}, operator domain is "
             f"{op.domain_dim}"
         )
-    s = np.empty((m, m))
-    for i in range(m):
-        z = op.normal_apply(v[:, i])
-        for j in range(m):
-            s[i, j] = basis.space.inner(z, v[:, j])
+    # one row at a time: an n x m block of T*T v_i would raise the peak
+    rows = [basis.space.gram(op.normal_apply(v[:, i]), v) for i in range(m)]
+    s = np.array(rows).reshape(m, m)
     return (s + s.T) / 2.0
 
 

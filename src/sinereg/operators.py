@@ -5,7 +5,8 @@ diagonal (multiplication) operator, and a matrix-free pair of callables.
 Every backend provides ``apply`` (forward) and ``apply_adjoint``, where the
 adjoint is taken with respect to the weighted inner products of the domain
 and range spaces, so that <T u, v>_range = <u, T* v>_domain holds in exact
-arithmetic.
+arithmetic. Each backend also owns its shift solve, ``shift_solve``:
+division for a diagonal, one Cholesky factorization for a dense matrix.
 
 Operators are immutable after construction and safe to share across
 threads for read-only application.
@@ -15,8 +16,9 @@ import gzip
 
 import numpy as np
 import scipy.io
+import scipy.linalg
 
-from .exceptions import DataFormatError, DimensionError
+from .exceptions import DataFormatError, DimensionError, NumericalError
 from .spaces import InnerProductSpace
 
 __all__ = [
@@ -86,6 +88,11 @@ class LinearOperator:
         """Cheap upper bound on ||T||, or None when the backend has none."""
         return None
 
+    def shift_solve(self, gamma):
+        """``(name, solve)`` with ``solve(v) = (I + T*T/gamma)^{-1} v``, or
+        None when the backend has none and the shift solver runs inner CG."""
+        return None
+
     def norm_estimate(self):
         """Cached operator-norm estimate, see :func:`norm_estimate`."""
         if self._norm_estimate is None:
@@ -129,10 +136,7 @@ class DenseOperator(LinearOperator):
 
     def apply_adjoint(self, y):
         y = self.codomain.check_vector(y, "input")
-        if self.domain.is_unit and self.codomain.is_unit:
-            return self.matrix.T @ y
-        z = self.matrix.T @ (self.codomain.weights * y)
-        return z / self.domain.weights
+        return self.codomain.gram(y, self.matrix) / self.domain.weights
 
     def norm_bound(self):
         """Weighted Frobenius norm ||W_r^{1/2} A W_d^{-1/2}||_F >= ||T||,
@@ -140,6 +144,29 @@ class DenseOperator(LinearOperator):
         a = self.matrix
         row_sq = np.einsum("ij,ij,j->i", a, a, 1.0 / self.domain.weights)
         return float(np.sqrt(row_sq @ self.codomain.weights))
+
+    def shift_solve(self, gamma):
+        """Cholesky of M = W_d + A^T W_r A / gamma, factored once: the
+        weighted map B = I + T*T/gamma has B x = v iff M x = W_d v."""
+        m = self.codomain.gram(self.matrix, self.matrix) / gamma
+        m[np.diag_indices_from(m)] += self.domain.weights
+        try:
+            factor = scipy.linalg.cho_factor(m)
+        except scipy.linalg.LinAlgError as exc:
+            raise NumericalError(
+                "Cholesky factorization of the shifted normal matrix failed "
+                f"(gamma={gamma:g}); the matrix is positive definite in exact "
+                f"arithmetic, so this indicates severe rounding: {exc}"
+            ) from exc
+
+        def solve(v):
+            # cho_factor checked the factor once; rescanning it per solve
+            # costs more than the solve, so only the new input is checked
+            b = self.domain.weights * v
+            if not np.isfinite(b).all():
+                raise NumericalError("shift solve input has non-finite entries")
+            return scipy.linalg.cho_solve(factor, b, check_finite=False)
+        return "cholesky", solve
 
 
 class DiagonalOperator(LinearOperator):
@@ -176,6 +203,11 @@ class DiagonalOperator(LinearOperator):
         """max |d_i|, the exact norm in any weighted product on the space."""
         d = self.diagonal
         return float(max(d.max(), -d.min()))
+
+    def shift_solve(self, gamma):
+        """Componentwise division by 1 + d_i^2/gamma."""
+        factors = 1.0 + self.diagonal * self.diagonal / gamma
+        return "diagonal", lambda v: v / factors
 
 
 class MatrixFreeOperator(LinearOperator):
@@ -237,13 +269,15 @@ def _load_matrix(path):
             a = scipy.io.mmread(path)
             if hasattr(a, "toarray"):
                 a = a.toarray()
-            a = np.asarray(a, dtype=float)
         else:
             a = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except OSError:
         raise
     except Exception as exc:
         raise DataFormatError(f"{path}: cannot parse file: {exc}") from exc
+    if np.iscomplexobj(a):
+        raise DataFormatError(f"{path}: file has complex entries; data must be real")
+    a = a.astype(float, copy=False)
     if not np.all(np.isfinite(a)):
         raise DataFormatError(f"{path}: file contains non-finite entries")
     return a

@@ -1,19 +1,18 @@
 """Shift-and-invert resolvent solver for (I + T*T/gamma).
 
 The map B = I + T*T/gamma is self-adjoint and positive definite in the
-weighted domain space, so B^{-1} always exists. Dense and diagonal
-backends get a direct factorization reused across all applications (the
-shift gamma is fixed for a whole run); matrix-free backends fall back to
-an inner conjugate-gradient solve.
+weighted domain space, so B^{-1} always exists. Each operator backend owns
+its direct solve through ``LinearOperator.shift_solve`` (the shift gamma
+is fixed for a whole run, so a factorization is built once and reused);
+a backend without one, such as a matrix-free operator, is solved by inner
+conjugate gradients here.
 """
 
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import NumericalError
-from .operators import DenseOperator, DiagonalOperator
 
 __all__ = ["ShiftSolver", "build_shift_solver"]
 
@@ -41,8 +40,9 @@ def _check_finite_residual(rz, k):
 class ShiftSolver:
     """Applies (I + T*T/gamma)^{-1} for a fixed operator and shift.
 
-    Construct through :func:`build_shift_solver`, which picks the strategy
-    per backend. Instances are immutable and shareable across threads.
+    Construct through :func:`build_shift_solver`. The operator's own
+    solve (``op.shift_solve``) is taken if it has one, else inner CG.
+    Instances are immutable and shareable across threads.
 
     Attributes
     ----------
@@ -50,30 +50,21 @@ class ShiftSolver:
     gamma : float
         Positive shift.
     strategy : str
-        "diagonal", "cholesky", or "cg". The "cg" strategy reaches relative
-        residual ``RESOLVENT_TOL`` within ``CG_ITERS_PER_DIM * domain_dim``
-        inner iterations or raises.
+        The operator's solve name ("diagonal" or "cholesky"), or "cg". The
+        "cg" strategy reaches relative residual ``RESOLVENT_TOL`` within
+        ``CG_ITERS_PER_DIM * domain_dim`` inner iterations or raises.
     """
 
-    def __init__(self, op, gamma, strategy, data=None):
+    def __init__(self, op, gamma):
+        _check_gamma(gamma)
         self.op = op
         self.gamma = float(gamma)
-        self.strategy = strategy
-        self._data = data
+        own = op.shift_solve(self.gamma)
+        self.strategy, self._solve = own or ("cg", self._apply_cg)
 
     def apply(self, v):
         """Return (I + T*T/gamma)^{-1} v."""
-        v = self.op.domain.check_vector(v, "input")
-        if self.strategy == "diagonal":
-            return v / self._data
-        if self.strategy == "cholesky":
-            # cho_factor checked the factor once; rescanning it per solve
-            # costs more than the solve, so only the new input is checked
-            b = self.op.domain.weights * v
-            if not np.isfinite(b).all():
-                raise NumericalError("shift solve input has non-finite entries")
-            return scipy.linalg.cho_solve(self._data, b, check_finite=False)
-        return self._apply_cg(v)
+        return self._solve(self.op.domain.check_vector(v, "input"))
 
     def _apply_cg(self, b):
         space = self.op.domain
@@ -105,32 +96,5 @@ class ShiftSolver:
 
 
 def build_shift_solver(op, gamma):
-    """Build a :class:`ShiftSolver` for (I + T*T/gamma).
-
-    Dense backends factor M = W_d + A^T W_r A / gamma (symmetric positive
-    definite in the Euclidean sense) once with Cholesky; the weighted map
-    B = I + T*T/gamma satisfies B x = v iff M x = W_d v. Diagonal backends
-    divide componentwise by 1 + d_i^2/gamma. Anything else is solved by
-    inner CG (see :class:`ShiftSolver`).
-    """
-    _check_gamma(gamma)
-    if isinstance(op, DiagonalOperator):
-        factors = 1.0 + op.diagonal * op.diagonal / gamma
-        return ShiftSolver(op, gamma, "diagonal", data=factors)
-    if isinstance(op, DenseOperator):
-        a = op.matrix
-        wr = op.codomain.weights if not op.codomain.is_unit else None
-        awa = a.T @ (wr[:, None] * a) if wr is not None else a.T @ a
-        m = awa / gamma
-        m[np.diag_indices_from(m)] += op.domain.weights
-        try:
-            factor = scipy.linalg.cho_factor(m)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(
-                "Cholesky factorization of the shifted normal matrix failed "
-                f"(gamma={gamma:g}); the matrix is positive definite in exact "
-                f"arithmetic, so this indicates severe rounding: {exc}"
-            ) from exc
-        return ShiftSolver(op, gamma, "cholesky", data=factor)
-    return ShiftSolver(op, gamma, "cg")
-
+    """The :class:`ShiftSolver` of (I + T*T/gamma); factorizations run here."""
+    return ShiftSolver(op, gamma)

@@ -2,11 +2,14 @@
 
 A discretized function space is represented as R^dim equipped with the
 inner product <u, v> = sum_i w_i u_i v_i for positive quadrature weights
-w_i. When every weight equals one value c, as on a midpoint grid with
-weights 1/n, the product is c * dot(u, v): one BLAS pass over the operands
-and no temporary vector. A unit space is the case c = 1, so unweighted
-problems behave bit-for-bit like plain numpy.
+w_i. Every weighted product, of vectors or of column blocks, is
+:meth:`InnerProductSpace.gram`. When every weight equals one value c, as
+on a midpoint grid with weights 1/n, it is c * (u^T v): one BLAS pass and
+no weighted copy; other weights give (w * u)^T v. A unit space is the case
+c = 1, so unweighted problems behave bit-for-bit like plain numpy.
 """
+
+import numbers
 
 import numpy as np
 
@@ -18,9 +21,6 @@ __all__ = ["InnerProductSpace"]
 class InnerProductSpace:
     """R^dim with the weighted inner product sum(w * u * v).
 
-    Uniform weights (all equal to c, unit weights included) take the path
-    c * dot(u, v); other weights take dot(w * u, v).
-
     Parameters
     ----------
     dim : int
@@ -31,11 +31,10 @@ class InnerProductSpace:
     """
 
     def __init__(self, dim, weights=None):
-        if dim < 1:
-            raise DimensionError(f"space dimension must be positive, got {dim}")
+        if not isinstance(dim, numbers.Integral) or dim < 1:
+            raise DimensionError(f"space dimension must be a positive int, got {dim!r}")
         self.dim = int(dim)
-        self.is_unit = weights is None
-        if self.is_unit:
+        if weights is None:
             w = np.ones(self.dim)
         else:
             w = np.array(weights, dtype=float)  # own copy
@@ -59,14 +58,19 @@ class InnerProductSpace:
             )
         return v
 
-    def inner(self, u, v):
+    def gram(self, u, v):
+        """u^T W v for vectors or column blocks (rows index the space);
+        the first operand carries the weights."""
         if self._uniform is not None:
-            return self._uniform * float(np.dot(u, v))
-        return float(np.dot(self.weights * u, v))
+            return self._uniform * np.dot(u.T, v)
+        return np.dot(self.weights * u.T, v)
+
+    def inner(self, u, v):
+        return float(self.gram(u, v))
 
     def norm(self, u):
         return float(np.sqrt(self.inner(u, u)))
 
     def __repr__(self):
-        kind = "unit" if self.is_unit else "weighted"
+        kind = "weighted" if self._uniform is None else f"weight {self._uniform:g}"
         return f"InnerProductSpace(dim={self.dim}, {kind})"

@@ -3,6 +3,7 @@ discrepancy-principle stopping rule, the breakdown test, the one driver
 loop, the run report, and the one JSON converter of every report."""
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -132,8 +133,9 @@ class StoppingRule:
             )
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        cap = self.max_iters
+        if cap is not None and not (isinstance(cap, numbers.Integral) and cap >= 1):
+            raise ValueError(f"max_iters must be a positive integer, got {cap!r}")
 
     @property
     def threshold(self):

@@ -92,6 +92,21 @@ class TestProjectedGram:
         s = projected_gram(basis, op)
         assert s == pytest.approx(np.diag(d**2))
 
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_entrywise_inner_products(self, weighted):
+        """One gram product per row equals the loop of inner products it
+        replaced, up to summation order."""
+        rng = np.random.default_rng(6)
+        dom = InnerProductSpace(12, rng.uniform(0.2, 2.0, 12) if weighted else None)
+        ran = InnerProductSpace(15, rng.uniform(0.2, 2.0, 15) if weighted else None)
+        op = DenseOperator(rng.standard_normal((15, 12)), domain=dom, codomain=ran)
+        basis = build_basis(list(rng.standard_normal((5, 12))), dom)
+        v = basis.vectors
+        ref = np.array([[dom.inner(op.normal_apply(v[:, i]), v[:, j])
+                         for j in range(5)] for i in range(5)])
+        dev = np.abs(projected_gram(basis, op) - (ref + ref.T) / 2)
+        assert np.max(dev) <= 1e-13 * op.norm_estimate() ** 2
+
     def test_eigenvalues_within_operator_norm(self):
         p = random_problem(30, 20, rate=0.8, seed=2, delta=1e-3)
         state = run_with_history(p, 1.0, 5)

@@ -1,7 +1,10 @@
+import gzip
 import re
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 from hypothesis import given, settings, strategies as st
 
 from sinereg import (
@@ -13,6 +16,7 @@ from sinereg import (
     MatrixFreeOperator,
     load_dense_operator,
     load_diagonal_operator,
+    load_vector,
     norm_estimate,
     save_dense_operator,
 )
@@ -81,6 +85,14 @@ class TestAdjoint:
                 rhs = op.domain.inner(u, op.apply_adjoint(v))
                 bound = 1e-12 * op.domain.norm(u) * op.codomain.norm(v) * nrm
                 assert abs(lhs - rhs) <= bound
+
+    def test_weighted_dense_adjoint_bit_for_bit(self):
+        """W_d^{-1} A^T W_r y; the unit case is pinned in
+        TestUnitWeightCoherence."""
+        dense = random_backends(40, 25, seed=7, weighted=True)[0]
+        a, wr, wd = dense.matrix, dense.codomain.weights, dense.domain.weights
+        y = np.random.default_rng(8).standard_normal(40)
+        assert np.array_equal(dense.apply_adjoint(y), (a.T @ (wr * y)) / wd)
 
     def test_adjoint_consistency_diagonal_weighted(self):
         rng = np.random.default_rng(3)
@@ -256,6 +268,22 @@ class TestLoaders:
         path.write_text("not,numbers\nat,all\n")
         with pytest.raises(DataFormatError):
             load_dense_operator(path)
+
+    @pytest.mark.parametrize("suffix", [".mtx", ".mtx.gz"])
+    @pytest.mark.parametrize("load, entries", [
+        (load_vector, np.array([[1 + 2j], [3j]])),
+        (load_diagonal_operator, np.array([[1 + 2j], [3j]])),
+        (load_dense_operator, np.diag([1 + 2j, 3j])),
+        (load_dense_operator, scipy.sparse.coo_matrix(np.diag([1 + 2j, 3j]))),
+    ])
+    def test_rejects_complex_matrix_market(self, tmp_path, suffix, load, entries):
+        """Complex entries raise, naming the file, instead of being cut to
+        their real parts (a silently singular operator here)."""
+        path = tmp_path / f"c{suffix}"
+        with (gzip.open if suffix == ".mtx.gz" else open)(path, "wb") as fh:
+            scipy.io.mmwrite(fh, entries)
+        with pytest.raises(DataFormatError, match=re.escape(str(path)) + ".*complex"):
+            load(path)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

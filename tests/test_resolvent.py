@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sinereg import (
     DenseOperator,
@@ -7,7 +8,6 @@ from sinereg import (
     InnerProductSpace,
     MatrixFreeOperator,
     NumericalError,
-    ShiftSolver,
     build_shift_solver,
 )
 from sinereg import resolvent
@@ -108,7 +108,7 @@ def test_matrix_free_nonconvergence_reports_residual(monkeypatch):
     # one inner iteration per dimension is too few at this shift
     monkeypatch.setattr(resolvent, "CG_ITERS_PER_DIM", 1)
     _, free = make_ops(20, 14, 24)
-    solver = ShiftSolver(free, 1e-4, "cg")
+    solver = build_shift_solver(free, 1e-4)
     v = np.random.default_rng(25).standard_normal(14)
     with pytest.raises(NumericalError, match="achieved residual"):
         solver.apply(v)
@@ -122,15 +122,34 @@ def test_gamma_validation():
                 build_shift_solver(op, gamma=gamma)
 
 
-def test_weighted_diagonal_resolvent_matches_formula():
+def _check_diagonal_resolvent_formula(weights):
     n = 16
-    space = InnerProductSpace(n, weights=np.full(n, 1.0 / n))
+    space = InnerProductSpace(n, weights=weights)
     d = (np.arange(1, n + 1) - 0.5) / n
     op = DiagonalOperator(d, space)
     gamma = 1e-3
     solver = build_shift_solver(op, gamma)
     v = np.random.default_rng(3).standard_normal(n)
-    assert solver.apply(v) == pytest.approx(v / (1 + d * d / gamma), rel=1e-14)
+    assert np.array_equal(solver.apply(v), v / (1 + d * d / gamma))
+
+
+def test_weighted_diagonal_resolvent_matches_formula():
+    _check_diagonal_resolvent_formula(np.full(16, 1.0 / 16))
+
+
+def test_unit_diagonal_resolvent_matches_formula():
+    _check_diagonal_resolvent_formula(None)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.7])
+def test_dense_unit_resolvent_is_plain_cholesky_bit_for_bit(gamma):
+    dense, _ = make_ops(30, 20, seed=27)
+    solver = build_shift_solver(dense, gamma)
+    assert solver.strategy == "cholesky"
+    a = dense.matrix
+    factor = scipy.linalg.cho_factor(a.T @ a / gamma + np.eye(20))
+    v = np.random.default_rng(28).standard_normal(20)
+    assert np.array_equal(solver.apply(v), scipy.linalg.cho_solve(factor, v))
 
 
 def test_inner_cg_stops_at_first_nan():

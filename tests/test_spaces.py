@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sinereg import DimensionError, InnerProductSpace
+from sinereg import DimensionError, InnerProductSpace, KrylovBasis
 
 
 def test_unit_weights_match_euclidean_bit_for_bit():
@@ -64,6 +64,41 @@ def test_uniform_inner_allocates_no_vector_temporary():
     assert peak_bytes(weighted.inner, u, u) >= 8 * n  # numpy is traced
     assert peak_bytes(uniform.inner, u, u) < 8 * n // 10
     assert peak_bytes(uniform.norm, u) < 8 * n // 10
+
+
+def test_uniform_basis_gram_allocates_no_weighted_copy():
+    n, m = 10**5, 3
+    v = np.random.default_rng(4).standard_normal((n, m))
+    uniform = KrylovBasis(v, InnerProductSpace(n, weights=np.full(n, 1.0 / n)))
+    weighted = KrylovBasis(v, InnerProductSpace(n, weights=np.linspace(1.0, 2.0, n)))
+    uniform.gram()  # warm-up outside the traced call
+    assert peak_bytes(weighted.gram) >= 8 * n * m  # the n x m weighted copy
+    assert peak_bytes(uniform.gram) < 8 * n // 10
+
+
+@pytest.mark.parametrize("weights", [None, np.full(30, 0.3), "random"])
+def test_gram_of_column_blocks_equals_inner_entry_by_entry(weights):
+    rng = np.random.default_rng(5)
+    if isinstance(weights, str):
+        weights = rng.uniform(0.1, 3.0, 30)
+    space = InnerProductSpace(30, weights=weights)
+    u = rng.standard_normal((30, 4))
+    v = rng.standard_normal((30, 5))
+    g = space.gram(u, v)
+    assert g.shape == (4, 5)
+    for i in range(4):
+        assert space.gram(u[:, i], v[:, 0]) == space.inner(u[:, i], v[:, 0])
+        for j in range(5):
+            scale = space.norm(u[:, i]) * space.norm(v[:, j])
+            assert abs(g[i, j] - space.inner(u[:, i], v[:, j])) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, np.float64(3.0), "3", None, 0, -2])
+def test_dimension_must_be_a_positive_integer(dim):
+    with pytest.raises(DimensionError, match="dimension"):
+        InnerProductSpace(dim)
+    for ok in (3, np.int64(3), np.int32(3)):
+        assert type(InnerProductSpace(ok).dim) is int
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=2**32 - 1))

@@ -78,6 +78,15 @@ def test_cap_resolution():
     assert StoppingRule(tau=2.0, delta=0.1, max_iters=7).resolve_cap(50) == 7
 
 
+@pytest.mark.parametrize("cap", [2.5, 2.0, np.float64(3.0), "3", 0, -1])
+def test_max_iters_must_be_a_positive_integer(cap):
+    """A fractional cap was kept, so drive ran ceil(cap) steps."""
+    with pytest.raises(ValueError, match="max_iters"):
+        StoppingRule(tau=2.0, delta=0.1, max_iters=cap)
+    for ok in (3, np.int64(3), np.int32(3)):
+        assert StoppingRule(tau=2.0, delta=0.1, max_iters=ok).resolve_cap(50) == 3
+
+
 def test_run_report_json_round_trip():
     report = RunReport(
         solver="sine",
