@@ -56,7 +56,6 @@ from .stopping import (
     KrylovState,
     RunReport,
     StoppingRule,
-    breakdown_scale,
     detect_breakdown,
     discrepancy_met,
     drive,
@@ -83,5 +82,5 @@ __all__ = [
     "run_sine", "sine_init", "sine_step",
     "InnerProductSpace",
     "EPS_BREAKDOWN", "KrylovState", "RunReport", "StoppingRule",
-    "breakdown_scale", "detect_breakdown", "discrepancy_met", "drive",
+    "detect_breakdown", "discrepancy_met", "drive",
 ]

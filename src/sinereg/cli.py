@@ -55,8 +55,9 @@ def _take(section, **casts):
 
 
 def _int(value):
-    """``value`` as an int; a number that is not integral is rejected."""
-    if isinstance(value, float) and not value.is_integer():
+    """``value`` as an int; a bool or a number that is not integral is
+    rejected."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 

@@ -255,40 +255,24 @@ def run_diagnostics(problem, gamma, rule):
     report = run_sine(problem, gamma, rule, keep_history=True)
     state = report.state
     steps = state.iteration
-    if steps == 0:
-        return DiagnosticsReport(
-            ritz=[],
-            interlacing=[],
-            rprime=[],
-            orthogonality=orthogonality_audit(state).to_dict(),
-            stopping_index=report.stopping_index,
-            terminated_by=report.terminated_by,
-        )
-    basis = build_basis(state.direction_history[:steps], problem.domain_space)
-    s_full = projected_gram(basis, problem.operator)
-    spectra = [ritz_values(s_full[:m, :m]) for m in range(1, steps + 1)]
-    verdicts = [
-        check_interlacing(spectra[m - 2], spectra[m - 1])
-        for m in range(2, steps + 1)
-    ]
-    rprimes = [
-        rprime_at_zero(ResidualFunction.from_spectrum(sp, gamma)) for sp in spectra
-    ]
+    spectra = []
+    if steps:
+        basis = build_basis(state.direction_history[:steps], problem.domain_space)
+        s_full = projected_gram(basis, problem.operator)
+        spectra = [ritz_values(s_full[:m, :m]) for m in range(1, steps + 1)]
+    filters = [ResidualFunction.from_spectrum(sp, gamma) for sp in spectra]
     identity_max = None
     if isinstance(problem.operator, DiagonalOperator):
-        lam = problem.operator.diagonal ** 2
-        ynorm = problem.range_space.norm(problem.y_delta)
-        worst = 0.0
-        for m in range(1, steps + 1):
-            rf = ResidualFunction.from_spectrum(spectra[m - 1], gamma)
-            predicted = residual_function_eval(rf, lam) * problem.y_delta
-            diff = problem.range_space.norm(state.residual_vectors[m] - predicted)
-            worst = max(worst, diff / ynorm if ynorm > 0 else diff)
-        identity_max = worst
+        lam, y = problem.operator.diagonal ** 2, problem.y_delta
+        ynorm = problem.range_space.norm(y)
+        errors = [problem.range_space.norm(r - residual_function_eval(rf, lam) * y)
+                  for r, rf in zip(state.residual_vectors[1:], filters)]
+        identity_max = max((e / ynorm if ynorm > 0 else e for e in errors),
+                           default=None)
     return DiagnosticsReport(
         ritz=[list(sp.values) for sp in spectra],
-        interlacing=verdicts,
-        rprime=rprimes,
+        interlacing=[check_interlacing(a, b) for a, b in zip(spectra, spectra[1:])],
+        rprime=[rprime_at_zero(rf) for rf in filters],
         orthogonality=orthogonality_audit(state).to_dict(),
         residual_identity_max=identity_max,
         stopping_index=report.stopping_index,

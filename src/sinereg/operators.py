@@ -7,6 +7,10 @@ adjoint is taken with respect to the weighted inner products of the domain
 and range spaces, so that <T u, v>_range = <u, T* v>_domain holds in exact
 arithmetic. Each backend also owns its shift solve, ``shift_solve``:
 division for a diagonal, one Cholesky factorization for a dense matrix.
+The dense and diagonal backends compute their norm bound (``norm_bound``)
+once, at construction; a matrix-free operator has none. A complex matrix,
+diagonal, input vector or callable output raises ``ValueError`` instead
+of being cut to its real part.
 
 Operators are immutable after construction and safe to share across
 threads for read-only application.
@@ -19,7 +23,7 @@ import scipy.io
 import scipy.linalg
 
 from .exceptions import DataFormatError, DimensionError, NumericalError
-from .spaces import InnerProductSpace
+from .spaces import InnerProductSpace, _as_real
 
 __all__ = [
     "LinearOperator",
@@ -46,10 +50,10 @@ class LinearOperator:
     """Base class: a linear map between two inner-product spaces.
 
     Besides ``apply``/``apply_adjoint`` a backend may supply
-    :meth:`norm_bound`, a cheap upper bound U >= ||T||. The iteration
-    driver tests breakdown against it first and runs the power iteration
-    of :meth:`norm_estimate` only when a mapped direction nears the
-    threshold that U implies, or when the backend has no bound.
+    :meth:`norm_bound`, a cheap upper bound U >= ||T||. The breakdown test
+    checks against it first and runs the power iteration of
+    :meth:`norm_estimate` only when a mapped direction nears the threshold
+    that U implies, or when the backend has no bound.
 
     Parameters
     ----------
@@ -62,6 +66,7 @@ class LinearOperator:
     def __init__(self, domain, codomain):
         self.domain = domain
         self.codomain = codomain
+        self._norm_bound = None  # set by a backend that has a bound
         self._norm_estimate = None
 
     @property
@@ -85,8 +90,9 @@ class LinearOperator:
         return self.apply_adjoint(self.apply(x))
 
     def norm_bound(self):
-        """Cheap upper bound on ||T||, or None when the backend has none."""
-        return None
+        """Upper bound on ||T||, computed at construction, or None when the
+        backend has none."""
+        return self._norm_bound
 
     def shift_solve(self, gamma):
         """``(name, solve)`` with ``solve(v) = (I + T*T/gamma)^{-1} v``, or
@@ -109,11 +115,12 @@ class DenseOperator(LinearOperator):
     """Operator backed by a dense (range_dim x domain_dim) matrix.
 
     Under weighted spaces the adjoint is W_domain^{-1} A^T W_range, which
-    keeps <T u, v>_range = <u, T* v>_domain exact up to rounding.
+    keeps <T u, v>_range = <u, T* v>_domain exact up to rounding. The norm
+    bound is the weighted Frobenius norm ||W_r^{1/2} A W_d^{-1/2}||_F.
     """
 
     def __init__(self, matrix, domain=None, codomain=None):
-        a = np.array(matrix, dtype=float)  # own copy; frozen below
+        a = _as_real(matrix, "matrix", copy=True)  # own copy; frozen below
         if a.ndim != 2:
             raise DimensionError(f"matrix must be 2-d, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
@@ -129,6 +136,9 @@ class DenseOperator(LinearOperator):
         super().__init__(domain, codomain)
         self.matrix = a
         self.matrix.setflags(write=False)
+        # the bound summed row by row, with no matrix-sized temporary
+        row_sq = np.einsum("ij,ij,j->i", a, a, 1.0 / domain.weights)
+        self._norm_bound = float(np.sqrt(row_sq @ codomain.weights))
 
     def apply(self, x):
         x = self.domain.check_vector(x, "input")
@@ -137,13 +147,6 @@ class DenseOperator(LinearOperator):
     def apply_adjoint(self, y):
         y = self.codomain.check_vector(y, "input")
         return self.codomain.gram(y, self.matrix) / self.domain.weights
-
-    def norm_bound(self):
-        """Weighted Frobenius norm ||W_r^{1/2} A W_d^{-1/2}||_F >= ||T||,
-        summed row by row with no matrix-sized temporary."""
-        a = self.matrix
-        row_sq = np.einsum("ij,ij,j->i", a, a, 1.0 / self.domain.weights)
-        return float(np.sqrt(row_sq @ self.codomain.weights))
 
     def shift_solve(self, gamma):
         """Cholesky of M = W_d + A^T W_r A / gamma, factored once: the
@@ -174,11 +177,12 @@ class DiagonalOperator(LinearOperator):
 
     Diagonal matrices commute with the (diagonal) weight matrix, so the
     weighted adjoint coincides with the forward map: the operator is
-    self-adjoint in any weighted product on its space.
+    self-adjoint in any weighted product on its space. Its norm bound is
+    max |d_i|, the exact norm in any weighted product on the space.
     """
 
     def __init__(self, diagonal, space=None):
-        d = np.array(diagonal, dtype=float)  # own copy; frozen below
+        d = _as_real(diagonal, "diagonal", copy=True)  # own copy; frozen below
         if d.ndim != 1:
             raise DimensionError(f"diagonal must be 1-d, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
@@ -191,6 +195,7 @@ class DiagonalOperator(LinearOperator):
         super().__init__(space, space)
         self.diagonal = d
         self.diagonal.setflags(write=False)
+        self._norm_bound = float(max(d.max(), -d.min()))
 
     def apply(self, x):
         x = self.domain.check_vector(x, "input")
@@ -198,11 +203,6 @@ class DiagonalOperator(LinearOperator):
 
     def apply_adjoint(self, y):
         return self.apply(y)
-
-    def norm_bound(self):
-        """max |d_i|, the exact norm in any weighted product on the space."""
-        d = self.diagonal
-        return float(max(d.max(), -d.min()))
 
     def shift_solve(self, gamma):
         """Componentwise division by 1 + d_i^2/gamma."""
@@ -225,13 +225,11 @@ class MatrixFreeOperator(LinearOperator):
 
     def apply(self, x):
         x = self.domain.check_vector(x, "input")
-        y = np.asarray(self._forward(x), dtype=float)
-        return self.codomain.check_vector(y, "forward output")
+        return self.codomain.check_vector(self._forward(x), "forward output")
 
     def apply_adjoint(self, y):
         y = self.codomain.check_vector(y, "input")
-        x = np.asarray(self._adjoint(y), dtype=float)
-        return self.domain.check_vector(x, "adjoint output")
+        return self.domain.check_vector(self._adjoint(y), "adjoint output")
 
 
 def norm_estimate(op):

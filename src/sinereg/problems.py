@@ -151,10 +151,9 @@ def add_noise(y, delta, mode, seed=0, space=None):
     weighted norm of the perturbation is delta; "random-direction" adds a
     seeded Gaussian vector rescaled to weighted norm delta.
     """
-    y = np.asarray(y, dtype=float)
     _check_delta(delta)
     if space is None:
-        space = InnerProductSpace(y.size)
+        space = InnerProductSpace(np.size(y))
     y = space.check_vector(y, "data")
     if delta == 0:
         return y.copy()

@@ -18,6 +18,17 @@ from .exceptions import DimensionError
 __all__ = ["InnerProductSpace"]
 
 
+def _as_real(a, what, copy=False):
+    """``a`` as a float array, copied if ``copy`` or if it is not one;
+    complex entries raise ValueError naming ``what``."""
+    a = np.array(a) if copy else np.asarray(a)
+    if a.dtype != np.float64:
+        if a.dtype.kind == "c":
+            raise ValueError(f"{what} has complex entries; data must be real")
+        a = a.astype(float)
+    return a
+
+
 class InnerProductSpace:
     """R^dim with the weighted inner product sum(w * u * v).
 
@@ -31,7 +42,7 @@ class InnerProductSpace:
     """
 
     def __init__(self, dim, weights=None):
-        if not isinstance(dim, numbers.Integral) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
             raise DimensionError(f"space dimension must be a positive int, got {dim!r}")
         self.dim = int(dim)
         if weights is None:
@@ -51,7 +62,8 @@ class InnerProductSpace:
         self._uniform = float(w[0]) if w.min() == w.max() else None
 
     def check_vector(self, v, what="vector"):
-        v = np.asarray(v, dtype=float)
+        """``v`` as a real vector of the space, not copied if it is one."""
+        v = _as_real(v, what)
         if v.shape != (self.dim,):
             raise DimensionError(
                 f"{what} has shape {v.shape}, expected ({self.dim},)"

@@ -1,6 +1,7 @@
 """Shared iteration machinery: the Krylov state both solvers step, the
-discrepancy-principle stopping rule, the breakdown test, the one driver
-loop, the run report, and the one JSON converter of every report."""
+discrepancy-principle stopping rule, the one breakdown test (used alike by
+the driver loop and by hand-written loops), the one driver loop, the run
+report, and the one JSON converter of every report."""
 
 import math
 import numbers
@@ -12,8 +13,7 @@ from .exceptions import NumericalError
 
 __all__ = [
     "KrylovState", "StoppingRule", "discrepancy_met", "EPS_BREAKDOWN",
-    "breakdown_scale", "detect_breakdown", "drive", "RunReport",
-    "DEFAULT_MAX_ITERS",
+    "detect_breakdown", "drive", "RunReport", "DEFAULT_MAX_ITERS",
 ]
 
 DEFAULT_MAX_ITERS = 10000
@@ -134,7 +134,8 @@ class StoppingRule:
         if not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         cap = self.max_iters
-        if cap is not None and not (isinstance(cap, numbers.Integral) and cap >= 1):
+        if cap is not None and (isinstance(cap, bool)
+                                or not isinstance(cap, numbers.Integral) or cap < 1):
             raise ValueError(f"max_iters must be a positive integer, got {cap!r}")
 
     @property
@@ -154,26 +155,25 @@ def discrepancy_met(residual_norm, rule):
     return residual_norm <= rule.threshold
 
 
-def breakdown_scale(state):
-    """Reference magnitude for breakdown tests: ||T||^2 * ||w_0||, with
-    ||T|| from the power iteration of :meth:`LinearOperator.norm_estimate`.
+def detect_breakdown(state):
+    """True iff the current mapped direction q has (numerically) vanished:
+    ||q|| <= EPS_BREAKDOWN * ||T||^2 * ||w_0||, with ||T|| the cached
+    power-iteration estimate of :meth:`LinearOperator.norm_estimate`. An
+    exactly zero q is always a breakdown, even when ||T|| is zero.
 
-    :func:`drive` computes it only when the operator's cheap bound cannot
-    rule breakdown out, and then once per run.
+    The test runs bound first. The estimate is a Rayleigh quotient, so it
+    never exceeds ||T|| <= U for the operator's
+    :meth:`~LinearOperator.norm_bound` U. While ||q|| > EPS_BREAKDOWN *
+    2 U^2 * ||w_0|| (the 2 covers rounding) the answer is no and no power
+    iteration runs; otherwise, or when the operator has no bound, the
+    estimate decides. Either way the answer is the one the estimate gives.
     """
-    return state.op.norm_estimate() ** 2 * state.initial_direction_norm
-
-
-def detect_breakdown(state, scale=None):
-    """True iff the current mapped direction has (numerically) vanished.
-
-    The test is ||q|| <= EPS_BREAKDOWN * scale with the default scale from
-    :func:`breakdown_scale`; an exactly zero q is always a breakdown, even
-    when the scale itself is zero.
-    """
-    if scale is None:
-        scale = breakdown_scale(state)
-    return bool(np.sqrt(state.mapped_norm_sq) <= EPS_BREAKDOWN * scale)
+    op, w0_norm = state.op, state.initial_direction_norm
+    q_norm = math.sqrt(state.mapped_norm_sq)
+    bound = op.norm_bound()
+    if bound is not None and q_norm > EPS_BREAKDOWN * 2 * bound * bound * w0_norm:
+        return False
+    return q_norm <= EPS_BREAKDOWN * (op.norm_estimate() ** 2 * w0_norm)
 
 
 def drive(state, step, rule, cap):
@@ -181,24 +181,11 @@ def drive(state, step, rule, cap):
 
     Before every step the tests run in one order: the discrepancy
     principle on the current residual (so a stopping index of 0 is
-    possible), then breakdown, then ``state.iteration >= cap``. The result
-    is "discrepancy", "breakdown" or "iteration_cap". A residual norm or
-    squared mapped-direction norm that is not finite raises
-    :class:`NumericalError` naming the iteration.
-
-    Breakdown is tested bound first. The power-iteration estimate is a
-    Rayleigh quotient, so it never exceeds ||T|| <= U for the operator's
-    :meth:`~LinearOperator.norm_bound` U. While ||q|| > EPS_BREAKDOWN *
-    2 U^2 * ||w_0|| (the 2 covers rounding), :func:`detect_breakdown`
-    would say no, and no power iteration runs. Otherwise, or when the
-    operator has no bound, :func:`breakdown_scale` is computed once and
-    :func:`detect_breakdown` decides, so every outcome is the one the
-    eager test gives.
+    possible), then :func:`detect_breakdown`, then ``state.iteration >=
+    cap``. The result is "discrepancy", "breakdown" or "iteration_cap". A
+    residual norm or squared mapped-direction norm that is not finite
+    raises :class:`NumericalError` naming the iteration.
     """
-    bound = state.op.norm_bound()
-    clear = (math.inf if bound is None
-             else EPS_BREAKDOWN * 2 * bound * bound * state.initial_direction_norm)
-    scale = None
     while True:
         residual_norm = state.residual_norms[-1]
         if not (math.isfinite(residual_norm) and math.isfinite(state.mapped_norm_sq)):
@@ -209,11 +196,8 @@ def drive(state, step, rule, cap):
             )
         if discrepancy_met(residual_norm, rule):
             return "discrepancy"
-        if math.sqrt(state.mapped_norm_sq) <= clear:
-            if scale is None:
-                scale = breakdown_scale(state)
-            if detect_breakdown(state, scale):
-                return "breakdown"
+        if detect_breakdown(state):
+            return "breakdown"
         if state.iteration >= cap:
             return "iteration_cap"
         step(state)

@@ -3,16 +3,17 @@
 These deliberately avoid the solver recurrences: subspace minimizers come
 from explicitly built basis matrices and a dense least-squares solve,
 derivatives from finite differences, spectra from full eigensolves. The
-eager driver reuses the step functions but none of ``drive``'s logic.
+eager driver reuses the step functions but none of the logic of
+``drive`` or ``detect_breakdown``.
 """
 
 import numpy as np
 
 from sinereg import (
+    EPS_BREAKDOWN,
     build_shift_solver,
     cgne_init,
     cgne_step,
-    detect_breakdown,
     discrepancy_met,
     sine_init,
     sine_step,
@@ -69,9 +70,10 @@ def forward_difference_at_zero(f, h=1e-7):
 
 def eager_run(problem, rule, gamma=None):
     """Run SINE (with ``gamma``) or CGNE (without) under the plain stopping
-    loop: discrepancy, then breakdown tested with the full power-iteration
-    scale before every step, then the cap. Returns the final state
-    and the termination reason."""
+    loop: discrepancy, then breakdown, then the cap. Breakdown is the
+    definition, ||q|| <= EPS_BREAKDOWN * ||T||^2 * ||w_0|| with the
+    power-iteration ||T||, tested in full before every step. Returns the
+    final state and the termination reason."""
     if gamma is None:
         state, step = cgne_init(problem), cgne_step
     else:
@@ -81,8 +83,10 @@ def eager_run(problem, rule, gamma=None):
         def step(st):
             sine_step(st, solver)
     cap = rule.resolve_cap(problem.operator.domain_dim)
+    norm_sq = problem.operator.norm_estimate() ** 2
     while not discrepancy_met(state.residual_norms[-1], rule):
-        if detect_breakdown(state):
+        threshold = EPS_BREAKDOWN * (norm_sq * state.initial_direction_norm)
+        if np.sqrt(state.mapped_norm_sq) <= threshold:
             return state, "breakdown"
         if state.iteration >= cap:
             return state, "iteration_cap"

@@ -300,6 +300,9 @@ class TestConfigTypes:
         ("solve", {"max_iters": 1.7}, "max_iters"),
         ("ratecheck", {"max_iters": 2.5}, "max_iters"),
         ("ratecheck", {"n": 64.5}, "n"),
+        # a JSON true is not the integer 1
+        ("solve", {"max_iters": True}, "max_iters"),
+        ("compare", {"problem": {"kind": "multiplication", "n": True}}, "n"),
     ])
     def test_failed_conversion_exit_one_names_key(self, tmp_path, capsys,
                                                    command, payload, key):

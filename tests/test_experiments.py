@@ -196,6 +196,8 @@ class TestDiagnosticsDriver:
         report = run_diagnostics(p, gamma=1.0, rule=rule)
         assert report.ritz == []
         assert report.interlacing == []
+        assert report.rprime == []
+        assert report.residual_identity_max is None
         assert report.stopping_index == 0
 
     def test_random_run_interlacing_all_true(self):

@@ -226,6 +226,22 @@ class TestConstructionValidation:
         with pytest.raises(DimensionError):
             DenseOperator(np.ones((3, 2)), domain=InnerProductSpace(3))
 
+    def test_complex_matrix_or_diagonal_rejected(self):
+        a = np.eye(2) + 1j * np.eye(2)
+        with pytest.raises(ValueError, match="matrix has complex entries"):
+            DenseOperator(a)
+        with pytest.raises(ValueError, match="diagonal has complex entries"):
+            DiagonalOperator(np.diag(a))
+
+    def test_complex_callable_output_rejected(self):
+        """A forward x + 1j x was cut to x, with only a warning."""
+        space = InnerProductSpace(3)
+        op = MatrixFreeOperator(space, space, lambda x: x + 1j * x, lambda y: 1j * y)
+        with pytest.raises(ValueError, match="forward output has complex entries"):
+            op.apply(np.ones(3))
+        with pytest.raises(ValueError, match="adjoint output has complex entries"):
+            op.apply_adjoint(np.ones(3))
+
 
 class TestLoaders:
     def test_mtx_round_trip_bit_exact(self, tmp_path):

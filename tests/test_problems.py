@@ -228,6 +228,18 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 build()
 
+    def test_complex_data_noise_input_and_start_rejected(self):
+        """Each was cut to its real part with only a ComplexWarning."""
+        p = multiplication_problem(8, 1, 0.0)
+        z = p.y_delta + 1j * p.y_delta
+        with pytest.raises(ValueError, match="data has complex entries"):
+            Problem(operator=p.operator, y_delta=z, delta=0.0)
+        for space in (p.range_space, None):
+            with pytest.raises(ValueError, match="data has complex entries"):
+                add_noise(z, 1e-3, "constant", space=space)
+        with pytest.raises(ValueError, match="starting iterate has complex entries"):
+            run_sine(p, 1e-3, StoppingRule(1.001, 0.0), x0=np.zeros(8, dtype=complex))
+
     def test_error_norm_requires_truth(self):
         p = multiplication_problem(8, 1, 0.0)
         q = Problem(operator=p.operator, y_delta=p.y_delta, delta=0.0)

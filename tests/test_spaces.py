@@ -93,7 +93,7 @@ def test_gram_of_column_blocks_equals_inner_entry_by_entry(weights):
             assert abs(g[i, j] - space.inner(u[:, i], v[:, j])) <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("dim", [2.5, 2.0, np.float64(3.0), "3", None, 0, -2])
+@pytest.mark.parametrize("dim", [2.5, 2.0, np.float64(3.0), "3", None, 0, -2, True])
 def test_dimension_must_be_a_positive_integer(dim):
     with pytest.raises(DimensionError, match="dimension"):
         InnerProductSpace(dim)
@@ -125,3 +125,14 @@ def test_validation_errors():
     space = InnerProductSpace(3)
     with pytest.raises(DimensionError):
         space.check_vector(np.ones(4))
+
+
+def test_complex_vector_rejected_and_real_vector_not_copied():
+    """A complex vector was cast to its real part with only a warning."""
+    space = InnerProductSpace(2)
+    for bad in ([1 + 2j, 3j], np.array([1.0, 2.0], dtype=complex)):
+        with pytest.raises(ValueError, match="data has complex entries"):
+            space.check_vector(bad, "data")
+    v = np.array([1.0, 2.0])
+    assert space.check_vector(v) is v
+    assert space.check_vector([1, 2]).dtype == np.float64

@@ -15,10 +15,17 @@ from sinereg import (
     Problem,
     RunReport,
     StoppingRule,
+    build_shift_solver,
+    cgne_init,
+    cgne_step,
+    detect_breakdown,
     discrepancy_met,
     multiplication_problem,
+    random_problem,
     run_cgne,
     run_sine,
+    sine_init,
+    sine_step,
 )
 from sinereg.experiments import (
     RateCheckConfig,
@@ -78,7 +85,7 @@ def test_cap_resolution():
     assert StoppingRule(tau=2.0, delta=0.1, max_iters=7).resolve_cap(50) == 7
 
 
-@pytest.mark.parametrize("cap", [2.5, 2.0, np.float64(3.0), "3", 0, -1])
+@pytest.mark.parametrize("cap", [2.5, 2.0, np.float64(3.0), "3", 0, -1, True])
 def test_max_iters_must_be_a_positive_integer(cap):
     """A fractional cap was kept, so drive ran ceil(cap) steps."""
     with pytest.raises(ValueError, match="max_iters"):
@@ -185,7 +192,8 @@ def count_norm_estimates(monkeypatch):
 
 def test_full_rank_runs_skip_power_iteration(monkeypatch):
     """On the full-rank benchmark no mapped direction nears the breakdown
-    threshold, so no entry point pays for the norm estimate."""
+    threshold, so neither an entry point nor a hand-written loop over
+    detect_breakdown pays for the norm estimate."""
     def forbidden(*args, **kwargs):
         raise AssertionError("the power iteration ran")
     monkeypatch.setattr(sinereg.operators, "norm_estimate", forbidden)
@@ -197,6 +205,31 @@ def test_full_rank_runs_skip_power_iteration(monkeypatch):
     assert run_diagnostics(problem, 1e-3, rule).stopping_index == 2
     run_ratecheck(RateCheckConfig(delta_grid=(1e-2, 1e-3), mu=0.5, tau=1.001,
                                   gamma=1e-3, n=1024))
+    solver = build_shift_solver(problem.operator, 1e-3)
+    sine = sine_init(problem, 1e-3)
+    while sine.iteration < 10 and not detect_breakdown(sine):
+        sine_step(sine, solver)
+    cgne = cgne_init(problem)
+    while cgne.iteration < 25 and not detect_breakdown(cgne):
+        cgne_step(cgne)
+    assert (sine.iteration, cgne.iteration) == (10, 25)
+
+
+def test_compare_evaluates_dense_bound_once(monkeypatch):
+    """The weighted Frobenius bound belongs to the immutable operator, so
+    the three drives of one run_compare share one evaluation of it."""
+    calls = []
+    einsum = np.einsum
+
+    def counted(subscripts, *operands, **kwargs):
+        if subscripts == "ij,ij,j->i":
+            calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+    monkeypatch.setattr(np, "einsum", counted)
+    problem = random_problem(60, 40, "algebraic", rate=1.0, seed=1, delta=1e-3)
+    result = run_compare(problem, 1e-3, StoppingRule(1.001, 1e-3))
+    assert result.terminated_by_sine == "discrepancy"
+    assert len(calls) == 1
 
 
 def test_power_iteration_runs_once_near_breakdown(monkeypatch):
