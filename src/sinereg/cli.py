@@ -62,6 +62,13 @@ def _int(value):
     return int(value)
 
 
+def _float(value):
+    """``value`` as a float; a bool is rejected."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _get(section, key, cast, default):
     return _take(section, **{key: cast}).get(key, default)
 
@@ -77,17 +84,17 @@ def _build_problem(pc):
     kind = pc.get("kind", "multiplication")
     if kind == "multiplication":
         exact = multiplication_problem(
-            _get(pc, "n", _int, 4096), _get(pc, "exponent", float, 1.0), 0.0
+            _get(pc, "n", _int, 4096), _get(pc, "exponent", _float, 1.0), 0.0
         )
-        delta = _get(pc, "delta", float, 1e-3)
+        delta = _get(pc, "delta", _float, 1e-3)
         y_delta = add_noise(exact.y_delta, delta, pc.get("noise", "constant"),
                             space=exact.range_space, **_take(pc, seed=_int))
         return Problem(exact.operator, y_delta, delta, truth=exact.truth)
     if kind == "random":
         if "rows" not in pc or "cols" not in pc:
             raise ConfigError("problem kind 'random' needs 'rows' and 'cols'")
-        kw = _take(pc, rows=_int, cols=_int, decay=str, rate=float, seed=_int,
-                   delta=float, noise=str)
+        kw = _take(pc, rows=_int, cols=_int, decay=str, rate=_float, seed=_int,
+                   delta=_float, noise=str)
         if "noise" in kw:
             kw["noise_mode"] = kw.pop("noise")
         return random_problem(**kw)
@@ -95,7 +102,7 @@ def _build_problem(pc):
         if "operator" not in pc or "data" not in pc:
             raise ConfigError("problem kind 'files' needs 'operator' and 'data' paths")
         return load_problem(pc["operator"], pc["data"],
-                            {**pc, **_take(pc, delta=float)})
+                            {**pc, **_take(pc, delta=_float)})
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 
@@ -103,11 +110,11 @@ def _setup(cfg):
     """The problem, stopping rule and shift a solving command runs with."""
     problem = _build_problem(_problem_config(cfg))
     rule = StoppingRule(
-        tau=_get(cfg, "tau", float, 1.001),
-        delta=_get(cfg, "delta", float, problem.delta),
+        tau=_get(cfg, "tau", _float, 1.001),
+        delta=_get(cfg, "delta", _float, problem.delta),
         **_take(cfg, max_iters=_int),
     )
-    return problem, rule, _get(cfg, "gamma", float, 1e-3)
+    return problem, rule, _get(cfg, "gamma", _float, 1e-3)
 
 
 def _write_json(out_dir, name, payload):
@@ -174,10 +181,10 @@ def cmd_compare(cfg, out_dir):
 
 def cmd_ratecheck(cfg, out_dir):
     config = RateCheckConfig(
-        delta_grid=_get(cfg, "delta_grid", lambda g: tuple(map(float, g)),
+        delta_grid=_get(cfg, "delta_grid", lambda g: tuple(map(_float, g)),
                         DEFAULT_DELTA_GRID),
-        mu=_get(cfg, "mu", float, 0.5),
-        **_take(cfg, tau=float, gamma=float, n=_int, max_iters=_int),
+        mu=_get(cfg, "mu", _float, 0.5),
+        **_take(cfg, tau=_float, gamma=_float, n=_int, max_iters=_int),
     )
     result = run_ratecheck(config)
     _write_json(out_dir, "report.json", {"config": cfg, "report": result.to_dict()})

@@ -6,12 +6,14 @@ orthonormal basis of the search subspace, the projected normal-equation
 matrix and its eigenvalues (Ritz values), interlacing checks between
 consecutive spectra, the rational residual function whose zeros are the
 Ritz values, and an orthogonality audit of the recurrence identities.
+
+Everything here runs on numpy alone: the Ritz values come from
+``numpy.linalg.eigvalsh``, so a diagnostics pass never loads scipy.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .exceptions import DimensionError, NumericalError
 from .resolvent import _check_gamma
@@ -58,6 +60,36 @@ class KrylovBasis:
         return self.space.gram(self.vectors, self.vectors)
 
 
+def _orthonormal_prefix(w_history, space):
+    """Orthonormalize directions by modified Gram-Schmidt with one full
+    reorthogonalization pass, up to the first one that is numerically
+    dependent on those before it.
+
+    Returns the :class:`KrylovBasis` of the independent prefix (None when
+    it is empty) and None, or a message naming the dependent direction.
+    """
+    vs = []
+    for k, w in enumerate(w_history):
+        v = space.check_vector(w, f"direction {k}").copy()
+        before = space.norm(v)
+        for _ in range(2):
+            for u in vs:
+                v -= space.inner(u, v) * u
+        after = space.norm(v)
+        if after <= _RANK_LOSS_RATIO * before or after == 0.0:
+            dependent = (
+                f"direction {k} is numerically dependent on the previous ones "
+                f"(norm dropped from {before:.3e} to {after:.3e})"
+            )
+            break
+        v /= after
+        vs.append(v)
+    else:
+        dependent = None
+    basis = KrylovBasis(vectors=np.column_stack(vs), space=space) if vs else None
+    return basis, dependent
+
+
 def build_basis(w_history, space):
     """Orthonormalize direction vectors by modified Gram-Schmidt with one
     full reorthogonalization pass.
@@ -68,22 +100,12 @@ def build_basis(w_history, space):
     """
     if len(w_history) == 0:
         raise DimensionError("cannot build a basis from an empty history")
-    vs = []
-    for k, w in enumerate(w_history):
-        v = space.check_vector(w, f"direction {k}").astype(float).copy()
-        before = space.norm(v)
-        for _ in range(2):
-            for u in vs:
-                v -= space.inner(u, v) * u
-        after = space.norm(v)
-        if after <= _RANK_LOSS_RATIO * before or after == 0.0:
-            raise NumericalError(
-                f"direction {k} is numerically dependent on the previous ones "
-                f"(norm dropped from {before:.3e} to {after:.3e}); breakdown "
-                "should have been flagged earlier"
-            )
-        vs.append(v / after)
-    return KrylovBasis(vectors=np.column_stack(vs), space=space)
+    basis, dependent = _orthonormal_prefix(w_history, space)
+    if dependent is not None:
+        raise NumericalError(
+            f"{dependent}; breakdown should have been flagged earlier"
+        )
+    return basis
 
 
 def projected_gram(basis, op):
@@ -136,12 +158,12 @@ def ritz_values(s_matrix):
     scale = np.max(np.abs(s)) or 1.0
     if np.max(np.abs(s - s.T)) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
-    vals = scipy.linalg.eigh(s, eigvals_only=True)
+    vals = np.linalg.eigvalsh(s)  # ascending
     if vals[0] <= 0:
         raise ValueError(
             f"matrix is not positive definite (smallest eigenvalue {vals[0]:.3e})"
         )
-    return RitzSpectrum(values=np.sort(vals))
+    return RitzSpectrum(values=vals)
 
 
 def check_interlacing(prev, nxt):

@@ -9,6 +9,7 @@ import numpy as np
 from .cgne import run_cgne
 from .diagnostics import (
     ResidualFunction,
+    _orthonormal_prefix,
     build_basis,
     check_interlacing,
     orthogonality_audit,
@@ -17,11 +18,12 @@ from .diagnostics import (
     ritz_values,
     rprime_at_zero,
 )
+from .exceptions import NumericalError
 from .operators import DiagonalOperator
 from .problems import multiplication_problem
 from .resolvent import build_shift_solver
 from .sine import run_sine, sine_init, sine_step
-from .stopping import StoppingRule, _plain, drive
+from .stopping import StoppingRule, _is_bool, _plain, drive
 
 __all__ = [
     "CompareResult",
@@ -136,6 +138,9 @@ class RateCheckConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
+        if any(_is_bool(d) for d in self.delta_grid):
+            raise ValueError("delta grid entries must be finite and positive "
+                             "numbers, not bools")
         grid = tuple(float(d) for d in self.delta_grid)
         object.__setattr__(self, "delta_grid", grid)
         if len(grid) == 0:
@@ -144,7 +149,7 @@ class RateCheckConfig:
             raise ValueError("delta grid entries must be finite and positive")
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise ValueError("delta grid must be strictly decreasing")
-        if not (math.isfinite(self.mu) and self.mu > 0):
+        if _is_bool(self.mu) or not (math.isfinite(self.mu) and self.mu > 0):
             raise ValueError(f"mu must be finite and positive, got {self.mu}")
 
     @property
@@ -228,6 +233,10 @@ class DiagnosticsReport:
     ``ritz`` maps m = 1..M to the Ritz values of the m-th projected
     matrix; ``interlacing`` holds the verdicts for consecutive pairs
     (m = 2..M); ``rprime`` the residual-filter derivative magnitudes at 0.
+    M is ``analyzed_steps``, which is less than ``stopping_index`` when
+    the run's directions stop being numerically independent, or its
+    projected matrices stop being positive definite, before the run
+    stops; ``truncated_reason`` then says which, and is None otherwise.
     """
 
     ritz: list[list[float]]
@@ -237,6 +246,8 @@ class DiagnosticsReport:
     residual_identity_max: float | None = None
     stopping_index: int = 0
     terminated_by: str = ""
+    analyzed_steps: int = 0
+    truncated_reason: str | None = None
 
     def to_dict(self):
         return _plain(self)
@@ -251,15 +262,36 @@ def run_diagnostics(problem, gamma, rule):
     and audits orthogonality. On diagonal operators the componentwise
     residual-filter identity is also evaluated and its worst relative
     error reported.
+
+    The solver's outcome is never changed. On a rank-deficient problem
+    the run can continue past the rank of T on rounding noise; the
+    spectral quantities then cover the longest prefix of the run whose
+    directions are numerically independent and whose projected matrices
+    are positive definite (``analyzed_steps``). The orthogonality audit
+    covers the whole run.
     """
     report = run_sine(problem, gamma, rule, keep_history=True)
     state = report.state
     steps = state.iteration
-    spectra = []
+    spectra, truncated, basis = [], None, None
     if steps:
-        basis = build_basis(state.direction_history[:steps], problem.domain_space)
+        history = state.direction_history[:steps]
+        try:
+            basis = build_basis(history, problem.domain_space)
+        except NumericalError:
+            # a second pass, on this rare path only, keeps the directions
+            # before the dependent one
+            basis, truncated = _orthonormal_prefix(history, problem.domain_space)
+    if basis is not None:
         s_full = projected_gram(basis, problem.operator)
-        spectra = [ritz_values(s_full[:m, :m]) for m in range(1, steps + 1)]
+        for m in range(1, basis.size + 1):
+            try:
+                spectra.append(ritz_values(s_full[:m, :m]))
+            except ValueError as exc:
+                # the smallest eigenvalue of a leading submatrix never
+                # grows with its order (Cauchy), so every larger one fails
+                truncated = f"projected matrix of order {m}: {exc}"
+                break
     filters = [ResidualFunction.from_spectrum(sp, gamma) for sp in spectra]
     identity_max = None
     if isinstance(problem.operator, DiagonalOperator):
@@ -277,4 +309,6 @@ def run_diagnostics(problem, gamma, rule):
         residual_identity_max=identity_max,
         stopping_index=report.stopping_index,
         terminated_by=report.terminated_by,
+        analyzed_steps=len(spectra),
+        truncated_reason=truncated,
     )

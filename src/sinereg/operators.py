@@ -12,6 +12,11 @@ once, at construction; a matrix-free operator has none. A complex matrix,
 diagonal, input vector or callable output raises ``ValueError`` instead
 of being cut to its real part.
 
+Only numpy is imported with this module. ``scipy.linalg`` is loaded by the
+first ``DenseOperator`` built, for its Cholesky solve, and ``scipy.io`` by
+the first Matrix Market file read or written, so diagonal and matrix-free
+runs never pay for scipy.
+
 Operators are immutable after construction and safe to share across
 threads for read-only application.
 """
@@ -19,8 +24,6 @@ threads for read-only application.
 import gzip
 
 import numpy as np
-import scipy.io
-import scipy.linalg
 
 from .exceptions import DataFormatError, DimensionError, NumericalError
 from .spaces import InnerProductSpace, _as_real
@@ -120,6 +123,8 @@ class DenseOperator(LinearOperator):
     """
 
     def __init__(self, matrix, domain=None, codomain=None):
+        import scipy.linalg  # noqa: F401  here, so that no solve pays the import
+
         a = _as_real(matrix, "matrix", copy=True)  # own copy; frozen below
         if a.ndim != 2:
             raise DimensionError(f"matrix must be 2-d, got shape {a.shape}")
@@ -151,11 +156,13 @@ class DenseOperator(LinearOperator):
     def shift_solve(self, gamma):
         """Cholesky of M = W_d + A^T W_r A / gamma, factored once: the
         weighted map B = I + T*T/gamma has B x = v iff M x = W_d v."""
+        import scipy.linalg
+
         m = self.codomain.gram(self.matrix, self.matrix) / gamma
         m[np.diag_indices_from(m)] += self.domain.weights
         try:
             factor = scipy.linalg.cho_factor(m)
-        except scipy.linalg.LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "Cholesky factorization of the shifted normal matrix failed "
                 f"(gamma={gamma:g}); the matrix is positive definite in exact "
@@ -264,6 +271,8 @@ def _load_matrix(path):
     path = str(path)
     try:
         if path.endswith(".mtx") or path.endswith(".mtx.gz"):
+            import scipy.io
+
             a = scipy.io.mmread(path)
             if hasattr(a, "toarray"):
                 a = a.toarray()
@@ -313,6 +322,8 @@ def save_dense_operator(matrix, path):
     a = np.asarray(matrix, dtype=float)
     path = str(path)
     if path.endswith((".mtx", ".mtx.gz")):
+        import scipy.io
+
         # a handle, because mmwrite appends ".mtx" to a path ending in ".gz"
         with (gzip.open if path.endswith(".gz") else open)(path, "wb") as fh:
             scipy.io.mmwrite(fh, a, precision=17)

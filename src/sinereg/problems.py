@@ -18,6 +18,7 @@ from .operators import (
     save_vector,
 )
 from .spaces import InnerProductSpace
+from .stopping import _is_bool
 
 __all__ = [
     "Problem",
@@ -32,7 +33,7 @@ __all__ = [
 
 def _check_delta(delta):
     """Reject a noise level that is not a finite nonnegative number."""
-    if not (math.isfinite(delta) and delta >= 0):
+    if _is_bool(delta) or not (math.isfinite(delta) and delta >= 0):
         raise ValueError(f"noise level must be finite and nonnegative, got {delta}")
 
 
@@ -50,6 +51,7 @@ class Problem:
 
     def __post_init__(self):
         _check_delta(self.delta)
+        self.delta = float(self.delta)
         # copies keep the instance immune to later mutation of caller arrays
         self.y_delta = self.operator.codomain.check_vector(
             self.y_delta, "data"
@@ -94,7 +96,8 @@ def multiplication_problem(n, truth_exponent, delta):
     """
     if n < 2:
         raise DimensionError(f"grid size must be at least 2, got {n}")
-    if not (math.isfinite(truth_exponent) and truth_exponent > 0):
+    if _is_bool(truth_exponent) or not (math.isfinite(truth_exponent)
+                                        and truth_exponent > 0):
         raise ValueError(
             f"truth exponent must be finite and positive, got {truth_exponent}"
         )
@@ -103,7 +106,7 @@ def multiplication_problem(n, truth_exponent, delta):
     op = DiagonalOperator(t, space)
     truth = t**truth_exponent
     y_delta = t * truth + delta
-    return Problem(operator=op, y_delta=y_delta, delta=float(delta), truth=truth)
+    return Problem(operator=op, y_delta=y_delta, delta=delta, truth=truth)
 
 
 def random_problem(rows, cols, decay="geometric", rate=0.5, seed=0, delta=0.0,
@@ -121,7 +124,7 @@ def random_problem(rows, cols, decay="geometric", rate=0.5, seed=0, delta=0.0,
         raise DimensionError(
             f"need rows >= cols >= 1, got rows={rows}, cols={cols}"
         )
-    if not (math.isfinite(rate) and rate > 0):
+    if _is_bool(rate) or not (math.isfinite(rate) and rate > 0):
         raise ValueError(f"decay rate must be finite and positive, got {rate}")
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
@@ -141,7 +144,7 @@ def random_problem(rows, cols, decay="geometric", rate=0.5, seed=0, delta=0.0,
         y_delta = add_noise(y, delta, noise_mode, seed=seed, space=op.codomain)
     else:
         y_delta = y
-    return Problem(operator=op, y_delta=y_delta, delta=float(delta), truth=truth)
+    return Problem(operator=op, y_delta=y_delta, delta=delta, truth=truth)
 
 
 def add_noise(y, delta, mode, seed=0, space=None):
@@ -188,5 +191,6 @@ def load_problem(operator_path, data_path, config):
         )
     if config.get("delta") is None:
         raise DataFormatError("problem config is missing the required key 'delta'")
-    delta = float(config["delta"])
-    return Problem(operator=op, y_delta=y, delta=delta)
+    delta = config["delta"]  # a bool is left for Problem to reject
+    return Problem(operator=op, y_delta=y,
+                   delta=delta if _is_bool(delta) else float(delta))

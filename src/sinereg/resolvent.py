@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .exceptions import NumericalError
+from .stopping import _is_bool
 
 __all__ = ["ShiftSolver", "build_shift_solver"]
 
@@ -23,8 +24,9 @@ CG_ITERS_PER_DIM = 10
 
 
 def _check_gamma(gamma):
-    """Reject a shift that is not a finite positive number."""
-    if not (math.isfinite(gamma) and gamma > 0):
+    """Reject a shift that is not a finite positive number; a bool is not
+    one."""
+    if _is_bool(gamma) or not (math.isfinite(gamma) and gamma > 0):
         raise ValueError(f"gamma must be finite and positive, got {gamma}")
 
 

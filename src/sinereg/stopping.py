@@ -107,6 +107,12 @@ class KrylovState:
             self.residual_vectors.append(r.copy())
 
 
+def _is_bool(value):
+    """Whether ``value`` is a Python or numpy bool, which is no number here
+    although Python counts it as one."""
+    return isinstance(value, (bool, np.bool_))
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     """Stop at the first iterate whose residual norm drops to tau * delta.
@@ -131,7 +137,7 @@ class StoppingRule:
             raise ValueError(
                 f"tau must be finite and strictly greater than 1, got {self.tau}"
             )
-        if not (math.isfinite(self.delta) and self.delta >= 0):
+        if _is_bool(self.delta) or not (math.isfinite(self.delta) and self.delta >= 0):
             raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
         cap = self.max_iters
         if cap is not None and (isinstance(cap, bool)

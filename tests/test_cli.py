@@ -198,6 +198,27 @@ class TestDiagnose:
         assert len(rep["ritz"]) == 2
         assert rep["residual_identity_max"] <= 1e-8
         assert rep["rprime"][1] > rep["rprime"][0]
+        assert rep["analyzed_steps"] == 2
+        assert rep["truncated_reason"] is None
+
+    def test_rank_deficient_run_reports_analyzed_prefix(self, tmp_path):
+        rng = np.random.default_rng(0)
+        u, _ = np.linalg.qr(rng.standard_normal((12, 4)))
+        v, _ = np.linalg.qr(rng.standard_normal((10, 4)))
+        save_dense_operator(u @ (np.logspace(0, -3, 4)[:, None] * v.T),
+                            tmp_path / "A.csv")
+        save_vector(rng.standard_normal(12), tmp_path / "y.csv")
+        cfg = write_config(tmp_path, {
+            "gamma": 1.0, "tau": 1.001,
+            "problem": {"kind": "files", "operator": str(tmp_path / "A.csv"),
+                        "data": str(tmp_path / "y.csv"), "delta": 0.0},
+        })
+        out = tmp_path / "out"
+        assert main(["diagnose", "--config", str(cfg), "--out", str(out)]) != 1
+        rep = json.loads((out / "diagnostics.json").read_text())["report"]
+        assert rep["terminated_by"] == "breakdown"
+        assert rep["analyzed_steps"] < rep["stopping_index"]
+        assert len(rep["ritz"]) == rep["analyzed_steps"]
 
 
 class TestErrorsAndSeeds:
@@ -303,6 +324,18 @@ class TestConfigTypes:
         # a JSON true is not the integer 1
         ("solve", {"max_iters": True}, "max_iters"),
         ("compare", {"problem": {"kind": "multiplication", "n": True}}, "n"),
+        # nor is it the float 1.0
+        ("solve", {"gamma": True}, "gamma"),
+        ("solve", {"tau": True}, "tau"),
+        ("diagnose", {"delta": False}, "delta"),
+        ("compare", {"problem": {"kind": "multiplication", "exponent": True}},
+         "exponent"),
+        ("solve", {"problem": {"kind": "multiplication", "delta": True}}, "delta"),
+        ("solve", {"problem": {"kind": "random", "rows": 8, "cols": 4,
+                               "rate": True}}, "rate"),
+        ("ratecheck", {"mu": True}, "mu"),
+        ("ratecheck", {"delta_grid": [1e-2, True]}, "delta_grid"),
+        ("ratecheck", {"gamma": True}, "gamma"),
     ])
     def test_failed_conversion_exit_one_names_key(self, tmp_path, capsys,
                                                    command, payload, key):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from sinereg import (
     DenseOperator,
@@ -77,6 +80,22 @@ class TestBuildBasis:
         with pytest.raises(DimensionError):
             build_basis([], InnerProductSpace(2))
 
+    def test_each_direction_copied_once(self):
+        """Each direction is copied once and normalized in place, so the
+        peak is the columns plus their stacked result, 16 + 16 MB (it was
+        40 MB)."""
+        n = 10**6
+        rng = np.random.default_rng(7)
+        ws = [rng.standard_normal(n) for _ in range(2)]
+        space = InnerProductSpace(n)
+        tracemalloc.start()
+        try:
+            build_basis(ws, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 33e6
+
 
 class TestProjectedGram:
     def test_single_vector_norm_squared(self):
@@ -129,6 +148,15 @@ class TestRitzValues:
     def test_two_by_two_characteristic_polynomial(self):
         sp = ritz_values(np.array([[2.0, 1.0], [1.0, 2.0]]))
         assert sp.values == pytest.approx([1.0, 3.0])
+
+    def test_matches_scipy_eigh(self):
+        rng = np.random.default_rng(8)
+        for size in range(1, 61):
+            g = rng.standard_normal((size, size))
+            s = g @ g.T + 1e-3 * np.eye(size)
+            vals = ritz_values(s).values
+            ref = scipy.linalg.eigh(s, eigvals_only=True)
+            assert np.max(np.abs(vals - ref)) <= 1e-12 * ref[-1]
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

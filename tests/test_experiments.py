@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from sinereg import (
+    DenseOperator,
     DiagonalOperator,
+    InnerProductSpace,
+    MatrixFreeOperator,
+    NumericalError,
     Problem,
     RateCheckConfig,
     RateRecord,
     StoppingRule,
+    add_noise,
+    build_basis,
     fit_rate,
     multiplication_problem,
     random_problem,
@@ -17,6 +23,31 @@ from sinereg import (
     run_ratecheck,
     run_sine,
 )
+
+
+def rank_four_problem(seed):
+    """12x10 dense operator of rank 4, singular values logspace(0, -3),
+    with random data and noise level 0."""
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((12, 4)))
+    v, _ = np.linalg.qr(rng.standard_normal((10, 4)))
+    a = u @ (np.logspace(0, -3, 4)[:, None] * v.T)
+    return Problem(DenseOperator(a), rng.standard_normal(12), 0.0)
+
+
+def weighted_geometric_problem(matrix_free):
+    """30x20 operator with singular values 0.7^k on spaces weighted 1/n,
+    noise 1e-4; SINE runs to its cap of 20 with direction 19 numerically
+    dependent on the ones before it."""
+    base = random_problem(30, 20, rate=0.7, seed=13)
+    dom = InnerProductSpace(20, np.full(20, 1 / 20))
+    ran = InnerProductSpace(30, np.full(30, 1 / 30))
+    op = DenseOperator(base.operator.matrix, domain=dom, codomain=ran)
+    y = add_noise(op.apply(base.truth), 1e-4, "random-direction", seed=13,
+                  space=ran)
+    if matrix_free:
+        op = MatrixFreeOperator(dom, ran, op.apply, op.apply_adjoint)
+    return Problem(op, y, 1e-4, truth=base.truth)
 
 
 def records_from(deltas, errors, flagged=None):
@@ -130,7 +161,7 @@ class TestRateCheck:
         with pytest.raises(ValueError):
             RateCheckConfig(delta_grid=(1e-2,), mu=-1.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, True])
     def test_non_finite_mu_and_grid_rejected(self, bad):
         with pytest.raises(ValueError, match="mu must be finite"):
             RateCheckConfig(delta_grid=(1e-2,), mu=bad)
@@ -199,6 +230,50 @@ class TestDiagnosticsDriver:
         assert report.rprime == []
         assert report.residual_identity_max is None
         assert report.stopping_index == 0
+
+    def test_full_rank_run_analyzes_every_step(self):
+        p = random_problem(40, 30, rate=0.9, seed=6, delta=1e-4)
+        rule = StoppingRule(tau=1.05, delta=p.delta, max_iters=8)
+        report = run_diagnostics(p, gamma=1.0, rule=rule)
+        assert report.analyzed_steps == report.stopping_index == 8
+        assert report.truncated_reason is None
+
+    def test_rank_deficient_corpus_analyzes_a_prefix(self):
+        """SINE runs past the rank of T on rounding noise; the spectra
+        stop where the projected matrices stop being definite."""
+        rule = StoppingRule(tau=1.001, delta=0.0)
+        truncated = 0
+        for seed in range(60):
+            for gamma in (0.044, 1.0):
+                report = run_diagnostics(rank_four_problem(seed), gamma, rule)
+                assert report.terminated_by == "breakdown"
+                m = report.analyzed_steps
+                assert 4 <= m <= report.stopping_index
+                assert (report.truncated_reason is None) == (
+                    m == report.stopping_index)
+                assert len(report.ritz) == len(report.rprime) == m
+                assert len(report.interlacing) == m - 1
+                truncated += report.truncated_reason is not None
+        assert truncated > 100
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_dependent_direction_truncates(self, matrix_free):
+        p = weighted_geometric_problem(matrix_free)
+        report = run_diagnostics(p, 1.0, StoppingRule(1.001, p.delta))
+        assert report.stopping_index == 20
+        assert report.terminated_by == "iteration_cap"
+        if matrix_free:
+            assert report.analyzed_steps == 20
+        else:
+            assert report.analyzed_steps == 19
+            assert report.truncated_reason.startswith(
+                "direction 19 is numerically dependent")
+            state = run_sine(p, 1.0, StoppingRule(1.001, p.delta),
+                             keep_history=True).state
+            with pytest.raises(NumericalError, match="direction 19"):
+                build_basis(state.direction_history[:20], p.domain_space)
+        assert len(report.ritz) == report.analyzed_steps
+        assert len(report.orthogonality["galerkin"]) == 20
 
     def test_random_run_interlacing_all_true(self):
         p = random_problem(40, 30, rate=0.9, seed=6, delta=1e-4)

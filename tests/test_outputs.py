@@ -37,7 +37,8 @@ CONFIG_KEYS = {"delta_grid", "mu", "tau", "gamma", "n", "max_iters"}
 RECORD_KEYS = {"delta", "stopping_index", "error", "flagged"}
 RATECHECK_KEYS = {"records", "slope", "config"}
 DIAGNOSTICS_KEYS = {"ritz", "interlacing", "rprime", "orthogonality",
-                    "residual_identity_max", "stopping_index", "terminated_by"}
+                    "residual_identity_max", "stopping_index", "terminated_by",
+                    "analyzed_steps", "truncated_reason"}
 ORTHOGONALITY_KEYS = {"galerkin", "galerkin_adjoint", "conjugacy",
                       "max_galerkin", "max_galerkin_adjoint", "max_conjugacy"}
 
@@ -116,6 +117,8 @@ def test_diagnostics_and_orthogonality_reports(dense, kind):
     report = run_diagnostics(problem, 1e-2, rule)
     d = check(report, DIAGNOSTICS_KEYS)
     assert (d["residual_identity_max"] is None) == (kind == "dense")
+    assert d["analyzed_steps"] == d["stopping_index"]
+    assert d["truncated_reason"] is None
     state = run_sine(problem, 1e-2, rule, keep_history=True).state
     audit = orthogonality_audit(state)
     assert check(audit, ORTHOGONALITY_KEYS, derived=(

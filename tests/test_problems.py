@@ -195,7 +195,7 @@ class TestLoadProblem:
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0, True])
 def test_exponent_and_rate_must_be_finite_and_positive(bad):
     """Rejected up front, before an all-zero truth, a rank-1 operator or a
     misleading late error can arise."""
@@ -216,10 +216,14 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             Problem(operator=p.operator, y_delta=p.y_delta, delta=-1.0)
 
-    @pytest.mark.parametrize("delta", [np.nan, np.inf, -1.0])
-    def test_bad_delta_rejected_by_every_constructor(self, delta):
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -1.0, True, False, np.True_])
+    def test_bad_delta_rejected_by_every_constructor(self, tmp_path, delta):
         p = multiplication_problem(8, 1, 0.0)
+        save_dense_operator(np.eye(2), tmp_path / "op.csv")
+        save_vector(np.ones(2), tmp_path / "y.csv")
         for build in (
+            lambda: load_problem(tmp_path / "op.csv", tmp_path / "y.csv",
+                                 {"delta": delta}),
             lambda: Problem(operator=p.operator, y_delta=p.y_delta, delta=delta),
             lambda: multiplication_problem(8, 1, delta),
             lambda: random_problem(6, 4, delta=delta),

@@ -117,7 +117,7 @@ def test_matrix_free_nonconvergence_reports_residual(monkeypatch):
 def test_gamma_validation():
     dense, free = make_ops(4, 3, 26)
     for op in (DiagonalOperator(np.ones(3)), dense, free):
-        for gamma in (0.0, -1.0, np.nan, np.inf):
+        for gamma in (0.0, -1.0, np.nan, np.inf, True, np.True_):
             with pytest.raises(ValueError, match="gamma"):
                 build_shift_solver(op, gamma=gamma)
 

@@ -49,6 +49,9 @@ def test_tau_strictly_greater_than_one(tau, delta):
 
 @given(st.floats(max_value=-1e-300) | st.sampled_from([math.inf, math.nan]))
 @example(delta=-1e-3)
+@example(delta=True)  # a bool is no noise level of 1 or 0
+@example(delta=False)
+@example(delta=np.True_)
 def test_delta_nonnegative(delta):
     with pytest.raises(ValueError, match="delta"):
         StoppingRule(tau=2.0, delta=delta)
