@@ -288,8 +288,8 @@ def run_diagnostics(problem, gamma, rule):
             try:
                 spectra.append(ritz_values(s_full[:m, :m]))
             except ValueError as exc:
-                # the smallest eigenvalue of a leading submatrix never
-                # grows with its order (Cauchy), so every larger one fails
+                # the extreme eigenvalues of a leading submatrix only
+                # spread with its order (Cauchy), so every larger one fails
                 truncated = f"projected matrix of order {m}: {exc}"
                 break
     filters = [ResidualFunction.from_spectrum(sp, gamma) for sp in spectra]

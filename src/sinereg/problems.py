@@ -60,6 +60,8 @@ class Problem:
             raise ValueError("data vector contains non-finite entries")
         if self.truth is not None:
             self.truth = self.operator.domain.check_vector(self.truth, "truth").copy()
+            if not np.all(np.isfinite(self.truth)):
+                raise ValueError("truth vector contains non-finite entries")
 
     @property
     def domain_space(self):

@@ -164,15 +164,16 @@ def discrepancy_met(residual_norm, rule):
 def detect_breakdown(state):
     """True iff the current mapped direction q has (numerically) vanished:
     ||q|| <= EPS_BREAKDOWN * ||T||^2 * ||w_0||, with ||T|| the cached
-    power-iteration estimate of :meth:`LinearOperator.norm_estimate`. An
-    exactly zero q is always a breakdown, even when ||T|| is zero.
+    Lanczos estimate of :meth:`LinearOperator.norm_estimate`. An exactly
+    zero q is always a breakdown, even when ||T|| is zero.
 
-    The test runs bound first. The estimate is a Rayleigh quotient, so it
-    never exceeds ||T|| <= U for the operator's
-    :meth:`~LinearOperator.norm_bound` U. While ||q|| > EPS_BREAKDOWN *
-    2 U^2 * ||w_0|| (the 2 covers rounding) the answer is no and no power
-    iteration runs; otherwise, or when the operator has no bound, the
-    estimate decides. Either way the answer is the one the estimate gives.
+    The test runs bound first. The squared estimate is a Ritz value of
+    T*T, so it is <= ||T||^2 <= U^2 up to rounding for the operator's
+    :meth:`~LinearOperator.norm_bound` U, and the factor 2 on U^2 covers
+    that rounding. While ||q|| > EPS_BREAKDOWN * 2 U^2 * ||w_0|| the
+    answer is no and no estimate runs; otherwise, or when the operator
+    has no bound, the estimate decides. Either way the answer is the one
+    the estimate gives.
     """
     op, w0_norm = state.op, state.initial_direction_norm
     q_norm = math.sqrt(state.mapped_norm_sq)

@@ -72,7 +72,7 @@ def eager_run(problem, rule, gamma=None):
     """Run SINE (with ``gamma``) or CGNE (without) under the plain stopping
     loop: discrepancy, then breakdown, then the cap. Breakdown is the
     definition, ||q|| <= EPS_BREAKDOWN * ||T||^2 * ||w_0|| with the
-    power-iteration ||T||, tested in full before every step. Returns the
+    estimated ||T||, tested in full before every step. Returns the
     final state and the termination reason."""
     if gamma is None:
         state, step = cgne_init(problem), cgne_step

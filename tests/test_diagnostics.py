@@ -29,6 +29,8 @@ from sinereg import (
     sine_step,
 )
 
+from sinereg.diagnostics import RITZ_RTOL
+
 from oracles import forward_difference_at_zero
 
 
@@ -165,6 +167,14 @@ class TestRitzValues:
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             ritz_values(np.diag([1.0, -2.0]))
+
+    def test_rejects_rounding_noise_eigenvalue(self):
+        """Positive definiteness is relative to the largest eigenvalue."""
+        with pytest.raises(ValueError, match="not positive definite"):
+            ritz_values(np.diag([1e-20, 1.0]))
+        with pytest.raises(ValueError, match="not positive definite"):
+            ritz_values(np.diag([RITZ_RTOL, 1.0]))
+        assert ritz_values(np.diag([1e-10, 1.0])).values[0] == 1e-10
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):

@@ -240,7 +240,8 @@ class TestDiagnosticsDriver:
 
     def test_rank_deficient_corpus_analyzes_a_prefix(self):
         """SINE runs past the rank of T on rounding noise; the spectra
-        stop where the projected matrices stop being definite."""
+        stop where the projected matrices stop being definite, at the
+        rank, because a Ritz value of rounding size is no Ritz value."""
         rule = StoppingRule(tau=1.001, delta=0.0)
         truncated = 0
         for seed in range(60):
@@ -248,7 +249,7 @@ class TestDiagnosticsDriver:
                 report = run_diagnostics(rank_four_problem(seed), gamma, rule)
                 assert report.terminated_by == "breakdown"
                 m = report.analyzed_steps
-                assert 4 <= m <= report.stopping_index
+                assert m == 4 <= report.stopping_index
                 assert (report.truncated_reason is None) == (
                     m == report.stopping_index)
                 assert len(report.ritz) == len(report.rprime) == m

@@ -232,6 +232,15 @@ class TestProblemValidation:
             with pytest.raises(ValueError, match="finite and nonnegative"):
                 build()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_truth_rejected(self, bad):
+        """It ran to the discrepancy stop with an all-NaN error history."""
+        p = multiplication_problem(8, 1, 0.0)
+        truth = p.truth.copy()
+        truth[3] = bad
+        with pytest.raises(ValueError, match="truth vector contains non-finite"):
+            Problem(operator=p.operator, y_delta=p.y_delta, delta=0.0, truth=truth)
+
     def test_complex_data_noise_input_and_start_rejected(self):
         """Each was cut to its real part with only a ComplexWarning."""
         p = multiplication_problem(8, 1, 0.0)

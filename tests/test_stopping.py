@@ -182,7 +182,7 @@ def test_uniform_inner_product_keeps_solver_outcomes(monkeypatch, n, delta):
 
 
 def count_norm_estimates(monkeypatch):
-    """Record the operator of every power iteration run from now on."""
+    """Record the operator of every norm estimate run from now on."""
     calls = []
     original = sinereg.operators.norm_estimate
 
@@ -268,7 +268,8 @@ def test_nan_forward_fails_fast_in_cgne():
     diag = DiagonalOperator(np.linspace(1.0, 0.3, 8))
     forward, count = nan_after(4, diag.apply)
     op = MatrixFreeOperator(diag.domain, diag.codomain, forward, diag.apply)
-    op.norm_estimate()  # cache the breakdown scale's norm first
+    count[0] = -10**9  # disarmed: cache the breakdown scale's norm first
+    op.norm_estimate()
     count[0] = 0
     with pytest.raises(NumericalError, match="iteration 4"):
         run_cgne(Problem(op, np.ones(8), 0.0), StoppingRule(1.001, 0.0))
@@ -281,11 +282,22 @@ def test_nan_forward_fails_fast_in_sine():
     diag = DiagonalOperator(np.linspace(1.0, 0.3, 8))
     forward, count = nan_after(6, diag.apply)
     op = MatrixFreeOperator(diag.domain, diag.codomain, forward, diag.apply)
+    count[0] = -10**9
     op.norm_estimate()
     count[0] = 0
     with pytest.raises(NumericalError, match="inner iteration"):
         run_sine(Problem(op, np.ones(8), 0.0), 1.0, StoppingRule(1.001, 0.0))
     assert count[0] == 7
+
+
+def test_nan_forward_fails_fast_in_norm_estimate():
+    """A NaN is no norm: caching it would switch off breakdown detection."""
+    diag = DiagonalOperator(np.linspace(1.0, 0.3, 8))
+    forward, count = nan_after(2, diag.apply)
+    op = MatrixFreeOperator(diag.domain, diag.codomain, forward, diag.apply)
+    with pytest.raises(NumericalError, match="norm-estimate step 3"):
+        op.norm_estimate()
+    assert count[0] == 3
 
 
 def test_overflow_fails_fast_at_iteration_zero():
