@@ -40,10 +40,6 @@ _RANK_LOSS_RATIO = 1e-12
 # Relative slack of each strict inequality in the interlacing check.
 INTERLACING_SLACK = 1e-10
 
-# A matrix whose smallest eigenvalue is at most this fraction of its largest
-# is not positive definite: that eigenvalue is rounding noise.
-RITZ_RTOL = 1e-12
-
 
 @dataclass
 class KrylovBasis:
@@ -155,7 +151,9 @@ def ritz_values(s_matrix):
     """Eigenvalues of a symmetric positive definite matrix, ascending.
 
     Raises on non-symmetric input, or on input whose smallest eigenvalue is
-    at most ``RITZ_RTOL`` times its largest.
+    at most m * eps times its largest: ``eigvalsh`` resolves an m x m
+    spectrum only to about that absolute error, so such an eigenvalue is
+    rounding noise and the matrix is numerically singular.
     """
     s = np.atleast_2d(np.asarray(s_matrix, dtype=float))
     if s.shape[0] != s.shape[1]:
@@ -164,10 +162,10 @@ def ritz_values(s_matrix):
     if np.max(np.abs(s - s.T)) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
     vals = np.linalg.eigvalsh(s)  # ascending
-    if vals[0] <= RITZ_RTOL * vals[-1]:
+    if vals[0] <= s.shape[0] * np.finfo(float).eps * vals[-1]:
         raise ValueError(
-            f"matrix is not positive definite (smallest eigenvalue {vals[0]:.3e}, "
-            f"largest {vals[-1]:.3e})"
+            f"matrix is numerically singular or indefinite (smallest "
+            f"eigenvalue {vals[0]:.3e}, largest {vals[-1]:.3e})"
         )
     return RitzSpectrum(values=vals)
 

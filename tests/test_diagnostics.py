@@ -29,7 +29,6 @@ from sinereg import (
     sine_step,
 )
 
-from sinereg.diagnostics import RITZ_RTOL
 
 from oracles import forward_difference_at_zero
 
@@ -169,12 +168,15 @@ class TestRitzValues:
             ritz_values(np.diag([1.0, -2.0]))
 
     def test_rejects_rounding_noise_eigenvalue(self):
-        """Positive definiteness is relative to the largest eigenvalue."""
-        with pytest.raises(ValueError, match="not positive definite"):
+        """An eigenvalue below what eigvalsh resolves relative to the
+        largest is rounding noise; one above it is a genuine eigenvalue,
+        however small, as in the spectra of ill-posed problems."""
+        with pytest.raises(ValueError, match="numerically singular"):
             ritz_values(np.diag([1e-20, 1.0]))
-        with pytest.raises(ValueError, match="not positive definite"):
-            ritz_values(np.diag([RITZ_RTOL, 1.0]))
-        assert ritz_values(np.diag([1e-10, 1.0])).values[0] == 1e-10
+        with pytest.raises(ValueError, match="numerically singular"):
+            ritz_values(np.diag([2 * np.finfo(float).eps, 1.0]))
+        assert ritz_values(np.diag([1e-13, 1.0])).values[0] == 1e-13
+        assert ritz_values(np.diag([1e-14, 1.0])).values[0] == 1e-14
 
     def test_spectrum_validation(self):
         with pytest.raises(ValueError):
