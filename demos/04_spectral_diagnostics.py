@@ -32,8 +32,8 @@ for _ in range(8):
 # the leading k-by-k block corresponds to the k-th subspace
 basis = build_basis(state.direction_history[:8], problem.domain_space)
 s = projected_gram(basis, problem.operator)
-print(f"basis orthonormality error: "
-      f"{np.max(np.abs(basis.gram() - np.eye(8))):.2e}")
+gram = basis.space.gram(basis.vectors, basis.vectors)
+print(f"basis orthonormality error: {np.max(np.abs(gram - np.eye(8))):.2e}")
 
 spectra = [ritz_values(s[:m, :m]) for m in range(1, 9)]
 print("\nRitz values per m (zeros of the residual rational function):")

@@ -48,8 +48,7 @@ from .problems import (
     random_problem,
     save_vector,
 )
-from .resolvent import ShiftSolver, build_shift_solver
-from .sine import run_sine, sine_init, sine_step
+from .sine import ShiftSolver, build_shift_solver, run_sine, sine_init, sine_step
 from .spaces import InnerProductSpace
 from .stopping import (
     EPS_BREAKDOWN,

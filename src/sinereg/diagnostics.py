@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NumericalError
-from .resolvent import _check_gamma
-from .stopping import _plain
+from .stopping import _check_gamma, _plain
 
 __all__ = [
     "KrylovBasis",
@@ -54,10 +53,6 @@ class KrylovBasis:
     @property
     def size(self):
         return self.vectors.shape[1]
-
-    def gram(self):
-        """Inner-product matrix of the basis (identity up to rounding)."""
-        return self.space.gram(self.vectors, self.vectors)
 
 
 def _orthonormal_prefix(w_history, space):
@@ -135,9 +130,10 @@ class RitzSpectrum:
 
     def __post_init__(self):
         self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
-        if np.any(self.values <= 0):
+        if not np.all((self.values > 0) & (self.values < np.inf)):
             raise ValueError(
-                f"Ritz values must be strictly positive, got {self.values}"
+                f"Ritz values must be finite and strictly positive, got "
+                f"{self.values}"
             )
         if np.any(np.diff(self.values) < 0):
             raise ValueError("Ritz values must be sorted ascending")
@@ -150,14 +146,16 @@ class RitzSpectrum:
 def ritz_values(s_matrix):
     """Eigenvalues of a symmetric positive definite matrix, ascending.
 
-    Raises on non-symmetric input, or on input whose smallest eigenvalue is
-    at most m * eps times its largest: ``eigvalsh`` resolves an m x m
-    spectrum only to about that absolute error, so such an eigenvalue is
-    rounding noise and the matrix is numerically singular.
+    Raises on non-finite or non-symmetric input, or on input whose smallest
+    eigenvalue is at most m * eps times its largest: ``eigvalsh`` resolves
+    an m x m spectrum only to about that absolute error, so such an
+    eigenvalue is rounding noise and the matrix is numerically singular.
     """
     s = np.atleast_2d(np.asarray(s_matrix, dtype=float))
     if s.shape[0] != s.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {s.shape}")
+    if not np.isfinite(s).all():
+        raise ValueError("matrix has non-finite entries")
     scale = np.max(np.abs(s)) or 1.0
     if np.max(np.abs(s - s.T)) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
@@ -208,8 +206,10 @@ class ResidualFunction:
     def __post_init__(self):
         self.zeros = np.atleast_1d(np.asarray(self.zeros, dtype=float))
         _check_gamma(self.gamma)
-        if np.any(self.zeros <= 0):
-            raise ValueError("zeros must be strictly positive")
+        if not np.all((self.zeros > 0) & (self.zeros < np.inf)):
+            raise ValueError(
+                f"zeros must be finite and strictly positive, got {self.zeros}"
+            )
 
     @property
     def m(self):

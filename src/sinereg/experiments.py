@@ -21,8 +21,7 @@ from .diagnostics import (
 from .exceptions import NumericalError
 from .operators import DiagonalOperator
 from .problems import multiplication_problem
-from .resolvent import build_shift_solver
-from .sine import run_sine, sine_init, sine_step
+from .sine import build_shift_solver, run_sine, sine_init, sine_step
 from .stopping import StoppingRule, _is_bool, _plain, drive
 
 __all__ = [

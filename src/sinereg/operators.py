@@ -5,8 +5,8 @@ diagonal (multiplication) operator, and a matrix-free pair of callables.
 Every backend provides ``apply`` (forward) and ``apply_adjoint``, where the
 adjoint is taken with respect to the weighted inner products of the domain
 and range spaces, so that <T u, v>_range = <u, T* v>_domain holds in exact
-arithmetic. Each backend also owns its shift solve, ``shift_solve``:
-division for a diagonal, one Cholesky factorization for a dense matrix.
+arithmetic. Each operator owns its shift solve, ``shift_solve``: inner CG
+by default, overridden by a diagonal's division and a dense Cholesky.
 The dense and diagonal backends compute their norm bound (``norm_bound``)
 once, at construction; a matrix-free operator has none. A complex matrix,
 diagonal, input vector or callable output raises ``ValueError`` instead
@@ -22,6 +22,7 @@ threads for read-only application.
 """
 
 import gzip
+import math
 
 import numpy as np
 
@@ -48,15 +49,20 @@ NORM_ITERS = 50
 NORM_RTOL = 1e-6
 _NORM_SEED = 20210828
 
+# Relative residual tolerance of the inner CG shift solve, and its
+# iteration cap per domain dimension.
+RESOLVENT_TOL = 1e-13
+CG_ITERS_PER_DIM = 10
+
 
 class LinearOperator:
     """Base class: a linear map between two inner-product spaces.
 
-    Besides ``apply``/``apply_adjoint`` a backend may supply
-    :meth:`norm_bound`, a cheap upper bound U >= ||T||. The breakdown test
-    checks against it first and runs the Lanczos estimate of
-    :meth:`norm_estimate` only when a mapped direction nears the threshold
-    that U implies, or when the backend has no bound.
+    A subclass defines ``apply``/``apply_adjoint`` and inherits an inner-CG
+    :meth:`shift_solve`. It may supply :meth:`norm_bound`, a cheap upper
+    bound U >= ||T||. The breakdown test checks against it first and runs
+    the Lanczos estimate of :meth:`norm_estimate` only when a mapped
+    direction nears the threshold that U implies, or when there is no bound.
 
     Parameters
     ----------
@@ -98,9 +104,40 @@ class LinearOperator:
         return self._norm_bound
 
     def shift_solve(self, gamma):
-        """``(name, solve)`` with ``solve(v) = (I + T*T/gamma)^{-1} v``, or
-        None when the backend has none and the shift solver runs inner CG."""
-        return None
+        """``(name, solve)`` with ``solve(v) = (I + T*T/gamma)^{-1} v``; here
+        "cg", inner CG in the domain's product to relative residual
+        ``RESOLVENT_TOL`` within ``CG_ITERS_PER_DIM * domain_dim`` steps,
+        raising :class:`NumericalError` at a non-finite residual or at the cap."""
+        space = self.domain
+        max_iter = CG_ITERS_PER_DIM * space.dim
+
+        def solve(b):
+            target = RESOLVENT_TOL * space.norm(b)
+            x, r, p = np.zeros_like(b), b, b.copy()
+            rz = space.inner(r, r)
+            for k in range(max_iter + 1):
+                if not math.isfinite(rz):
+                    raise NumericalError(
+                        "inner resolvent solve produced a non-finite residual "
+                        f"at inner iteration {k}"
+                    )
+                if np.sqrt(rz) <= target:
+                    return x
+                if k == max_iter:
+                    break
+                if k:
+                    p = r + (rz / rz_prev) * p
+                bp = p + self.normal_apply(p) / gamma
+                alpha = rz / space.inner(p, bp)
+                x = x + alpha * p
+                r = r - alpha * bp
+                rz_prev, rz = rz, space.inner(r, r)
+            raise NumericalError(
+                "inner resolvent solve did not reach relative tolerance "
+                f"{RESOLVENT_TOL:g} within {max_iter} iterations "
+                f"(achieved residual {np.sqrt(rz):.3e}, target {target:.3e})"
+            )
+        return "cg", solve
 
     def norm_estimate(self):
         """Cached operator-norm estimate, see :func:`norm_estimate`."""
@@ -170,12 +207,9 @@ class DenseOperator(LinearOperator):
             ) from exc
 
         def solve(v):
-            # cho_factor checked the factor once; rescanning it per solve
-            # costs more than the solve, so only the new input is checked
-            b = self.domain.weights * v
-            if not np.isfinite(b).all():
-                raise NumericalError("shift solve input has non-finite entries")
-            return scipy.linalg.cho_solve(factor, b, check_finite=False)
+            # the factor was checked once; the shift solver checks each input
+            return scipy.linalg.cho_solve(factor, self.domain.weights * v,
+                                          check_finite=False)
         return "cholesky", solve
 
 
@@ -222,7 +256,8 @@ class MatrixFreeOperator(LinearOperator):
 
     The caller is responsible for supplying an adjoint consistent with the
     weighted inner products of the given spaces; the adjoint-consistency
-    test in the suite is the contract check.
+    test in the suite is the contract check. Its shift solve is the
+    inherited inner CG, and it has no norm bound.
     """
 
     def __init__(self, domain, codomain, forward, adjoint):

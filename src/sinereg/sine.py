@@ -24,11 +24,37 @@ through the audit path (:meth:`Problem.residual`), never substituted.
 
 import time
 
-from .exceptions import DimensionError, NumericalError
-from .resolvent import ShiftSolver, _check_gamma, build_shift_solver
-from .stopping import KrylovState, RunReport, StoppingRule, drive
+import numpy as np
 
-__all__ = ["sine_init", "sine_step", "run_sine"]
+from .exceptions import DimensionError, NumericalError
+from .stopping import KrylovState, RunReport, StoppingRule, _check_gamma, drive
+
+__all__ = ["ShiftSolver", "build_shift_solver", "sine_init", "sine_step", "run_sine"]
+
+
+class ShiftSolver:
+    """Applies (I + T*T/gamma)^{-1} by the operator's own solve,
+    ``op.shift_solve(gamma)``, whose name is ``strategy``: "diagonal",
+    "cholesky" or the inherited inner "cg". Built through
+    :func:`build_shift_solver`; immutable and shareable across threads."""
+
+    def __init__(self, op, gamma):
+        _check_gamma(gamma)
+        self.op = op
+        self.gamma = float(gamma)
+        self.strategy, self._solve = op.shift_solve(self.gamma)
+
+    def apply(self, v):
+        """Return (I + T*T/gamma)^{-1} v; a non-finite entry of v raises."""
+        v = self.op.domain.check_vector(v, "input")
+        if not np.isfinite(v).all():
+            raise NumericalError("shift solve input has non-finite entries")
+        return self._solve(v)
+
+
+def build_shift_solver(op, gamma):
+    """The :class:`ShiftSolver` of (I + T*T/gamma); factorizations run here."""
+    return ShiftSolver(op, gamma)
 
 
 def sine_init(problem, gamma, x0=None, keep_history=False):

@@ -113,6 +113,13 @@ def _is_bool(value):
     return isinstance(value, (bool, np.bool_))
 
 
+def _check_gamma(gamma):
+    """Reject a shift that is not a finite positive number; a bool is not
+    one."""
+    if _is_bool(gamma) or not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+
+
 @dataclass(frozen=True)
 class StoppingRule:
     """Stop at the first iterate whose residual norm drops to tau * delta.

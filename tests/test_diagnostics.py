@@ -61,7 +61,7 @@ class TestBuildBasis:
         p = random_problem(40, 25, rate=0.7, seed=0, delta=1e-3)
         state = run_with_history(p, 1.0, 6)
         basis = build_basis(state.direction_history[:6], p.domain_space)
-        gram = basis.gram()
+        gram = basis.space.gram(basis.vectors, basis.vectors)
         assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
 
     def test_weighted_space_orthonormality(self):
@@ -69,7 +69,8 @@ class TestBuildBasis:
         space = InnerProductSpace(n, weights=np.full(n, 1.0 / n))
         rng = np.random.default_rng(5)
         basis = build_basis([rng.standard_normal(n) for _ in range(4)], space)
-        assert np.max(np.abs(basis.gram() - np.eye(4))) <= 1e-12
+        gram = basis.space.gram(basis.vectors, basis.vectors)
+        assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
 
     def test_rank_loss_raises(self):
         space = InnerProductSpace(3)
@@ -184,6 +185,13 @@ class TestRitzValues:
         with pytest.raises(ValueError):
             RitzSpectrum(values=np.array([2.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="Ritz values must be finite"):
+            RitzSpectrum([1.0, bad])
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            ritz_values([[bad, 0.0], [0.0, 1.0]])
+
 
 class TestInterlacing:
     def test_interlaced_pair(self):
@@ -237,6 +245,11 @@ class TestResidualFunction:
             predicted = residual_function_eval(rf, d**2) * y
             err = p.range_space.norm(state.residual_vectors[m] - predicted)
             assert err <= 1e-8 * ynorm
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_zeros_rejected(self, bad):
+        with pytest.raises(ValueError, match="zeros must be finite"):
+            ResidualFunction(1.0, [bad])
 
     @pytest.mark.parametrize("gamma", [np.nan, np.inf, -1.0])
     def test_bad_gamma_rejected(self, gamma):

@@ -6,11 +6,12 @@ from sinereg import (
     DenseOperator,
     DiagonalOperator,
     InnerProductSpace,
+    LinearOperator,
     MatrixFreeOperator,
     NumericalError,
     build_shift_solver,
 )
-from sinereg import resolvent
+from sinereg import operators
 
 from oracles import shifted_apply
 
@@ -96,6 +97,7 @@ def test_resolvent_is_positive_definite():
 
 def test_matrix_free_uses_inner_cg():
     _, free = make_ops(20, 14, 22)
+    assert free.shift_solve(1.0)[0] == "cg"
     solver = build_shift_solver(free, gamma=1.0)
     assert solver.strategy == "cg"
     rng = np.random.default_rng(23)
@@ -106,7 +108,7 @@ def test_matrix_free_uses_inner_cg():
 
 def test_matrix_free_nonconvergence_reports_residual(monkeypatch):
     # one inner iteration per dimension is too few at this shift
-    monkeypatch.setattr(resolvent, "CG_ITERS_PER_DIM", 1)
+    monkeypatch.setattr(operators, "CG_ITERS_PER_DIM", 1)
     _, free = make_ops(20, 14, 24)
     solver = build_shift_solver(free, 1e-4)
     v = np.random.default_rng(25).standard_normal(14)
@@ -168,20 +170,40 @@ def test_inner_cg_stops_at_first_nan():
     assert len(calls) == 1
 
 
-def test_inner_cg_rejects_non_finite_right_hand_side():
-    space = InnerProductSpace(4)
-    op = MatrixFreeOperator(space, space, lambda x: x, lambda y: y)
-    solver = build_shift_solver(op, gamma=1.0)
-    for bad in (np.inf, np.nan):
-        with pytest.raises(NumericalError, match="inner iteration 0"):
-            solver.apply(np.array([1.0, bad, 0.0, 0.0]))
-
-
 @pytest.mark.parametrize("weighted", [False, True])
-def test_cholesky_rejects_non_finite_right_hand_side(weighted):
-    """The per-solve check that stands in for cho_solve's own scan."""
-    dense, _ = make_ops(6, 4, seed=5, weighted=weighted)
-    solver = build_shift_solver(dense, gamma=1e-2)
+@pytest.mark.parametrize("backend", ["diagonal", "cholesky", "cg"])
+def test_shift_solve_rejects_non_finite_input(backend, weighted):
+    """One check in the shift solver, ahead of every backend's solve."""
+    dense, free = make_ops(6, 4, seed=5, weighted=weighted)
+    diag = DiagonalOperator(np.arange(1.0, 5.0), dense.domain)
+    op = {"diagonal": diag, "cholesky": dense, "cg": free}[backend]
+    solver = build_shift_solver(op, gamma=1e-2)
+    assert solver.strategy == backend
     for bad in (np.inf, -np.inf, np.nan):
         with pytest.raises(NumericalError, match="non-finite"):
             solver.apply(np.array([1.0, bad, 0.0, 0.0]))
+
+
+class _Bare(LinearOperator):
+    """A subclass that defines only the two applications."""
+
+    def __init__(self, matrix):
+        super().__init__(InnerProductSpace(matrix.shape[1]),
+                         InnerProductSpace(matrix.shape[0]))
+        self.matrix = matrix
+
+    def apply(self, x):
+        return self.matrix @ x
+
+    def apply_adjoint(self, y):
+        return self.matrix.T @ y
+
+
+def test_bare_subclass_inherits_inner_cg():
+    rng = np.random.default_rng(29)
+    op = _Bare(rng.standard_normal((12, 9)))
+    solver = build_shift_solver(op, gamma=0.4)
+    assert solver.strategy == "cg"
+    v = rng.standard_normal(9)
+    res = np.linalg.norm(shifted_apply(solver, solver.apply(v)) - v)
+    assert res <= operators.RESOLVENT_TOL * np.linalg.norm(v)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sinereg import DimensionError, InnerProductSpace, KrylovBasis
+from sinereg import DimensionError, InnerProductSpace
 
 
 def test_unit_weights_match_euclidean_bit_for_bit():
@@ -69,11 +69,11 @@ def test_uniform_inner_allocates_no_vector_temporary():
 def test_uniform_basis_gram_allocates_no_weighted_copy():
     n, m = 10**5, 3
     v = np.random.default_rng(4).standard_normal((n, m))
-    uniform = KrylovBasis(v, InnerProductSpace(n, weights=np.full(n, 1.0 / n)))
-    weighted = KrylovBasis(v, InnerProductSpace(n, weights=np.linspace(1.0, 2.0, n)))
-    uniform.gram()  # warm-up outside the traced call
-    assert peak_bytes(weighted.gram) >= 8 * n * m  # the n x m weighted copy
-    assert peak_bytes(uniform.gram) < 8 * n // 10
+    uniform = InnerProductSpace(n, weights=np.full(n, 1.0 / n))
+    weighted = InnerProductSpace(n, weights=np.linspace(1.0, 2.0, n))
+    uniform.gram(v, v)  # warm-up outside the traced call
+    assert peak_bytes(weighted.gram, v, v) >= 8 * n * m  # the n x m weighted copy
+    assert peak_bytes(uniform.gram, v, v) < 8 * n // 10
 
 
 @pytest.mark.parametrize("weights", [None, np.full(30, 0.3), "random"])
