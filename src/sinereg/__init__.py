@@ -36,7 +36,6 @@ from .operators import (
     MatrixFreeOperator,
     load_dense_operator,
     load_diagonal_operator,
-    norm_estimate,
     save_dense_operator,
 )
 from .problems import (
@@ -74,7 +73,7 @@ __all__ = [
     "run_diagnostics", "run_ratecheck",
     "DenseOperator", "DiagonalOperator", "LinearOperator",
     "MatrixFreeOperator", "load_dense_operator", "load_diagonal_operator",
-    "norm_estimate", "save_dense_operator",
+    "save_dense_operator",
     "Problem", "add_noise", "load_problem", "load_vector",
     "multiplication_problem", "random_problem", "save_vector",
     "ShiftSolver", "build_shift_solver",

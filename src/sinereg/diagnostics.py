@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DimensionError, NumericalError
-from .stopping import _check_gamma, _plain
+from .spaces import _as_real, _real
+from .stopping import _plain
 
 __all__ = [
     "KrylovBasis",
@@ -129,7 +130,7 @@ class RitzSpectrum:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        self.values = np.atleast_1d(_as_real(self.values, "Ritz values"))
         if not np.all((self.values > 0) & (self.values < np.inf)):
             raise ValueError(
                 f"Ritz values must be finite and strictly positive, got "
@@ -151,7 +152,7 @@ def ritz_values(s_matrix):
     an m x m spectrum only to about that absolute error, so such an
     eigenvalue is rounding noise and the matrix is numerically singular.
     """
-    s = np.atleast_2d(np.asarray(s_matrix, dtype=float))
+    s = np.atleast_2d(_as_real(s_matrix, "matrix"))
     if s.shape[0] != s.shape[1]:
         raise DimensionError(f"matrix must be square, got shape {s.shape}")
     if not np.isfinite(s).all():
@@ -204,8 +205,8 @@ class ResidualFunction:
     zeros: np.ndarray
 
     def __post_init__(self):
-        self.zeros = np.atleast_1d(np.asarray(self.zeros, dtype=float))
-        _check_gamma(self.gamma)
+        self.zeros = np.atleast_1d(_as_real(self.zeros, "zeros"))
+        self.gamma = _real(self.gamma, "gamma")
         if not np.all((self.zeros > 0) & (self.zeros < np.inf)):
             raise ValueError(
                 f"zeros must be finite and strictly positive, got {self.zeros}"
@@ -222,7 +223,7 @@ class ResidualFunction:
 
 def residual_function_eval(rf, lam):
     """Evaluate the residual filter at lam (scalar or array, lam >= 0)."""
-    lam = np.asarray(lam, dtype=float)
+    lam = _as_real(lam, "lam")
     scalar = lam.ndim == 0
     lam2 = np.atleast_1d(lam)
     num = np.prod(1.0 - lam2[:, None] / rf.zeros[None, :], axis=1)

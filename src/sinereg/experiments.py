@@ -1,7 +1,6 @@
 """Experiment harnesses: per-iteration solver comparison, noise-sweep rate
 checks with a log-log slope fit, and the diagnostics driver."""
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,8 @@ from .exceptions import NumericalError
 from .operators import DiagonalOperator
 from .problems import multiplication_problem
 from .sine import build_shift_solver, run_sine, sine_init, sine_step
-from .stopping import StoppingRule, _is_bool, _plain, drive
+from .spaces import _count, _real
+from .stopping import StoppingRule, _plain, drive
 
 __all__ = [
     "CompareResult",
@@ -137,19 +137,17 @@ class RateCheckConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if any(_is_bool(d) for d in self.delta_grid):
-            raise ValueError("delta grid entries must be finite and positive "
-                             "numbers, not bools")
-        grid = tuple(float(d) for d in self.delta_grid)
+        grid = tuple(_real(d, "delta grid entries") for d in self.delta_grid)
         object.__setattr__(self, "delta_grid", grid)
         if len(grid) == 0:
             raise ValueError("delta grid must be nonempty")
-        if not all(math.isfinite(d) and d > 0 for d in grid):
-            raise ValueError("delta grid entries must be finite and positive")
         if any(b >= a for a, b in zip(grid, grid[1:])):
             raise ValueError("delta grid must be strictly decreasing")
-        if _is_bool(self.mu) or not (math.isfinite(self.mu) and self.mu > 0):
-            raise ValueError(f"mu must be finite and positive, got {self.mu}")
+        _real(self.mu, "mu")
+        _real(self.gamma, "gamma")
+        _count(self.n, "n", low=2)
+        # the rule of the smallest noise level checks tau and max_iters
+        StoppingRule(self.tau, grid[-1], self.max_iters)
 
     @property
     def truth_exponent(self):

@@ -2,7 +2,6 @@
 seeded random dense problems with prescribed singular-value decay,
 calibrated noise injection, and file-based problem loading."""
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,8 +16,7 @@ from .operators import (
     load_vector,
     save_vector,
 )
-from .spaces import InnerProductSpace
-from .stopping import _is_bool
+from .spaces import InnerProductSpace, _as_finite, _count, _real
 
 __all__ = [
     "Problem",
@@ -29,12 +27,6 @@ __all__ = [
     "load_vector",
     "save_vector",
 ]
-
-
-def _check_delta(delta):
-    """Reject a noise level that is not a finite nonnegative number."""
-    if _is_bool(delta) or not (math.isfinite(delta) and delta >= 0):
-        raise ValueError(f"noise level must be finite and nonnegative, got {delta}")
 
 
 @dataclass
@@ -50,18 +42,13 @@ class Problem:
     truth: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_delta(self.delta)
-        self.delta = float(self.delta)
+        self.delta = _real(self.delta, "noise level", strict=False)
         # copies keep the instance immune to later mutation of caller arrays
-        self.y_delta = self.operator.codomain.check_vector(
-            self.y_delta, "data"
-        ).copy()
-        if not np.all(np.isfinite(self.y_delta)):
-            raise ValueError("data vector contains non-finite entries")
+        y = self.operator.codomain.check_vector(self.y_delta, "data")
+        self.y_delta = _as_finite(y, "data vector", copy=True)
         if self.truth is not None:
-            self.truth = self.operator.domain.check_vector(self.truth, "truth").copy()
-            if not np.all(np.isfinite(self.truth)):
-                raise ValueError("truth vector contains non-finite entries")
+            x = self.operator.domain.check_vector(self.truth, "truth")
+            self.truth = _as_finite(x, "truth vector", copy=True)
 
     @property
     def domain_space(self):
@@ -96,13 +83,9 @@ def multiplication_problem(n, truth_exponent, delta):
     The truth lies in the source set with exponent mu = truth_exponent / 2
     and radius 1.
     """
-    if n < 2:
-        raise DimensionError(f"grid size must be at least 2, got {n}")
-    if _is_bool(truth_exponent) or not (math.isfinite(truth_exponent)
-                                        and truth_exponent > 0):
-        raise ValueError(
-            f"truth exponent must be finite and positive, got {truth_exponent}"
-        )
+    n = _count(n, "grid size", low=2, error=DimensionError)
+    truth_exponent = _real(truth_exponent, "truth exponent")
+    delta = _real(delta, "noise level", strict=False)
     t = (np.arange(1, n + 1) - 0.5) / n
     space = InnerProductSpace(n, weights=np.full(n, 1.0 / n))
     op = DiagonalOperator(t, space)
@@ -122,19 +105,17 @@ def random_problem(rows, cols, decay="geometric", rate=0.5, seed=0, delta=0.0,
     weighted norm delta is added in the given mode. Identical seeds yield
     bit-identical problems.
     """
-    if cols < 1 or rows < cols:
-        raise DimensionError(
-            f"need rows >= cols >= 1, got rows={rows}, cols={cols}"
-        )
-    if _is_bool(rate) or not (math.isfinite(rate) and rate > 0):
-        raise ValueError(f"decay rate must be finite and positive, got {rate}")
+    cols = _count(cols, "cols", error=DimensionError)
+    rows = _count(rows, "rows", low=cols, error=DimensionError)
+    rate = _real(rate, "decay rate")
+    delta = _real(delta, "noise level", strict=False)
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
     v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
     if decay == "geometric":
-        s = float(rate) ** np.arange(cols)
+        s = rate ** np.arange(cols)
     elif decay == "algebraic":
-        s = (np.arange(cols) + 1.0) ** (-float(rate))
+        s = (np.arange(cols) + 1.0) ** -rate
     else:
         raise ValueError(f"unknown decay profile {decay!r}")
     a = u @ (s[:, None] * v.T)
@@ -156,7 +137,7 @@ def add_noise(y, delta, mode, seed=0, space=None):
     weighted norm of the perturbation is delta; "random-direction" adds a
     seeded Gaussian vector rescaled to weighted norm delta.
     """
-    _check_delta(delta)
+    delta = _real(delta, "noise level", strict=False)
     if space is None:
         space = InnerProductSpace(np.size(y))
     y = space.check_vector(y, "data")
@@ -193,6 +174,4 @@ def load_problem(operator_path, data_path, config):
         )
     if config.get("delta") is None:
         raise DataFormatError("problem config is missing the required key 'delta'")
-    delta = config["delta"]  # a bool is left for Problem to reject
-    return Problem(operator=op, y_delta=y,
-                   delta=delta if _is_bool(delta) else float(delta))
+    return Problem(operator=op, y_delta=y, delta=config["delta"])

@@ -27,7 +27,8 @@ import time
 import numpy as np
 
 from .exceptions import DimensionError, NumericalError
-from .stopping import KrylovState, RunReport, StoppingRule, _check_gamma, drive
+from .spaces import _real
+from .stopping import KrylovState, RunReport, StoppingRule, drive
 
 __all__ = ["ShiftSolver", "build_shift_solver", "sine_init", "sine_step", "run_sine"]
 
@@ -39,9 +40,8 @@ class ShiftSolver:
     :func:`build_shift_solver`; immutable and shareable across threads."""
 
     def __init__(self, op, gamma):
-        _check_gamma(gamma)
         self.op = op
-        self.gamma = float(gamma)
+        self.gamma = _real(gamma, "gamma")
         self.strategy, self._solve = op.shift_solve(self.gamma)
 
     def apply(self, v):
@@ -60,9 +60,9 @@ def build_shift_solver(op, gamma):
 def sine_init(problem, gamma, x0=None, keep_history=False):
     """Initialize the iteration at x0 (see :meth:`KrylovState.start`)
     for the shift ``gamma``."""
-    _check_gamma(gamma)
+    gamma = _real(gamma, "gamma")
     state = KrylovState.start(problem, x0=x0, keep_history=keep_history)
-    state.gamma = float(gamma)
+    state.gamma = gamma
     return state
 
 

@@ -9,6 +9,7 @@ no weighted copy; other weights give (w * u)^T v. A unit space is the case
 c = 1, so unweighted problems behave bit-for-bit like plain numpy.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -29,6 +30,48 @@ def _as_real(a, what, copy=False):
     return a
 
 
+def _as_finite(a, what, copy=False):
+    """:func:`_as_real` of ``a``, whose entries must all be finite; else
+    ValueError naming ``what``."""
+    a = _as_real(a, what, copy)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} contains non-finite entries")
+    return a
+
+
+def _is_bool(value):
+    """Whether ``value`` is a Python or numpy bool, which is no number here
+    although Python counts it as one."""
+    return isinstance(value, (bool, np.bool_))
+
+
+def _real(value, name, low=0, strict=True):
+    """``value`` as a float if it is a finite number above ``low`` (at
+    least ``low`` unless ``strict``); else ValueError naming ``name``. A
+    bool is no number."""
+    try:
+        ok = not _is_bool(value) and math.isfinite(value) and (
+            value > low if strict else value >= low)
+    except TypeError:  # not a real number at all
+        ok = False
+    if not ok:
+        if low == 0:
+            need = "positive" if strict else "nonnegative"
+        else:
+            need = f"strictly greater than {low}" if strict else f"at least {low}"
+        raise ValueError(f"{name} must be finite and {need}, got {value}")
+    return float(value)
+
+
+def _count(value, name, low=1, error=ValueError):
+    """``value`` as an int if it is an integer of at least ``low``; else
+    ``error`` naming ``name``. A bool or an integral float is no count."""
+    if _is_bool(value) or not isinstance(value, numbers.Integral) or value < low:
+        need = "a positive integer" if low == 1 else f"an integer of at least {low}"
+        raise error(f"{name} must be {need}, got {value!r}")
+    return int(value)
+
+
 class InnerProductSpace:
     """R^dim with the weighted inner product sum(w * u * v).
 
@@ -42,13 +85,11 @@ class InnerProductSpace:
     """
 
     def __init__(self, dim, weights=None):
-        if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
-            raise DimensionError(f"space dimension must be a positive int, got {dim!r}")
-        self.dim = int(dim)
+        self.dim = _count(dim, "space dimension", error=DimensionError)
         if weights is None:
             w = np.ones(self.dim)
         else:
-            w = np.array(weights, dtype=float)  # own copy
+            w = _as_real(weights, "weights", copy=True)  # own copy
             if w.shape != (self.dim,):
                 raise DimensionError(
                     f"weights shape {w.shape} does not match dim {self.dim}"

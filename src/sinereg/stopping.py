@@ -4,12 +4,12 @@ the driver loop and by hand-written loops), the one driver loop, the run
 report, and the one JSON converter of every report."""
 
 import math
-import numbers
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .exceptions import NumericalError
+from .spaces import _count, _real
 
 __all__ = [
     "KrylovState", "StoppingRule", "discrepancy_met", "EPS_BREAKDOWN",
@@ -107,19 +107,6 @@ class KrylovState:
             self.residual_vectors.append(r.copy())
 
 
-def _is_bool(value):
-    """Whether ``value`` is a Python or numpy bool, which is no number here
-    although Python counts it as one."""
-    return isinstance(value, (bool, np.bool_))
-
-
-def _check_gamma(gamma):
-    """Reject a shift that is not a finite positive number; a bool is not
-    one."""
-    if _is_bool(gamma) or not (math.isfinite(gamma) and gamma > 0):
-        raise ValueError(f"gamma must be finite and positive, got {gamma}")
-
-
 @dataclass(frozen=True)
 class StoppingRule:
     """Stop at the first iterate whose residual norm drops to tau * delta.
@@ -140,16 +127,10 @@ class StoppingRule:
     max_iters: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau) and self.tau > 1.0):
-            raise ValueError(
-                f"tau must be finite and strictly greater than 1, got {self.tau}"
-            )
-        if _is_bool(self.delta) or not (math.isfinite(self.delta) and self.delta >= 0):
-            raise ValueError(f"delta must be finite and nonnegative, got {self.delta}")
-        cap = self.max_iters
-        if cap is not None and (isinstance(cap, bool)
-                                or not isinstance(cap, numbers.Integral) or cap < 1):
-            raise ValueError(f"max_iters must be a positive integer, got {cap!r}")
+        _real(self.tau, "tau", low=1)
+        _real(self.delta, "delta", strict=False)
+        if self.max_iters is not None:
+            _count(self.max_iters, "max_iters")
 
     @property
     def threshold(self):

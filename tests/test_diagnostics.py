@@ -184,6 +184,11 @@ class TestRitzValues:
             RitzSpectrum(values=np.array([1.0, -1.0]))
         with pytest.raises(ValueError):
             RitzSpectrum(values=np.array([2.0, 1.0]))
+        # complex input was cut to its real part with only a ComplexWarning
+        with pytest.raises(ValueError, match="Ritz values has complex entries"):
+            RitzSpectrum([1.0, 2.0 + 1j])
+        with pytest.raises(ValueError, match="matrix has complex entries"):
+            ritz_values([[2.0, 1j], [-1j, 2.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -261,6 +266,11 @@ class TestResidualFunction:
             ResidualFunction(gamma=-1.0, zeros=np.array([1.0]))
         with pytest.raises(ValueError):
             ResidualFunction(gamma=1.0, zeros=np.array([0.0]))
+        # complex input was cut to its real part with only a ComplexWarning
+        with pytest.raises(ValueError, match="zeros has complex entries"):
+            ResidualFunction(1.0, [1.0 + 1j])
+        with pytest.raises(ValueError, match="lam has complex entries"):
+            residual_function_eval(ResidualFunction(1.0, [1.0]), 0.5 + 1j)
 
 
 class TestDerivativeAtZero:

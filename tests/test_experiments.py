@@ -160,6 +160,15 @@ class TestRateCheck:
             RateCheckConfig(delta_grid=(), mu=0.5)
         with pytest.raises(ValueError):
             RateCheckConfig(delta_grid=(1e-2,), mu=-1.0)
+        # each of these failed only inside run_ratecheck
+        with pytest.raises(ValueError, match="tau"):
+            RateCheckConfig((1e-2,), 0.5, tau=0.5)
+        with pytest.raises(ValueError, match="gamma"):
+            RateCheckConfig((1e-2,), 0.5, gamma=np.nan)
+        with pytest.raises(ValueError, match="max_iters"):
+            RateCheckConfig((1e-2,), 0.5, max_iters=2.5)
+        with pytest.raises(ValueError, match="n must be"):
+            RateCheckConfig((1e-2,), 0.5, n=100.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, True])
     def test_non_finite_mu_and_grid_rejected(self, bad):

@@ -17,7 +17,6 @@ from sinereg import (
     load_dense_operator,
     load_diagonal_operator,
     load_vector,
-    norm_estimate,
     save_dense_operator,
 )
 
@@ -108,23 +107,23 @@ class TestAdjoint:
 class TestNormEstimate:
     def test_diagonal_spectral_norm(self):
         op = DiagonalOperator(np.array([1.0, 2.0, 3.0]))
-        assert norm_estimate(op) == pytest.approx(3.0, abs=1e-6)
+        assert op.norm_estimate() == pytest.approx(3.0, abs=1e-6)
 
     def test_identity(self):
         op = DiagonalOperator(np.ones(7))
         # exact up to the summation order of one dot product
-        assert norm_estimate(op) == pytest.approx(1.0, rel=4 * np.finfo(float).eps)
+        assert op.norm_estimate() == pytest.approx(1.0, rel=4 * np.finfo(float).eps)
 
     def test_zero_operator(self):
         op = DenseOperator(np.zeros((5, 5)))
-        assert norm_estimate(op) == 0.0
+        assert op.norm_estimate() == 0.0
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(11)
         a = rng.standard_normal((40, 40))
         op = DenseOperator(a)
         top = np.linalg.svd(a, compute_uv=False)[0]
-        assert norm_estimate(op) == pytest.approx(top, rel=1e-10)
+        assert op.norm_estimate() == pytest.approx(top, rel=1e-10)
 
     def test_matrix_free_circulant(self):
         """A periodic Gaussian blur applied by FFT, with the width of the
@@ -145,7 +144,7 @@ class TestNormEstimate:
         space = InnerProductSpace(n, np.full(n, 1.0 / n))
         op = MatrixFreeOperator(space, space, forward, blur)
         top = np.abs(eigenvalues).max()
-        assert norm_estimate(op) == pytest.approx(top, rel=1e-12)
+        assert op.norm_estimate() == pytest.approx(top, rel=1e-12)
         assert len(calls) <= 25
 
     def test_cached_on_operator(self):
@@ -171,7 +170,7 @@ class TestNormBound:
             op = DiagonalOperator(np.diag(a), dom)
         embedded = (np.sqrt(ran.weights)[:, None] * a) / np.sqrt(dom.weights)
         exact = np.linalg.norm(embedded, 2)
-        bound, estimate = op.norm_bound(), norm_estimate(op)
+        bound, estimate = op.norm_bound(), op.norm_estimate()
         # equality holds in exact arithmetic for rank <= 1, so rounding may
         # put either side an ulp ahead; drive's factor 2 on U^2 covers that
         assert bound >= estimate * (1 - 1e-12)

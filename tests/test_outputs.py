@@ -140,6 +140,12 @@ SUFFIXES = [".csv", ".mtx", ".mtx.gz"]
 def test_vector_round_trip_bit_exact(tmp_path, suffix):
     v = np.random.default_rng(9).standard_normal(7) * np.logspace(-300, 300, 7)
     path = tmp_path / f"v{suffix}"
+    # a complex vector was written as its real part, a NaN as a file
+    # that no loader reads
+    with pytest.raises(ValueError, match="vector has complex entries"):
+        save_vector(np.array([1 + 2j, 3j]), path)
+    with pytest.raises(ValueError, match="vector contains non-finite entries"):
+        save_vector(np.array([1.0, np.nan]), path)
     save_vector(v, path)
     assert list(tmp_path.iterdir()) == [path]
     assert _is_matrix_market(path) == (suffix != ".csv")
@@ -152,6 +158,10 @@ def test_vector_round_trip_bit_exact(tmp_path, suffix):
 def test_dense_operator_round_trip_bit_exact(tmp_path, suffix):
     a = np.random.default_rng(10).standard_normal((5, 3)) * np.logspace(-300, 300, 3)
     path = tmp_path / f"a{suffix}"
+    with pytest.raises(ValueError, match="matrix has complex entries"):
+        save_dense_operator(a + 1j, path)
+    with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+        save_dense_operator(np.full((2, 2), np.inf), path)
     save_dense_operator(a, path)
     assert list(tmp_path.iterdir()) == [path]
     assert _is_matrix_market(path) == (suffix != ".csv")

@@ -216,8 +216,11 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             Problem(operator=p.operator, y_delta=p.y_delta, delta=-1.0)
 
-    @pytest.mark.parametrize("delta", [np.nan, np.inf, -1.0, True, False, np.True_])
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -1.0, True, False, np.True_,
+                                       "1e-3"])
     def test_bad_delta_rejected_by_every_constructor(self, tmp_path, delta):
+        """A string raised an untyped TypeError, or was read as a number by
+        load_problem."""
         p = multiplication_problem(8, 1, 0.0)
         save_dense_operator(np.eye(2), tmp_path / "op.csv")
         save_vector(np.ones(2), tmp_path / "y.csv")
@@ -252,6 +255,8 @@ class TestProblemValidation:
                 add_noise(z, 1e-3, "constant", space=space)
         with pytest.raises(ValueError, match="starting iterate has complex entries"):
             run_sine(p, 1e-3, StoppingRule(1.001, 0.0), x0=np.zeros(8, dtype=complex))
+        with pytest.raises(ValueError, match="weights has complex entries"):
+            InnerProductSpace(2, weights=np.array([1 + 2j, 3]))
 
     def test_error_norm_requires_truth(self):
         p = multiplication_problem(8, 1, 0.0)

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sinereg import DimensionError, InnerProductSpace
+from sinereg import (
+    DimensionError,
+    InnerProductSpace,
+    multiplication_problem,
+    random_problem,
+)
 
 
 def test_unit_weights_match_euclidean_bit_for_bit():
@@ -95,8 +100,16 @@ def test_gram_of_column_blocks_equals_inner_entry_by_entry(weights):
 
 @pytest.mark.parametrize("dim", [2.5, 2.0, np.float64(3.0), "3", None, 0, -2, True])
 def test_dimension_must_be_a_positive_integer(dim):
+    """So must each size a problem builder takes; a float failed inside
+    numpy with an untyped TypeError, and True passed for a grid size."""
     with pytest.raises(DimensionError, match="dimension"):
         InnerProductSpace(dim)
+    with pytest.raises(DimensionError, match="grid size"):
+        multiplication_problem(dim, 1, 1e-3)
+    with pytest.raises(DimensionError, match="rows"):
+        random_problem(dim, 3)
+    with pytest.raises(DimensionError, match="cols"):
+        random_problem(5, dim)
     for ok in (3, np.int64(3), np.int32(3)):
         assert type(InnerProductSpace(ok).dim) is int
 

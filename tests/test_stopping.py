@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import sinereg.operators
 from sinereg import (
     DenseOperator,
     DiagonalOperator,
     InnerProductSpace,
+    LinearOperator,
     MatrixFreeOperator,
     NumericalError,
     Problem,
@@ -182,14 +182,16 @@ def test_uniform_inner_product_keeps_solver_outcomes(monkeypatch, n, delta):
 
 
 def count_norm_estimates(monkeypatch):
-    """Record the operator of every norm estimate run from now on."""
+    """Record the operator of every norm estimate run from now on; a call
+    answered from the operator's cache runs none."""
     calls = []
-    original = sinereg.operators.norm_estimate
+    original = LinearOperator.norm_estimate
 
-    def counted(op, *args, **kwargs):
-        calls.append(op)
-        return original(op, *args, **kwargs)
-    monkeypatch.setattr(sinereg.operators, "norm_estimate", counted)
+    def counted(op):
+        if op._norm_estimate is None:
+            calls.append(op)
+        return original(op)
+    monkeypatch.setattr(LinearOperator, "norm_estimate", counted)
     return calls
 
 
@@ -199,7 +201,7 @@ def test_full_rank_runs_skip_power_iteration(monkeypatch):
     detect_breakdown pays for the norm estimate."""
     def forbidden(*args, **kwargs):
         raise AssertionError("the power iteration ran")
-    monkeypatch.setattr(sinereg.operators, "norm_estimate", forbidden)
+    monkeypatch.setattr(LinearOperator, "norm_estimate", forbidden)
     problem = multiplication_problem(4096, 1, 1e-3)
     rule = StoppingRule(1.001, 1e-3)
     assert run_sine(problem, 1e-3, rule).stopping_index == 2
