@@ -50,7 +50,7 @@ with tempfile.TemporaryDirectory() as tmp:
     b = rng.standard_normal((16, 12))
     save_dense_operator(b, tmp / "operator.mtx")
     save_vector(b @ truth, tmp / "data.csv")
-    problem = load_problem(tmp / "operator.mtx", tmp / "data.csv", {"delta": 0.0})
+    problem = load_problem(tmp / "operator.mtx", tmp / "data.csv", 0.0)
     print(f"\nloaded problem: {problem.operator.range_dim} x "
           f"{problem.operator.domain_dim}, matrix round-trip exact: "
           f"{np.array_equal(problem.operator.matrix, b)}")

@@ -36,16 +36,16 @@ from .operators import (
     MatrixFreeOperator,
     load_dense_operator,
     load_diagonal_operator,
+    load_vector,
     save_dense_operator,
+    save_vector,
 )
 from .problems import (
     Problem,
     add_noise,
     load_problem,
-    load_vector,
     multiplication_problem,
     random_problem,
-    save_vector,
 )
 from .sine import ShiftSolver, build_shift_solver, run_sine, sine_init, sine_step
 from .spaces import InnerProductSpace

@@ -16,9 +16,9 @@ from .stopping import KrylovState, RunReport, StoppingRule, drive
 __all__ = ["cgne_init", "cgne_step", "run_cgne"]
 
 
-def cgne_init(problem, x0=None, keep_history=False):
+def cgne_init(problem, x0=None):
     """Set up r = y - T x0, p = T* r, q = T p."""
-    state = KrylovState.start(problem, x0=x0, keep_history=keep_history)
+    state = KrylovState.start(problem, x0=x0)
     state.normal_residual_sq = state.op.domain.inner(state.direction, state.direction)
     return state
 
@@ -41,7 +41,7 @@ def cgne_step(state):
     return state
 
 
-def run_cgne(problem, rule, x0=None, keep_history=False):
+def run_cgne(problem, rule, x0=None):
     """Iterate CGLS to the discrepancy principle, breakdown, or the cap.
 
     Shares :func:`drive` with the rational-subspace runner, so the tests
@@ -51,7 +51,7 @@ def run_cgne(problem, rule, x0=None, keep_history=False):
     if not isinstance(rule, StoppingRule):
         raise DimensionError("run_cgne expects a StoppingRule")
     start = time.perf_counter()
-    state = cgne_init(problem, x0=x0, keep_history=keep_history)
+    state = cgne_init(problem, x0=x0)
     cap = rule.resolve_cap(problem.operator.domain_dim)
     terminated = drive(state, cgne_step, rule, cap)
     return RunReport.from_state(

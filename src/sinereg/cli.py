@@ -15,8 +15,9 @@ from pathlib import Path
 from .cgne import run_cgne
 from .exceptions import NumericalError
 from .experiments import RateCheckConfig, run_compare, run_diagnostics, run_ratecheck
-from .problems import (Problem, add_noise, load_problem, load_vector,
-                       multiplication_problem, random_problem)
+from .operators import load_vector
+from .problems import (Problem, add_noise, load_problem, multiplication_problem,
+                       random_problem)
 from .sine import run_sine
 from .stopping import StoppingRule
 
@@ -55,16 +56,17 @@ def _take(section, **casts):
 
 
 def _int(value):
-    """``value`` as an int; a bool or a number that is not integral is
-    rejected."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int; a bool, a string or a number that is not
+    integral is rejected."""
+    if isinstance(value, (bool, str)) or (
+            isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"{value!r} is not an integer")
     return int(value)
 
 
 def _float(value):
-    """``value`` as a float; a bool is rejected."""
-    if isinstance(value, bool):
+    """``value`` as a float; a bool or a string is rejected."""
+    if isinstance(value, (bool, str)):
         raise ValueError(f"{value!r} is not a number")
     return float(value)
 
@@ -99,10 +101,10 @@ def _build_problem(pc):
             kw["noise_mode"] = kw.pop("noise")
         return random_problem(**kw)
     if kind == "files":
-        if "operator" not in pc or "data" not in pc:
-            raise ConfigError("problem kind 'files' needs 'operator' and 'data' paths")
+        if any(pc.get(key) is None for key in ("operator", "data", "delta")):
+            raise ConfigError("problem kind 'files' needs 'operator', 'data' and 'delta'")
         return load_problem(pc["operator"], pc["data"],
-                            {**pc, **_take(pc, delta=_float)})
+                            **_take(pc, delta=_float, operator_kind=str))
     raise ConfigError(f"unknown problem kind {kind!r}")
 
 

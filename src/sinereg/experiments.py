@@ -137,6 +137,10 @@ class RateCheckConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
+        # object dtype, so that a ragged grid is 1-d and its entries fail below
+        if np.ndim(np.array(self.delta_grid, dtype=object)) != 1:
+            raise ValueError(
+                f"delta grid must be a sequence of numbers, got {self.delta_grid!r}")
         grid = tuple(_real(d, "delta grid entries") for d in self.delta_grid)
         object.__setattr__(self, "delta_grid", grid)
         if len(grid) == 0:

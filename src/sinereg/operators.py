@@ -320,12 +320,10 @@ def _load_matrix(path):
         raise
     except Exception as exc:
         raise DataFormatError(f"{path}: cannot parse file: {exc}") from exc
-    if np.iscomplexobj(a):
-        raise DataFormatError(f"{path}: file has complex entries; data must be real")
-    a = a.astype(float, copy=False)
-    if not np.all(np.isfinite(a)):
-        raise DataFormatError(f"{path}: file contains non-finite entries")
-    return a
+    try:
+        return _as_finite(a, "file")
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: {exc}") from exc
 
 
 def load_vector(path):
@@ -338,19 +336,19 @@ def load_vector(path):
     return a[:, 0]
 
 
-def load_dense_operator(path, domain=None, codomain=None):
+def load_dense_operator(path):
     """Load a dense operator from a Matrix Market (.mtx) or CSV file."""
     a = _load_matrix(path)
     try:
-        return DenseOperator(a, domain=domain, codomain=codomain)
+        return DenseOperator(a)
     except (DimensionError, ValueError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
-def load_diagonal_operator(path, space=None):
+def load_diagonal_operator(path):
     """Load a diagonal operator from a one-column file (see :func:`load_vector`)."""
     try:
-        return DiagonalOperator(load_vector(path), space=space)
+        return DiagonalOperator(load_vector(path))
     except DimensionError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
 

@@ -14,7 +14,6 @@ from .operators import (
     load_dense_operator,
     load_diagonal_operator,
     load_vector,
-    save_vector,
 )
 from .spaces import InnerProductSpace, _as_finite, _count, _real
 
@@ -24,8 +23,6 @@ __all__ = [
     "random_problem",
     "add_noise",
     "load_problem",
-    "load_vector",
-    "save_vector",
 ]
 
 
@@ -109,6 +106,7 @@ def random_problem(rows, cols, decay="geometric", rate=0.5, seed=0, delta=0.0,
     rows = _count(rows, "rows", low=cols, error=DimensionError)
     rate = _real(rate, "decay rate")
     delta = _real(delta, "noise level", strict=False)
+    seed = _count(seed, "seed", low=0)
     rng = np.random.default_rng(seed)
     u, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
     v, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
@@ -138,6 +136,7 @@ def add_noise(y, delta, mode, seed=0, space=None):
     seeded Gaussian vector rescaled to weighted norm delta.
     """
     delta = _real(delta, "noise level", strict=False)
+    seed = _count(seed, "seed", low=0)
     if space is None:
         space = InnerProductSpace(np.size(y))
     y = space.check_vector(y, "data")
@@ -152,26 +151,22 @@ def add_noise(y, delta, mode, seed=0, space=None):
     raise ValueError(f"unknown noise mode {mode!r}")
 
 
-def load_problem(operator_path, data_path, config):
-    """Assemble a Problem from an operator file and a data file.
-
-    ``config`` keys: "delta" (required, >= 0), "operator_kind" ("dense",
-    the default, or "diagonal"). Dimensions and finiteness are validated
-    with the offending file named in the error.
+def load_problem(operator_path, data_path, delta, operator_kind="dense"):
+    """Assemble a Problem of noise level ``delta`` from an operator file,
+    read as ``operator_kind`` "dense" or "diagonal", and a data file.
+    Dimensions and finiteness are validated with the offending file named
+    in the error.
     """
-    kind = config.get("operator_kind", "dense")
-    if kind == "diagonal":
+    if operator_kind == "diagonal":
         op = load_diagonal_operator(operator_path)
-    elif kind == "dense":
+    elif operator_kind == "dense":
         op = load_dense_operator(operator_path)
     else:
-        raise DataFormatError(f"unknown operator_kind {kind!r}")
+        raise DataFormatError(f"unknown operator_kind {operator_kind!r}")
     y = load_vector(data_path)
     if y.size != op.range_dim:
         raise DimensionError(
             f"data vector {data_path} has length {y.size}, but operator "
             f"{operator_path} has range dimension {op.range_dim}"
         )
-    if config.get("delta") is None:
-        raise DataFormatError("problem config is missing the required key 'delta'")
-    return Problem(operator=op, y_delta=y, delta=config["delta"])
+    return Problem(operator=op, y_delta=y, delta=delta)

@@ -89,13 +89,13 @@ class InnerProductSpace:
         if weights is None:
             w = np.ones(self.dim)
         else:
-            w = _as_real(weights, "weights", copy=True)  # own copy
+            w = _as_finite(weights, "weights", copy=True)  # own copy
             if w.shape != (self.dim,):
                 raise DimensionError(
                     f"weights shape {w.shape} does not match dim {self.dim}"
                 )
-            if not np.all(np.isfinite(w)) or np.any(w <= 0):
-                raise ValueError("weights must be finite and strictly positive")
+            if np.any(w <= 0):
+                raise ValueError("weights must be strictly positive")
         # the weight vector, ones if the space is unweighted; frozen
         self.weights = w
         self.weights.setflags(write=False)

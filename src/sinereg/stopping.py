@@ -34,8 +34,8 @@ class KrylovState:
     maintained so that breakdown can be tested without an extra operator
     application. ``gamma`` is the shift of a SINE state and
     ``normal_residual_sq`` the squared norm of T* r of a CGNE state; each
-    is None for the other method. With ``keep_history`` the w, q and r of
-    every iterate are retained.
+    is None for the other method. A state started with ``keep_history``
+    keeps the w, q and r of every iterate in its three history lists.
     """
 
     op: object
@@ -53,7 +53,6 @@ class KrylovState:
     error_norms: list[float] | None = None
     alphas: list[float] = field(default_factory=list)
     betas: list[float] = field(default_factory=list)
-    keep_history: bool = False
     direction_history: list[np.ndarray] | None = None
     mapped_history: list[np.ndarray] | None = None
     residual_vectors: list[np.ndarray] | None = None
@@ -74,7 +73,7 @@ class KrylovState:
             r = problem.y_delta - op.apply(x)
         w = op.apply_adjoint(r)
         state = cls(op=op, initial_direction_norm=op.domain.norm(w),
-                    truth=problem.truth, keep_history=keep_history,
+                    truth=problem.truth,
                     error_norms=None if problem.truth is None else [])
         if keep_history:
             state.direction_history, state.mapped_history = [], []
@@ -101,7 +100,7 @@ class KrylovState:
         self.residual_norms.append(op.codomain.norm(r))
         if self.error_norms is not None:
             self.error_norms.append(op.domain.norm(x - self.truth))
-        if self.keep_history:
+        if self.direction_history is not None:
             self.direction_history.append(w.copy())
             self.mapped_history.append(q.copy())
             self.residual_vectors.append(r.copy())

@@ -336,6 +336,10 @@ class TestConfigTypes:
         ("ratecheck", {"mu": True}, "mu"),
         ("ratecheck", {"delta_grid": [1e-2, True]}, "delta_grid"),
         ("ratecheck", {"gamma": True}, "gamma"),
+        # nor is a JSON string a number
+        ("solve", {"gamma": "1e-3"}, "gamma"),
+        ("ratecheck", {"n": "64"}, "n"),
+        ("ratecheck", {"delta_grid": ["1e-2"]}, "delta_grid"),
     ])
     def test_failed_conversion_exit_one_names_key(self, tmp_path, capsys,
                                                    command, payload, key):
@@ -370,6 +374,18 @@ class TestConfigTypes:
                      "--out", str(tmp_path / "out")]) == 1
         assert "'rows' and 'cols'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("delta", [{}, {"delta": None}])
+    def test_files_problem_needs_delta(self, tmp_path, capsys, delta):
+        save_dense_operator(np.eye(2), tmp_path / "op.csv")
+        save_vector(np.array([1.0, 0.0]), tmp_path / "y.csv")
+        cfg = write_config(tmp_path, {"problem": {
+            "kind": "files", "operator": str(tmp_path / "op.csv"),
+            "data": str(tmp_path / "y.csv"), **delta}})
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert ("needs 'operator', 'data' and 'delta'"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("problem, message", [
         ('"kind": "multiplication", "exponent": %s', "truth exponent"),
         ('"kind": "random", "rows": 6, "cols": 4, "rate": %s', "decay rate"),
@@ -383,7 +399,7 @@ class TestConfigTypes:
                      "--out", str(tmp_path / "out")]) == 1
         assert f"{message} must be finite and positive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("given, cap", [("5", 5), (5.0, 5)])
+    @pytest.mark.parametrize("given, cap", [(5.0, 5)])
     def test_max_iters_converted_alike_by_ratecheck_and_solve(self, tmp_path,
                                                               given, cap):
         def run(command, payload):

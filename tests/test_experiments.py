@@ -169,6 +169,13 @@ class TestRateCheck:
             RateCheckConfig((1e-2,), 0.5, max_iters=2.5)
         with pytest.raises(ValueError, match="n must be"):
             RateCheckConfig((1e-2,), 0.5, n=100.5)
+        # a scalar grid raised an untyped TypeError, and a string was read
+        # one character at a time
+        for grid in (0.1, "1e-2", [[1e-2, 1e-3]]):
+            with pytest.raises(ValueError, match="delta grid must be a sequence"):
+                RateCheckConfig(delta_grid=grid, mu=0.5)
+        for grid in ([1e-2, 1e-3], np.array([1e-2, 1e-3])):
+            assert RateCheckConfig(grid, 0.5).delta_grid == (1e-2, 1e-3)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0, True])
     def test_non_finite_mu_and_grid_rejected(self, bad):

@@ -145,7 +145,7 @@ class TestLoadProblem:
         save_dense_operator(np.eye(2), op_path)
         data_path = tmp_path / "y.csv"
         save_vector(np.array([1.0, 0.0]), data_path)
-        p = load_problem(op_path, data_path, {"delta": 1e-3})
+        p = load_problem(op_path, data_path, 1e-3)
         assert p.operator.domain_dim == 2
         assert np.array_equal(p.y_delta, np.array([1.0, 0.0]))
         assert p.delta == 1e-3
@@ -156,7 +156,7 @@ class TestLoadProblem:
         data_path = tmp_path / "y.csv"
         save_vector(np.array([1.0, 0.0]), data_path)
         with pytest.raises(DimensionError, match="length 2.*dimension 3"):
-            load_problem(op_path, data_path, {"delta": 0.0})
+            load_problem(op_path, data_path, 0.0)
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(10)
@@ -164,28 +164,21 @@ class TestLoadProblem:
         y = rng.standard_normal(6)
         save_dense_operator(a, tmp_path / "op.mtx")
         save_vector(y, tmp_path / "y.csv")
-        p = load_problem(tmp_path / "op.mtx", tmp_path / "y.csv", {"delta": 0.0})
+        p = load_problem(tmp_path / "op.mtx", tmp_path / "y.csv", 0.0)
         assert np.array_equal(p.operator.matrix, a)
         assert np.array_equal(p.y_delta, y)
 
     def test_diagonal_kind(self, tmp_path):
         save_vector(np.array([1.0, 2.0]), tmp_path / "d.csv")
         save_vector(np.array([1.0, 1.0]), tmp_path / "y.csv")
-        p = load_problem(tmp_path / "d.csv", tmp_path / "y.csv",
-                         {"delta": 0.0, "operator_kind": "diagonal"})
+        p = load_problem(tmp_path / "d.csv", tmp_path / "y.csv", 0.0,
+                         operator_kind="diagonal")
         assert np.array_equal(p.operator.diagonal, np.array([1.0, 2.0]))
-
-    def test_missing_delta(self, tmp_path):
-        save_dense_operator(np.eye(2), tmp_path / "op.csv")
-        save_vector(np.array([1.0, 0.0]), tmp_path / "y.csv")
-        for config in ({}, {"delta": None}):
-            with pytest.raises(DataFormatError, match="delta"):
-                load_problem(tmp_path / "op.csv", tmp_path / "y.csv", config)
 
     def test_unknown_kind(self, tmp_path):
         with pytest.raises(DataFormatError):
-            load_problem(tmp_path / "a", tmp_path / "b",
-                         {"delta": 0.0, "operator_kind": "sparse"})
+            load_problem(tmp_path / "a", tmp_path / "b", 0.0,
+                         operator_kind="sparse")
 
     def test_vector_loader_validation(self, tmp_path):
         bad = tmp_path / "v.csv"
@@ -203,6 +196,16 @@ def test_exponent_and_rate_must_be_finite_and_positive(bad):
         multiplication_problem(64, bad, 1e-3)
     with pytest.raises(ValueError, match="decay rate must be finite and positive"):
         random_problem(6, 4, "algebraic", rate=bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.5, "a", -1, True])
+def test_seed_must_be_a_nonnegative_integer(bad):
+    """A float or a string raised numpy's untyped TypeError, -1 numpy's
+    ValueError, and True was read as the seed 1."""
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+        random_problem(5, 3, seed=bad)
+    with pytest.raises(ValueError, match="seed must be an integer of at least 0"):
+        add_noise(np.ones(3), 1e-3, "random-direction", seed=bad)
 
 
 class TestProblemValidation:
@@ -225,8 +228,7 @@ class TestProblemValidation:
         save_dense_operator(np.eye(2), tmp_path / "op.csv")
         save_vector(np.ones(2), tmp_path / "y.csv")
         for build in (
-            lambda: load_problem(tmp_path / "op.csv", tmp_path / "y.csv",
-                                 {"delta": delta}),
+            lambda: load_problem(tmp_path / "op.csv", tmp_path / "y.csv", delta),
             lambda: Problem(operator=p.operator, y_delta=p.y_delta, delta=delta),
             lambda: multiplication_problem(8, 1, delta),
             lambda: random_problem(6, 4, delta=delta),
