@@ -32,7 +32,7 @@ for _ in range(8):
 # the leading k-by-k block corresponds to the k-th subspace
 basis = build_basis(state.direction_history[:8], problem.domain_space)
 s = projected_gram(basis, problem.operator)
-gram = basis.space.gram(basis.vectors, basis.vectors)
+gram = problem.domain_space.gram(basis, basis)
 print(f"basis orthonormality error: {np.max(np.abs(gram - np.eye(8))):.2e}")
 
 spectra = [ritz_values(s[:m, :m]) for m in range(1, 9)]

@@ -5,7 +5,6 @@ spectral diagnostics, and reproduction harnesses."""
 
 from .cgne import cgne_init, cgne_step, run_cgne
 from .diagnostics import (
-    KrylovBasis,
     OrthogonalityReport,
     ResidualFunction,
     RitzSpectrum,
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "cgne_init", "cgne_step", "run_cgne",
-    "KrylovBasis", "OrthogonalityReport", "ResidualFunction", "RitzSpectrum",
+    "OrthogonalityReport", "ResidualFunction", "RitzSpectrum",
     "build_basis", "check_interlacing", "orthogonality_audit",
     "projected_gram", "residual_function_eval", "ritz_values",
     "rprime_at_zero",

@@ -25,6 +25,8 @@ def cgne_init(problem, x0=None):
 
 def cgne_step(state):
     """One CGLS step; must not be called after breakdown."""
+    if state.normal_residual_sq is None:
+        raise DimensionError("cgne_step expects a state from cgne_init")
     if state.mapped_norm_sq == 0.0:
         raise NumericalError(
             f"cannot step after exact breakdown at iteration {state.iteration}"

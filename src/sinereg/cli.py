@@ -83,17 +83,17 @@ def _problem_config(cfg):
 
 
 def _build_problem(pc):
-    kind = pc.get("kind", "multiplication")
+    kind = _get(pc, "kind", str, "multiplication")
     if kind == "multiplication":
         exact = multiplication_problem(
             _get(pc, "n", _int, 4096), _get(pc, "exponent", _float, 1.0), 0.0
         )
         delta = _get(pc, "delta", _float, 1e-3)
-        y_delta = add_noise(exact.y_delta, delta, pc.get("noise", "constant"),
+        y_delta = add_noise(exact.y_delta, delta, _get(pc, "noise", str, "constant"),
                             space=exact.range_space, **_take(pc, seed=_int))
         return Problem(exact.operator, y_delta, delta, truth=exact.truth)
     if kind == "random":
-        if "rows" not in pc or "cols" not in pc:
+        if pc.get("rows") is None or pc.get("cols") is None:
             raise ConfigError("problem kind 'random' needs 'rows' and 'cols'")
         kw = _take(pc, rows=_int, cols=_int, decay=str, rate=_float, seed=_int,
                    delta=_float, noise=str)
@@ -131,7 +131,7 @@ def _write_csv(out_dir, name, header, rows):
 def cmd_solve(cfg, out_dir):
     problem, rule, gamma = _setup(cfg)
     x0 = None if cfg.get("x0") is None else load_vector(cfg["x0"])
-    solver = cfg.get("solver", "sine")
+    solver = _get(cfg, "solver", str, "sine")
     if solver == "sine":
         report = run_sine(problem, gamma, rule, x0=x0)
     elif solver == "cgne":
@@ -212,7 +212,7 @@ def cmd_diagnose(cfg, out_dir):
         f"diagnostics: {n_ritz} spectra, interlacing "
         f"{'all true' if inter_ok else 'VIOLATED'}, "
         f"max orthogonality violation "
-        f"{max(report.orthogonality['max_galerkin'], report.orthogonality['max_conjugacy']):.3e}"
+        f"{max(report.orthogonality.max_galerkin, report.orthogonality.max_conjugacy):.3e}"
     )
     ok = report.terminated_by in _OK and inter_ok
     return 0 if ok else 2

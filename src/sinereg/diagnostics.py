@@ -11,16 +11,15 @@ Everything here runs on numpy alone: the Ritz values come from
 ``numpy.linalg.eigvalsh``, so a diagnostics pass never loads scipy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import DimensionError, NumericalError
 from .spaces import _as_real, _real
-from .stopping import _plain
+from .stopping import _Record
 
 __all__ = [
-    "KrylovBasis",
     "build_basis",
     "projected_gram",
     "ritz_values",
@@ -41,28 +40,14 @@ _RANK_LOSS_RATIO = 1e-12
 INTERLACING_SLACK = 1e-10
 
 
-@dataclass
-class KrylovBasis:
-    """Orthonormal basis (weighted inner product) of a search subspace.
-
-    ``vectors`` has one orthonormal vector per column.
-    """
-
-    vectors: np.ndarray
-    space: object
-
-    @property
-    def size(self):
-        return self.vectors.shape[1]
-
-
 def _orthonormal_prefix(w_history, space):
     """Orthonormalize directions by modified Gram-Schmidt with one full
     reorthogonalization pass, up to the first one that is numerically
     dependent on those before it.
 
-    Returns the :class:`KrylovBasis` of the independent prefix (None when
-    it is empty) and None, or a message naming the dependent direction.
+    Returns the n x k array of the k orthonormal columns of the independent
+    prefix (None when it is empty) and None, or a message naming the
+    dependent direction.
     """
     vs = []
     for k, w in enumerate(w_history):
@@ -82,13 +67,13 @@ def _orthonormal_prefix(w_history, space):
         vs.append(v)
     else:
         dependent = None
-    basis = KrylovBasis(vectors=np.column_stack(vs), space=space) if vs else None
-    return basis, dependent
+    return (np.column_stack(vs) if vs else None), dependent
 
 
 def build_basis(w_history, space):
     """Orthonormalize direction vectors by modified Gram-Schmidt with one
-    full reorthogonalization pass.
+    full reorthogonalization pass; returns the n x m array whose columns
+    are orthonormal in ``space``.
 
     Nothing is dropped: pre-breakdown directions are linearly independent,
     so a vector annihilated to numerical noise signals a tolerance
@@ -105,20 +90,20 @@ def build_basis(w_history, space):
 
 
 def projected_gram(basis, op):
-    """Projected normal-equation matrix S with S[i, j] = <T*T v_i, v_j>.
+    """Projected normal-equation matrix S with S[i, j] = <T*T v_i, v_j>,
+    the products taken in ``op.domain``, for the columns v_i of ``basis``.
 
     Symmetrized as (S + S^T)/2; symmetric positive definite whenever the
     basis spans a subspace on which T is injective.
     """
-    v = basis.vectors
-    m = basis.size
-    if op.domain_dim != v.shape[0]:
+    m = basis.shape[1]
+    if op.domain_dim != basis.shape[0]:
         raise DimensionError(
-            f"basis lives in dimension {v.shape[0]}, operator domain is "
+            f"basis lives in dimension {basis.shape[0]}, operator domain is "
             f"{op.domain_dim}"
         )
     # one row at a time: an n x m block of T*T v_i would raise the peak
-    rows = [basis.space.gram(op.normal_apply(v[:, i]), v) for i in range(m)]
+    rows = [op.domain.gram(op.normal_apply(basis[:, i]), basis) for i in range(m)]
     s = np.array(rows).reshape(m, m)
     return (s + s.T) / 2.0
 
@@ -207,6 +192,8 @@ class ResidualFunction:
     def __post_init__(self):
         self.zeros = np.atleast_1d(_as_real(self.zeros, "zeros"))
         self.gamma = _real(self.gamma, "gamma")
+        if self.zeros.size == 0:
+            raise ValueError("zeros must be nonempty")
         if not np.all((self.zeros > 0) & (self.zeros < np.inf)):
             raise ValueError(
                 f"zeros must be finite and strictly positive, got {self.zeros}"
@@ -238,35 +225,27 @@ def rprime_at_zero(rf):
 
 
 @dataclass
-class OrthogonalityReport:
+class OrthogonalityReport(_Record):
     """Normalized maxima of the recurrence orthogonality violations.
 
     ``galerkin`` holds max_j |<r_m, q_j>| / (||r_0|| ||q_j||) per m,
     ``galerkin_adjoint`` the same for |<T* r_m, w_j>| (the equivalent
     domain-side statement), and ``conjugacy`` max_j |<q_m, q_j>| /
-    (||q_m|| ||q_j||) per m. Maxima are reported, never asserted.
+    (||q_m|| ||q_j||) per m; each ``max_`` field is the largest entry of
+    its list (0 for an empty one). Maxima are reported, never asserted.
     """
 
     galerkin: list[float]
     galerkin_adjoint: list[float]
     conjugacy: list[float]
+    max_galerkin: float = field(init=False)
+    max_galerkin_adjoint: float = field(init=False)
+    max_conjugacy: float = field(init=False)
 
-    @property
-    def max_galerkin(self):
-        return max(self.galerkin, default=0.0)
-
-    @property
-    def max_galerkin_adjoint(self):
-        return max(self.galerkin_adjoint, default=0.0)
-
-    @property
-    def max_conjugacy(self):
-        return max(self.conjugacy, default=0.0)
-
-    def to_dict(self):
-        return {**_plain(self), "max_galerkin": self.max_galerkin,
-                "max_galerkin_adjoint": self.max_galerkin_adjoint,
-                "max_conjugacy": self.max_conjugacy}
+    def __post_init__(self):
+        self.max_galerkin = max(self.galerkin, default=0.0)
+        self.max_galerkin_adjoint = max(self.galerkin_adjoint, default=0.0)
+        self.max_conjugacy = max(self.conjugacy, default=0.0)
 
 
 def orthogonality_audit(state):

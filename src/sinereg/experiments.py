@@ -7,6 +7,7 @@ import numpy as np
 
 from .cgne import run_cgne
 from .diagnostics import (
+    OrthogonalityReport,
     ResidualFunction,
     _orthonormal_prefix,
     build_basis,
@@ -22,7 +23,7 @@ from .operators import DiagonalOperator
 from .problems import multiplication_problem
 from .sine import build_shift_solver, run_sine, sine_init, sine_step
 from .spaces import _count, _real
-from .stopping import StoppingRule, _plain, drive
+from .stopping import StoppingRule, _Record, drive
 
 __all__ = [
     "CompareResult",
@@ -43,7 +44,7 @@ DOMINANCE_TOL = 1e-10
 
 
 @dataclass
-class CompareResult:
+class CompareResult(_Record):
     """Per-iteration residual comparison of the two solvers.
 
     The rational-subspace run is continued past its own stopping index to
@@ -52,6 +53,7 @@ class CompareResult:
     down early its residual column is padded with the breakdown value (the
     iterate no longer changes). ``terminated_by_sine`` is "discrepancy",
     "breakdown", or "table_exhausted" when the table ended first.
+    ``dominance_all`` is True iff every entry of ``dominance`` is.
     """
 
     residuals_sine: list[float]
@@ -63,13 +65,10 @@ class CompareResult:
     dominance: list[bool]
     # never serialized
     iterate_sine: np.ndarray | None = field(default=None, repr=False)
+    dominance_all: bool = field(init=False)
 
-    @property
-    def dominance_all(self):
-        return all(self.dominance)
-
-    def to_dict(self):
-        return {**_plain(self), "dominance_all": self.dominance_all}
+    def __post_init__(self):
+        self.dominance_all = all(self.dominance)
 
 
 def run_compare(problem, gamma, rule):
@@ -121,7 +120,7 @@ def run_compare(problem, gamma, rule):
 
 
 @dataclass(frozen=True)
-class RateCheckConfig:
+class RateCheckConfig(_Record):
     """Noise sweep over the multiplication benchmark.
 
     ``mu`` is the source-condition exponent of the truth (truth t^(2 mu)),
@@ -157,35 +156,26 @@ class RateCheckConfig:
     def truth_exponent(self):
         return 2.0 * self.mu
 
-    def to_dict(self):
-        return _plain(self)
-
 
 @dataclass
-class RateRecord:
+class RateRecord(_Record):
     delta: float
     stopping_index: int
     error: float
     flagged: bool  # hit the iteration cap; excluded from the fit
 
-    def to_dict(self):
-        return _plain(self)
-
 
 @dataclass
-class RateCheckResult:
+class RateCheckResult(_Record):
     records: list[RateRecord]
     slope: float | None
-    config: dict
+    config: RateCheckConfig
 
     @property
     def flagged_fraction(self):
         if not self.records:
             return 0.0
         return sum(r.flagged for r in self.records) / len(self.records)
-
-    def to_dict(self):
-        return _plain(self)
 
 
 def run_ratecheck(config):
@@ -209,7 +199,7 @@ def run_ratecheck(config):
             )
         )
     return RateCheckResult(
-        records=records, slope=fit_rate(records), config=config.to_dict()
+        records=records, slope=fit_rate(records), config=config
     )
 
 
@@ -228,7 +218,7 @@ def fit_rate(records):
 
 
 @dataclass
-class DiagnosticsReport:
+class DiagnosticsReport(_Record):
     """Spectral diagnostics of a single run with retained history.
 
     ``ritz`` maps m = 1..M to the Ritz values of the m-th projected
@@ -243,15 +233,12 @@ class DiagnosticsReport:
     ritz: list[list[float]]
     interlacing: list[bool]
     rprime: list[float]
-    orthogonality: dict
+    orthogonality: OrthogonalityReport
     residual_identity_max: float | None = None
     stopping_index: int = 0
     terminated_by: str = ""
     analyzed_steps: int = 0
     truncated_reason: str | None = None
-
-    def to_dict(self):
-        return _plain(self)
 
 
 def run_diagnostics(problem, gamma, rule):
@@ -285,7 +272,7 @@ def run_diagnostics(problem, gamma, rule):
             basis, truncated = _orthonormal_prefix(history, problem.domain_space)
     if basis is not None:
         s_full = projected_gram(basis, problem.operator)
-        for m in range(1, basis.size + 1):
+        for m in range(1, basis.shape[1] + 1):
             try:
                 spectra.append(ritz_values(s_full[:m, :m]))
             except ValueError as exc:
@@ -306,7 +293,7 @@ def run_diagnostics(problem, gamma, rule):
         ritz=[list(sp.values) for sp in spectra],
         interlacing=[check_interlacing(a, b) for a, b in zip(spectra, spectra[1:])],
         rprime=[rprime_at_zero(rf) for rf in filters],
-        orthogonality=orthogonality_audit(state).to_dict(),
+        orthogonality=orthogonality_audit(state),
         residual_identity_max=identity_max,
         stopping_index=report.stopping_index,
         terminated_by=report.terminated_by,

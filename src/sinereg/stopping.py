@@ -1,7 +1,7 @@
 """Shared iteration machinery: the Krylov state both solvers step, the
 discrepancy-principle stopping rule, the one breakdown test (used alike by
 the driver loop and by hand-written loops), the one driver loop, the run
-report, and the one JSON converter of every report."""
+report, and the one JSON converter and base class of every report."""
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -178,8 +178,10 @@ def drive(state, step, rule, cap):
     possible), then :func:`detect_breakdown`, then ``state.iteration >=
     cap``. The result is "discrepancy", "breakdown" or "iteration_cap". A
     residual norm or squared mapped-direction norm that is not finite
-    raises :class:`NumericalError` naming the iteration.
+    raises :class:`NumericalError` naming the iteration; a ``cap`` that is
+    not an integer of at least 0 raises :class:`ValueError`.
     """
+    cap = _count(cap, "cap", low=0)
     while True:
         residual_norm = state.residual_norms[-1]
         if not (math.isfinite(residual_norm) and math.isfinite(state.mapped_norm_sq)):
@@ -213,8 +215,16 @@ def _plain(value):
     return value
 
 
+class _Record:
+    """Base of every result: its JSON form is its fields, by :func:`_plain`."""
+
+    def to_dict(self):
+        """Plain-python dict, safe for ``json.dumps``."""
+        return _plain(self)
+
+
 @dataclass
-class RunReport:
+class RunReport(_Record):
     """Outcome of a regularized solve.
 
     ``residual_history[m]`` is the residual norm of the m-th iterate, so
@@ -262,7 +272,3 @@ class RunReport:
     @property
     def final_residual(self):
         return self.residual_history[self.stopping_index]
-
-    def to_dict(self):
-        """Plain-python dict, safe for ``json.dumps``."""
-        return _plain(self)

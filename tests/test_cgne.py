@@ -3,6 +3,7 @@ import pytest
 
 from sinereg import (
     DiagonalOperator,
+    DimensionError,
     Problem,
     StoppingRule,
     cgne_init,
@@ -11,6 +12,7 @@ from sinereg import (
     random_problem,
     run_cgne,
     run_sine,
+    sine_init,
 )
 
 from oracles import polynomial_basis, weighted_lstsq_minimizer
@@ -24,6 +26,14 @@ def test_identity_converges_in_one_step():
     report = run_cgne(p, rule)
     assert report.stopping_index == 1
     assert report.iterate == pytest.approx(e1, abs=1e-15)
+
+
+def test_step_rejects_a_sine_state():
+    """It raised an untyped TypeError from dividing None."""
+    state = sine_init(multiplication_problem(64, 1, 1e-3), 1e-3)
+    with pytest.raises(DimensionError, match="cgne_step expects a state from cgne_init"):
+        cgne_step(state)
+    assert state.iteration == 0
 
 
 def test_benchmark_stopping_index():

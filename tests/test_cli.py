@@ -368,8 +368,10 @@ class TestConfigTypes:
                      "--out", str(tmp_path / "out")]) == 1
         assert "finite and nonnegative" in capsys.readouterr().err
 
-    def test_random_problem_needs_rows_and_cols(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"problem": {"kind": "random", "rows": 8}})
+    @pytest.mark.parametrize("sizes", [{"rows": 8}, {"rows": None, "cols": 5}],
+                             ids=["no-cols", "null-rows"])
+    def test_random_problem_needs_rows_and_cols(self, tmp_path, capsys, sizes):
+        cfg = write_config(tmp_path, {"problem": {"kind": "random", **sizes}})
         assert main(["solve", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 1
         assert "'rows' and 'cols'" in capsys.readouterr().err
@@ -430,6 +432,23 @@ class TestLibraryDefaults:
                         else 2)
         payload = json.loads((out / "report.json").read_text())
         assert payload["report"]["iterate"] == expected.to_dict()["iterate"]
+
+    @pytest.mark.parametrize("section, key", [
+        ("problem", "kind"), ("top", "solver"), ("problem", "noise")])
+    def test_null_key_takes_the_default(self, tmp_path, section, key):
+        """A null kind, solver or noise exited 1 as "unknown ... None"."""
+        reports = []
+        for null in (False, True):
+            cfg = {"problem": {"n": 256, "delta": 1e-3}}
+            if null:
+                (cfg if section == "top" else cfg["problem"])[key] = None
+            out = tmp_path / f"null-{null}"
+            assert main(["solve", "--config", str(write_config(tmp_path, cfg)),
+                         "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())["report"]
+            del report["elapsed_seconds"]
+            reports.append(report)
+        assert reports[0] == reports[1]
 
     def test_ratecheck_with_only_grid_and_mu(self, tmp_path):
         grid = [1e-2, 1e-3]

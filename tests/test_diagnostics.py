@@ -48,20 +48,20 @@ class TestBuildBasis:
         space = InnerProductSpace(4)
         v = np.array([3.0, 0.0, 4.0, 0.0])
         basis = build_basis([v], space)
-        assert basis.vectors[:, 0] == pytest.approx(v / 5.0)
+        assert basis[:, 0] == pytest.approx(v / 5.0)
 
     def test_orthogonal_inputs_unchanged_up_to_scale(self):
         space = InnerProductSpace(3)
         ins = [np.array([2.0, 0.0, 0.0]), np.array([0.0, 0.0, -3.0])]
         basis = build_basis(ins, space)
-        assert basis.vectors[:, 0] == pytest.approx([1.0, 0.0, 0.0])
-        assert basis.vectors[:, 1] == pytest.approx([0.0, 0.0, -1.0])
+        assert basis[:, 0] == pytest.approx([1.0, 0.0, 0.0])
+        assert basis[:, 1] == pytest.approx([0.0, 0.0, -1.0])
 
     def test_gram_identity_after_reorthogonalization(self):
         p = random_problem(40, 25, rate=0.7, seed=0, delta=1e-3)
         state = run_with_history(p, 1.0, 6)
         basis = build_basis(state.direction_history[:6], p.domain_space)
-        gram = basis.space.gram(basis.vectors, basis.vectors)
+        gram = p.domain_space.gram(basis, basis)
         assert np.max(np.abs(gram - np.eye(6))) <= 1e-12
 
     def test_weighted_space_orthonormality(self):
@@ -69,7 +69,7 @@ class TestBuildBasis:
         space = InnerProductSpace(n, weights=np.full(n, 1.0 / n))
         rng = np.random.default_rng(5)
         basis = build_basis([rng.standard_normal(n) for _ in range(4)], space)
-        gram = basis.space.gram(basis.vectors, basis.vectors)
+        gram = space.gram(basis, basis)
         assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
 
     def test_rank_loss_raises(self):
@@ -122,8 +122,7 @@ class TestProjectedGram:
         ran = InnerProductSpace(15, rng.uniform(0.2, 2.0, 15) if weighted else None)
         op = DenseOperator(rng.standard_normal((15, 12)), domain=dom, codomain=ran)
         basis = build_basis(list(rng.standard_normal((5, 12))), dom)
-        v = basis.vectors
-        ref = np.array([[dom.inner(op.normal_apply(v[:, i]), v[:, j])
+        ref = np.array([[dom.inner(op.normal_apply(basis[:, i]), basis[:, j])
                          for j in range(5)] for i in range(5)])
         dev = np.abs(projected_gram(basis, op) - (ref + ref.T) / 2)
         assert np.max(dev) <= 1e-13 * op.norm_estimate() ** 2
@@ -271,6 +270,9 @@ class TestResidualFunction:
             ResidualFunction(1.0, [1.0 + 1j])
         with pytest.raises(ValueError, match="lam has complex entries"):
             residual_function_eval(ResidualFunction(1.0, [1.0]), 0.5 + 1j)
+        # the m = 0 filter is identically 1, which the formula does not give
+        with pytest.raises(ValueError, match="zeros must be nonempty"):
+            ResidualFunction(1.0, [])
 
 
 class TestDerivativeAtZero:

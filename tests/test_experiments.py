@@ -290,7 +290,7 @@ class TestDiagnosticsDriver:
             with pytest.raises(NumericalError, match="direction 19"):
                 build_basis(state.direction_history[:20], p.domain_space)
         assert len(report.ritz) == report.analyzed_steps
-        assert len(report.orthogonality["galerkin"]) == 20
+        assert len(report.orthogonality.galerkin) == 20
 
     def test_random_run_interlacing_all_true(self):
         p = random_problem(40, 30, rate=0.9, seed=6, delta=1e-4)

@@ -20,6 +20,7 @@ from sinereg import (
     cgne_step,
     detect_breakdown,
     discrepancy_met,
+    drive,
     multiplication_problem,
     random_problem,
     run_cgne,
@@ -95,6 +96,22 @@ def test_max_iters_must_be_a_positive_integer(cap):
         StoppingRule(tau=2.0, delta=0.1, max_iters=cap)
     for ok in (3, np.int64(3), np.int32(3)):
         assert StoppingRule(tau=2.0, delta=0.1, max_iters=ok).resolve_cap(50) == 3
+
+
+@pytest.mark.parametrize("cap", [-3, 1.5, True, None, "2"])
+def test_drive_cap_must_be_a_nonnegative_integer(cap):
+    """-3 stopped at iteration 0 as "iteration_cap", 1.5 ran 2 steps, True
+    ran 1, and None and "2" raised an untyped TypeError."""
+    problem = multiplication_problem(64, 1, 1e-3)
+    rule = StoppingRule(1.001, 0.0)
+    state = cgne_init(problem)
+    with pytest.raises(ValueError, match="cap must be an integer of at least 0"):
+        drive(state, cgne_step, rule, cap)
+    assert state.iteration == 0
+    for ok in (0, 2, np.int64(2)):
+        state = cgne_init(problem)
+        assert drive(state, cgne_step, rule, ok) == "iteration_cap"
+        assert state.iteration == ok
 
 
 def test_run_report_json_round_trip():
