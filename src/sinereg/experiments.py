@@ -21,9 +21,11 @@ from .diagnostics import (
 from .exceptions import NumericalError
 from .operators import DiagonalOperator
 from .problems import multiplication_problem
-from .sine import build_shift_solver, run_sine, sine_init, sine_step
+# build_shift_solver and sine_step are unused here, but bench/layertrace.py
+# wraps them by their names in this module
+from .sine import _sine, build_shift_solver, run_sine, sine_step  # noqa: F401
 from .spaces import _count, _real
-from .stopping import StoppingRule, _Record, drive
+from .stopping import StoppingRule, _Record
 
 __all__ = [
     "CompareResult",
@@ -77,25 +79,16 @@ def run_compare(problem, gamma, rule):
     The baseline runs under the stopping rule; the rational-subspace
     iteration is then driven for the same number of steps (stopping early
     only if it breaks down) so that every row of the table compares
-    minimizers over same-index subspaces.
+    minimizers over same-index subspaces. On an operator with the
+    inherited inner-CG shift solve that iteration runs on a Golub-Kahan
+    projection, as in :func:`run_sine`, grown until it also carries the
+    continued run to the table's last row.
     """
     rep_c = run_cgne(problem, rule)
     table_len = len(rep_c.residual_history)  # entries m = 0 .. m_table
-
-    solver = build_shift_solver(problem.operator, gamma)
-    state = sine_init(problem, gamma)
-
-    def step(st):
-        sine_step(st, solver)
-
-    terminated_s = drive(state, step, rule, table_len - 1)
-    m_sine = state.iteration
-    iterate_sine = state.iterate.copy()
-    if terminated_s == "discrepancy":
-        # fill the table; a zero threshold stops only on an exactly zero
-        # residual, which later steps would keep at zero
-        drive(state, step, StoppingRule(rule.tau, 0.0), table_len - 1)
-    elif terminated_s == "iteration_cap":
+    state, terminated_s, m_sine, iterate_sine, _ = _sine(
+        problem, gamma, rule, table_len - 1, fill=True)
+    if terminated_s == "iteration_cap":
         terminated_s = "table_exhausted"
     res_s = list(state.residual_norms)
     # after breakdown or a zero residual the iterate is frozen, so the

@@ -295,18 +295,32 @@ def test_nan_forward_fails_fast_in_cgne():
     assert count[0] == 5
 
 
-def test_nan_forward_fails_fast_in_sine():
-    """The NaN reaches an inner CG solve first; it stops there, not after
-    10 * dim inner iterations."""
+def run_sine_with_nan(side):
+    """A matrix-free SINE run whose ``side`` callable returns NaN from its
+    seventh call on; returns the error raised and the calls made."""
     diag = DiagonalOperator(np.linspace(1.0, 0.3, 8))
-    forward, count = nan_after(6, diag.apply)
-    op = MatrixFreeOperator(diag.domain, diag.codomain, forward, diag.apply)
-    count[0] = -10**9
-    op.norm_estimate()
-    count[0] = 0
-    with pytest.raises(NumericalError, match="inner iteration"):
+    wrapped, count = nan_after(6, diag.apply)
+    forward, adjoint = (wrapped, diag.apply) if side == "forward" else (diag.apply, wrapped)
+    op = MatrixFreeOperator(diag.domain, diag.codomain, forward, adjoint)
+    with pytest.raises(NumericalError) as err:
         run_sine(Problem(op, np.ones(8), 0.0), 1.0, StoppingRule(1.001, 0.0))
-    assert count[0] == 7
+    return str(err.value), count[0]
+
+
+def test_nan_forward_fails_fast_in_sine():
+    """The run is projected onto a Golub-Kahan bidiagonalization, whose
+    step i makes forward call i - 1; the NaN stops it at that step, not at
+    the cap on the projection."""
+    message, calls = run_sine_with_nan("forward")
+    assert message.endswith("Golub-Kahan step 8")
+    assert calls == 7
+
+
+def test_nan_adjoint_fails_fast_in_sine():
+    """Step i of the bidiagonalization makes adjoint call i."""
+    message, calls = run_sine_with_nan("adjoint")
+    assert message.endswith("Golub-Kahan step 7")
+    assert calls == 7
 
 
 def test_nan_forward_fails_fast_in_norm_estimate():
