@@ -244,6 +244,14 @@ def run_diagnostics(problem, gamma, rule):
     residual-filter identity is also evaluated and its worst relative
     error reported.
 
+    The run is :func:`run_sine` with ``keep_history``, so on an operator
+    with the inherited inner-CG shift solve it is projected onto a
+    Golub-Kahan bidiagonalization, and its direction, mapped-direction and
+    residual vectors are formed in the full space from the regenerated
+    basis; no inner CG runs. That costs about 4k applies for the
+    projection of k steps and m + 1 forward applies for the history,
+    before the applies of the analysis itself.
+
     The solver's outcome is never changed. On a rank-deficient problem
     the run can continue past the rank of T on rounding noise; the
     spectral quantities then cover the longest prefix of the run whose

@@ -7,10 +7,10 @@ adjoint is taken with respect to the weighted inner products of the domain
 and range spaces, so that <T u, v>_range = <u, T* v>_domain holds in exact
 arithmetic. Each operator owns its shift solve, ``shift_solve``: inner CG
 by default, overridden by a diagonal's division and a dense Cholesky.
-``run_sine`` (without history) and ``run_compare`` call no inner CG: on
-an operator that inherits it, they project the run onto a Golub-Kahan
-bidiagonalization instead (see :mod:`sinereg.sine`). Diagnostics,
-``keep_history`` runs and hand-written ``sine_step`` loops keep it.
+``run_sine`` (with or without history), ``run_compare`` and
+``run_diagnostics`` call no inner CG: on an operator that inherits it,
+they project the run onto a Golub-Kahan bidiagonalization instead (see
+:mod:`sinereg.sine`). Only hand-written ``sine_step`` loops keep it.
 The dense and diagonal backends compute their norm bound (``norm_bound``)
 once, at construction; a matrix-free operator has none. A complex matrix,
 diagonal, input vector or callable output raises ``ValueError`` instead
@@ -289,9 +289,11 @@ class MatrixFreeOperator(LinearOperator):
 
     The caller is responsible for supplying an adjoint consistent with the
     weighted inner products of the given spaces; the adjoint-consistency
-    test in the suite is the contract check. Its shift solve is the
-    inherited inner CG, which ``run_sine`` and ``run_compare`` replace by
-    a Golub-Kahan projection, and it has no norm bound.
+    test in the suite is the contract check, and the Golub-Kahan
+    projection raises :class:`NumericalError` at the first step whose
+    vectors break it by more than rounding. Its shift solve is the inherited inner CG, which
+    ``run_sine``, ``run_compare`` and ``run_diagnostics`` replace by that
+    projection, and it has no norm bound.
     """
 
     def __init__(self, domain, codomain, forward, adjoint):

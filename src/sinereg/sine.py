@@ -23,14 +23,17 @@ through the audit path (:meth:`Problem.residual`), never substituted.
 
 An operator whose shift solve is the inherited inner CG (a
 ``MatrixFreeOperator``, say) would rebuild the one Krylov space
-K(T*T, T*r_0) in every solve. There :func:`run_sine` without history, and
-the SINE half of ``run_compare``, run the same recurrence on a Golub-Kahan
-projection instead: T V_k = U_{k+1} B_k from u_1 = r_0/||r_0||, with exact
-k x k shift solves on the small bidiagonal B_k, and x = x_0 + V_k z. No
-basis is stored; a second pass regenerates V_k. That costs about 4k
-applies in all (k = 60 on a 2^14-point FFT blur) against one inner CG per
-step. ``keep_history=True`` (and so ``run_diagnostics``) and hand-written
-:func:`sine_step` loops keep the inner CG.
+K(T*T, T*r_0) in every solve. There :func:`run_sine`, with or without
+history, and the SINE half of ``run_compare`` run the same recurrence on a
+Golub-Kahan projection instead: T V_k = U_{k+1} B_k from u_1 = r_0/||r_0||,
+with exact k x k shift solves on the small bidiagonal B_k, and
+x = x_0 + V_k z. No basis is stored; a second pass regenerates V_k. That
+costs about 4k applies in all (k = 60 on a 2^14-point FFT blur) against
+one inner CG per step. A history adds m + 1 forward applies: the second
+pass forms each direction w_j = V_k zeta_j from the small run's zeta_j,
+then q_j = T w_j, and r_{j+1} = r_j - alpha_j q_j from r_0. So
+``run_diagnostics`` runs no inner CG either; only hand-written
+:func:`sine_step` loops keep it.
 """
 
 import itertools
@@ -51,9 +54,13 @@ __all__ = ["ShiftSolver", "build_shift_solver", "sine_init", "sine_step", "run_s
 # time until two checkpoints agree, with iterates within GK_SETTLE_RTOL
 # relative; past GK_STEPS_PER_DIM * domain_dim steps it raises. Its
 # iterate's recomputed residual may exceed tau * delta by GK_RESIDUAL_RTOL
-# relative at a discrepancy stop.
+# relative at a discrepancy stop. An adjoint callable is inconsistent with
+# the forward map when <T v_i, u_i> and <v_i, T* u_i> differ by more than
+# GK_ADJOINT_RTOL times the largest coefficient of T so far (consistent
+# adjoints stay below 1e-15 of it).
 GK_CHUNK = 10
 GK_SETTLE_RTOL = 1e-10
+GK_ADJOINT_RTOL = 1e-8
 GK_STEPS_PER_DIM = 10
 GK_RESIDUAL_RTOL = 1e-9
 
@@ -124,12 +131,14 @@ def run_sine(problem, gamma, rule, x0=None, keep_history=False):
     """Iterate to the discrepancy principle, breakdown, or the cap
     (see :func:`drive` for the order of the tests).
 
-    On an operator with the inherited inner-CG shift solve and without
-    ``keep_history``, the run is projected onto a Golub-Kahan
-    bidiagonalization (see the module docstring); its residual history
-    and coefficients are the projected run's, and its iterate and error
-    history are formed in the full space. Otherwise every step makes one
-    shift solve with the operator's own solver.
+    On an operator with the inherited inner-CG shift solve, the run is
+    projected onto a Golub-Kahan bidiagonalization (see the module
+    docstring); its residual history and coefficients are the projected
+    run's, and its iterate, error history and, with ``keep_history``, its
+    direction, mapped-direction and residual vectors are formed in the
+    full space. A history then changes neither the stop, nor the iterate,
+    nor the histories. Otherwise every step makes one shift solve with the
+    operator's own solver.
 
     Returns a :class:`RunReport`; an iteration-cap termination is
     reported, not raised.
@@ -146,13 +155,14 @@ def run_sine(problem, gamma, rule, x0=None, keep_history=False):
 
 def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
     """The SINE run of :func:`run_sine` and ``run_compare``, projected when
-    the operator's shift solve is the inherited inner CG and no history is
-    kept. Returns what :func:`_drive_sine` returns."""
+    the operator's shift solve is the inherited inner CG. Returns what
+    :func:`_drive_sine` returns."""
     op = problem.operator
-    if keep_history or type(op).shift_solve is not LinearOperator.shift_solve:
-        solver = build_shift_solver(op, gamma)
-        return _drive_sine(problem, solver, rule, cap, x0, keep_history, fill)
-    return _run_projected(problem, _real(gamma, "gamma"), rule, cap, x0, fill)
+    if type(op).shift_solve is LinearOperator.shift_solve:
+        return _run_projected(problem, _real(gamma, "gamma"), rule, cap, x0,
+                              keep_history, fill)
+    solver = build_shift_solver(op, gamma)
+    return _drive_sine(problem, solver, rule, cap, x0, keep_history, fill)
 
 
 def _drive_sine(problem, solver, rule, cap, x0=None, keep_history=False,
@@ -224,13 +234,18 @@ class _Bidiagonal(LinearOperator):
         return "exact", solve
 
 
-def _golub_kahan(op, b):
+def _golub_kahan(op, b, check=True):
     """Golub-Kahan bidiagonalization T V = U B from u_1 = b/||b|| in the
     weighted products, keeping no basis. Item i is (beta_i, alpha_i, v_i),
     made by one forward apply (none for i = 1) and one adjoint apply. A
     zero coefficient ends it: the Krylov space is exhausted, and the last
     item has alpha_i = 0 and v_i = 0. A non-finite coefficient raises
-    :class:`NumericalError` naming the step."""
+    :class:`NumericalError` naming the step. With ``check``, so does an
+    adjoint that is not the forward map's: with T* u_i from step i and
+    T v_i from step i + 1, <T v_i, u_i> must equal <v_i, T* u_i> to
+    ``GK_ADJOINT_RTOL`` times the largest coefficient of T so far, checked
+    at step i + 1. A rerun from the same b makes the same vectors, so it
+    need not check them again."""
     dom, cod = op.domain, op.codomain
 
     def finite(value, name, i):
@@ -239,19 +254,33 @@ def _golub_kahan(op, b):
                 f"non-finite {name} {value} at Golub-Kahan step {i}")
         return value
 
-    u, v, alpha = b, np.zeros(dom.dim), 0.0
+    u, v, alpha, scale = b, np.zeros(dom.dim), 0.0, 0.0
     for i in itertools.count(1):
         if i > 1:
-            u = op.apply(v) - alpha * u
+            tv = op.apply(v)
+            if check:
+                product = finite(cod.inner(tv, u), "<T v, u>", i)
+                if abs(product - adjoint_product) > GK_ADJOINT_RTOL * scale:
+                    raise NumericalError(
+                        f"the adjoint is inconsistent with the forward map: "
+                        f"<T v, u> = {product:.6e} but <v, T* u> = "
+                        f"{adjoint_product:.6e} at Golub-Kahan step {i}")
+            u = tv - alpha * u
         beta, alpha = finite(cod.norm(u), "beta", i), 0.0
         if beta != 0.0:
             u = u / beta
-            v = op.apply_adjoint(u) - beta * v
+            tu = op.apply_adjoint(u)
+            v = tu - beta * v
             alpha = finite(dom.norm(v), "alpha", i)
         if alpha == 0.0:
             yield beta, 0.0, np.zeros(dom.dim)
             return
         v = v / alpha
+        if check:
+            adjoint_product = dom.inner(v, tu)
+            # beta_1 = ||b|| is a norm of the data, not a coefficient of T
+            scale = max(scale, alpha, beta if i > 1 else 0.0)
+        del tu
         yield beta, alpha, v
 
 
@@ -274,18 +303,21 @@ def _settled(stops, z, stops_before, z_before, k):
     return np.linalg.norm(z - z_before) <= GK_SETTLE_RTOL * np.linalg.norm(z)
 
 
-def _run_projected(problem, gamma, rule, cap, x0, fill):
+def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
     """:func:`_drive_sine` on Golub-Kahan projections of ``problem``, grown
     by ``GK_CHUNK`` steps until a checkpoint is :func:`_settled`, or at
     once when the process has ended and the projection is exact. A second
     pass regenerates V_k to map the first stop's iterate back and, when
     the problem has a truth and the run is not filled, every iterate
-    before it for the error history.
+    before it for the error history. With ``keep_history`` it also maps
+    back every direction w_j = V_k zeta_j of the small run; then one
+    forward apply each forms q_j = T w_j, and r_{j+1} = r_j - alpha_j q_j
+    from r_0 = y - T x_0.
 
     Returns a state of ``problem`` that holds the projected residual norms
-    and coefficients, the error norms and, as its iterate, the first
-    stop's; then the first stop's reason, index and iterate, and the
-    reason the projected run ended. Raises
+    and coefficients, the error norms, the vector histories and, as its
+    iterate, the first stop's; then the first stop's reason, index and
+    iterate, and the reason the projected run ended. Raises
     :class:`NumericalError` past ``GK_STEPS_PER_DIM * domain_dim`` steps
     (or two checkpoints, if more),
     and when an iterate stopped by the discrepancy principle has a
@@ -317,7 +349,7 @@ def _run_projected(problem, gamma, rule, cap, x0, fill):
                         data, rule.delta)
         state, terminated, m, z, end = _drive_sine(
             small, build_shift_solver(small.operator, gamma), rule, min(cap, cols),
-            keep_history=errors_wanted, fill=fill)
+            keep_history=errors_wanted or keep_history, fill=fill)
         stops = ((terminated, m), (end, state.iteration))
         if alphas[-1] == 0.0 or (
                 previous is not None and _settled(stops, z, *previous, cols)):
@@ -330,12 +362,16 @@ def _run_projected(problem, gamma, rule, cap, x0, fill):
             zs[j + 1] = zs[j] + alpha * w
     else:
         zs = z[None, :]
+    zetas = state.direction_history if keep_history else []
     xs = np.zeros((len(zs), op.domain_dim))
     if x0 is not None:
         xs += x0
-    for coefficients, (_, _, v) in zip(zs.T, _golub_kahan(op, b)):
-        for xj, c in zip(xs, coefficients):
+    ws = np.zeros((len(zetas), op.domain_dim))
+    for i, (_, _, v) in zip(range(cols), _golub_kahan(op, b, check=False)):
+        for xj, c in zip(xs, zs[:, i]):
             xj += c * v
+        for wj, zeta in zip(ws, zetas):
+            wj += zeta[i] * v
     x = xs[-1].copy()
     if terminated == "discrepancy":
         residual = problem.residual_norm(x)
@@ -345,8 +381,16 @@ def _run_projected(problem, gamma, rule, cap, x0, fill):
                 f"iteration {m}, but its iterate's residual norm {residual:.6e} "
                 f"exceeds tau * delta = {rule.threshold:.6e}")
     errors = [op.domain.norm(xj - problem.truth) for xj in xs] if errors_wanted else None
+    del xs  # frees the iterates before the history's applies
+    history = {}
+    if keep_history:
+        qs, rs = [op.apply(w) for w in ws], [b.copy()]
+        for alpha, q in zip(state.alphas, qs):
+            rs.append(rs[-1] - alpha * q)
+        history = dict(direction_history=list(ws), mapped_history=qs,
+                       residual_vectors=rs)
     return KrylovState(
         op=op, initial_direction_norm=state.initial_direction_norm,
         iteration=state.iteration, iterate=x, truth=problem.truth, gamma=gamma,
         residual_norms=state.residual_norms, error_norms=errors,
-        alphas=state.alphas, betas=state.betas), terminated, m, x, end
+        alphas=state.alphas, betas=state.betas, **history), terminated, m, x, end

@@ -1,9 +1,10 @@
 """SINE runs projected onto a Golub-Kahan bidiagonalization.
 
-``run_sine`` and ``run_compare`` take this path on an operator whose shift
-solve is the inherited inner CG, as a bare ``MatrixFreeOperator``'s is.
-Each projected run is checked against a run of the same operator with an
-exact shift solve: an FFT resolvent, a Cholesky factor or a division.
+``run_sine`` (with or without history), ``run_compare`` and
+``run_diagnostics`` take this path on an operator whose shift solve is the
+inherited inner CG, as a bare ``MatrixFreeOperator``'s is. Each projected
+run is checked against a run of the same operator with an exact shift
+solve: an FFT resolvent, a Cholesky factor or a division.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from sinereg import (
     add_noise,
     random_problem,
     run_compare,
+    run_diagnostics,
     run_sine,
 )
 
@@ -102,9 +104,92 @@ def test_projected_run_makes_no_inner_solve(monkeypatch):
     p = wrapped(random_problem(80, 50, "algebraic", 1, seed=0, delta=1e-3))
     rule = StoppingRule(1.01, 1e-3)
     assert run_sine(p, 1e-3, rule).terminated_by == "discrepancy"
+    assert run_sine(p, 1e-3, rule, keep_history=True).terminated_by == "discrepancy"
     assert run_compare(p, 1e-3, rule).dominance_all
-    with pytest.raises(AssertionError, match="inner CG"):
-        run_sine(p, 1e-3, rule, keep_history=True)
+    assert run_diagnostics(p, 1e-3, rule).terminated_by == "discrepancy"
+
+
+def assert_same_diagnostics(got, want):
+    assert (got.stopping_index, got.terminated_by, got.analyzed_steps,
+            got.truncated_reason, got.interlacing) == (
+        want.stopping_index, want.terminated_by, want.analyzed_steps,
+        want.truncated_reason, want.interlacing)
+    for mine, theirs in zip(got.ritz, want.ritz):
+        assert mine == pytest.approx(theirs, rel=1e-10)
+
+
+@pytest.mark.parametrize("decay, rate", [("algebraic", 1), ("geometric", 0.8)])
+@pytest.mark.parametrize("seed", range(12))
+def test_diagnostics_match_cholesky(seed, decay, rate):
+    p = random_problem(80, 50, decay, rate, seed=seed, delta=1e-3)
+    rule = StoppingRule(1.01, 1e-3)
+    assert_same_diagnostics(run_diagnostics(wrapped(p), 1e-3, rule),
+                            run_diagnostics(p, 1e-3, rule))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_blur_diagnostics_match_the_exact_resolvent(seed):
+    exact, free = blur_problems(2**12, seed)
+    rule = StoppingRule(1.01, exact.delta)
+    assert_same_diagnostics(run_diagnostics(free, 1e-2, rule),
+                            run_diagnostics(exact, 1e-2, rule))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_history_is_formed_in_the_full_space(seed):
+    """The vectors come from the regenerated basis: r_j by its recurrence
+    from y, q_j = T w_j; the history changes no result of the run."""
+    _, p = blur_problems(2**12, seed)
+    rule = StoppingRule(1.01, p.delta)
+    plain, report = run_sine(p, 1e-2, rule), run_sine(p, 1e-2, rule, keep_history=True)
+    state = report.state
+    assert report.stopping_index == plain.stopping_index
+    assert np.array_equal(report.iterate, plain.iterate)
+    assert report.residual_history == plain.residual_history
+    assert report.error_history == plain.error_history
+    assert (report.alphas, report.betas) == (plain.alphas, plain.betas)
+    assert plain.state.direction_history is None
+    m = report.stopping_index
+    assert len(state.direction_history) == len(state.mapped_history) == m + 1
+    assert len(state.residual_vectors) == m + 1
+    assert np.array_equal(state.residual_vectors[0], p.y_delta)
+    norms = [p.range_space.norm(r) for r in state.residual_vectors]
+    assert norms == pytest.approx(report.residual_history, rel=1e-10)
+    for w, q in zip(state.direction_history, state.mapped_history):
+        assert np.array_equal(q, p.operator.apply(w))
+
+
+def test_history_with_nonzero_start_equals_shifted_data():
+    p = wrapped(random_problem(80, 50, "algebraic", 1, seed=4, delta=1e-3))
+    x0 = np.random.default_rng(9).standard_normal(50) * 0.1
+    shifted = Problem(p.operator, p.y_delta - p.operator.apply(x0), p.delta)
+    rule = StoppingRule(1.01, p.delta)
+    direct = run_sine(p, 1e-3, rule, x0=x0, keep_history=True).state
+    via = run_sine(shifted, 1e-3, rule, keep_history=True).state
+    assert direct.iteration == via.iteration
+    for name in ("direction_history", "mapped_history", "residual_vectors"):
+        for mine, theirs in zip(getattr(direct, name), getattr(via, name)):
+            assert relative_gap(mine, theirs) <= 1e-12
+
+
+@pytest.mark.parametrize("entry", [
+    lambda p, rule: run_sine(p, 1e-3, rule),
+    lambda p, rule: run_diagnostics(p, 1e-3, rule),
+], ids=["run_sine", "run_diagnostics"])
+def test_inconsistent_adjoint_fails_fast(entry):
+    """An adjoint of 1.5 A^T is caught by the forward apply of step 2,
+    long before the cap on the projection."""
+    p = random_problem(80, 50, "algebraic", 1, seed=0, delta=1e-3)
+    matrix, calls = p.operator.matrix, [0]
+
+    def adjoint(y):
+        calls[0] += 1
+        return 1.5 * (matrix.T @ y)
+
+    with pytest.raises(NumericalError, match="inconsistent with the forward "
+                       "map.* at Golub-Kahan step 2$"):
+        entry(wrapped(p, adjoint), StoppingRule(1.01, 1e-3))
+    assert calls[0] == 1
 
 
 def test_nonzero_start_equals_shifted_data():
