@@ -11,8 +11,10 @@ by default, overridden by a diagonal's division and a dense Cholesky.
 ``run_diagnostics`` call no inner CG: on an operator that inherits it,
 they project the run onto a Golub-Kahan bidiagonalization instead (see
 :mod:`sinereg.sine`). Only hand-written ``sine_step`` loops keep it.
-The dense and diagonal backends compute their norm bound (``norm_bound``)
-once, at construction; a matrix-free operator has none. A complex matrix,
+That process lives here, with its non-finite and adjoint checks, since
+``norm_estimate`` runs it too for the breakdown scale. The dense and
+diagonal backends compute their norm bound (``norm_bound``) once, at
+construction; a matrix-free operator has none. A complex matrix,
 diagonal, input vector or callable output raises ``ValueError`` instead
 of being cut to its real part.
 
@@ -26,6 +28,7 @@ threads for read-only application.
 """
 
 import gzip
+import itertools
 import math
 
 import numpy as np
@@ -45,13 +48,16 @@ __all__ = [
     "save_vector",
 ]
 
-# Lanczos estimate of LinearOperator.norm_estimate: at most NORM_ITERS
-# steps, stopping when the Ritz residual of the largest Ritz value is at
-# most NORM_RTOL times it, from a start vector drawn from a fixed seed for
-# reproducible estimates.
+# LinearOperator.norm_estimate runs the Golub-Kahan process for at most
+# NORM_ITERS forward applies from a start drawn from a fixed seed, to a
+# Ritz residual of NORM_RTOL relative. An adjoint callable is inconsistent
+# with the forward map when <T v_i, u_i> and <v_i, T* u_i> differ by more
+# than GK_ADJOINT_RTOL times the largest coefficient of T so far
+# (consistent adjoints stay below 1e-15 of it).
 NORM_ITERS = 50
 NORM_RTOL = 1e-6
 _NORM_SEED = 20210828
+GK_ADJOINT_RTOL = 1e-8
 
 # Relative residual tolerance of the inner CG shift solve, and its
 # iteration cap per domain dimension.
@@ -65,7 +71,7 @@ class LinearOperator:
     A subclass defines ``apply``/``apply_adjoint`` and inherits an inner-CG
     :meth:`shift_solve`. It may supply :meth:`norm_bound`, a cheap upper
     bound U >= ||T||. The breakdown test checks against it first and runs
-    the Lanczos estimate of :meth:`norm_estimate` only when a mapped
+    the Golub-Kahan estimate of :meth:`norm_estimate` only when a mapped
     direction nears the threshold that U implies, or when there is no bound.
 
     Parameters
@@ -144,40 +150,83 @@ class LinearOperator:
         return "cg", solve
 
     def norm_estimate(self):
-        """Estimate ||T|| as the root of the largest Ritz value of Lanczos on
-        T*T from a seeded start, kept once its Ritz residual is at most
-        ``NORM_RTOL`` times it, or after ``NORM_ITERS`` steps; cached on the
-        operator. No basis is kept; a Ritz value exceeds ||T||^2 by rounding
-        at most (Paige, 1980). A zero operator gives 0; a non-finite step
-        raises :class:`NumericalError`."""
+        """Estimate ||T|| by the largest singular value sigma of the
+        bidiagonal B_k of :func:`_golub_kahan` from a seeded start in the
+        range space, once the Ritz residual alpha_{k+1} beta_{k+1} |y_k| of
+        sigma^2, with y its eigenvector of B_k^T B_k, is at most
+        ``NORM_RTOL`` sigma^2, or at k = ``NORM_ITERS``; cached. sigma^2 is
+        a Ritz value of T*T, so it tops ||T||^2 by rounding at most (Paige,
+        1980). A zero operator gives 0."""
         if self._norm_estimate is not None:
             return self._norm_estimate
+        alphas, betas, sigma_sq = [], [], 0.0
         rng = np.random.default_rng(_NORM_SEED)
-        v = rng.standard_normal(self.domain_dim)
-        v, v_prev, beta = v / self.domain.norm(v), 0.0, 0.0
-        alphas, betas = [], []
-        for k in range(1, NORM_ITERS + 1):
-            u = self.normal_apply(v) - beta * v_prev
-            alpha = self.domain.inner(u, v)
-            u -= alpha * v
-            beta = self.domain.norm(u)
-            if not (np.isfinite(alpha) and np.isfinite(beta)):
-                raise NumericalError(f"non-finite value at norm-estimate step {k}: "
-                                     f"alpha {alpha}, beta {beta}")
+        for beta, alpha, _ in _golub_kahan(self, rng.standard_normal(self.range_dim)):
+            if alphas:  # beta completes B_k, k = len(alphas)
+                betas.append(beta)
+                b = (np.diag(alphas + [0.0]) + np.diag(betas, -1))[:, :-1]
+                vals, vecs = np.linalg.eigh(b.T @ b)  # Lanczos's tridiagonal
+                sigma_sq, residual = vals[-1], alpha * beta * abs(vecs[-1, -1])
+                if residual <= NORM_RTOL * sigma_sq or len(alphas) == NORM_ITERS:
+                    break
             alphas.append(alpha)
-            tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-            vals, vecs = np.linalg.eigh(tri)
-            if beta == 0.0 or beta * abs(vecs[-1, -1]) <= NORM_RTOL * vals[-1]:
-                break
-            betas.append(beta)
-            v, v_prev = u / beta, v
-        self._norm_estimate = float(np.sqrt(max(vals[-1], 0.0)))
+        self._norm_estimate = float(np.sqrt(max(sigma_sq, 0.0)))
         return self._norm_estimate
 
     def __repr__(self):
         return (
             f"{type(self).__name__}({self.range_dim}x{self.domain_dim})"
         )
+
+
+def _golub_kahan(op, b, check=True):
+    """Golub-Kahan bidiagonalization T V = U B from u_1 = b/||b|| in the
+    weighted products, keeping no basis. Item i is (beta_i, alpha_i, v_i),
+    made by one forward apply (none for i = 1) and one adjoint apply. A
+    zero coefficient ends it: the Krylov space is exhausted, and the last
+    item has alpha_i = 0 and v_i = 0. A non-finite coefficient raises
+    :class:`NumericalError` naming the step. With ``check``, so does an
+    adjoint that is not the forward map's: with T* u_i from step i and
+    T v_i from step i + 1, <T v_i, u_i> must equal <v_i, T* u_i> to
+    ``GK_ADJOINT_RTOL`` times the largest coefficient of T so far, checked
+    at step i + 1. A rerun from the same b makes the same vectors, so it
+    need not check them again."""
+    dom, cod = op.domain, op.codomain
+
+    def finite(value, name, i):
+        if not np.isfinite(value):
+            raise NumericalError(
+                f"non-finite {name} {value} at Golub-Kahan step {i}")
+        return value
+
+    u, v, alpha, scale = b, np.zeros(dom.dim), 0.0, 0.0
+    for i in itertools.count(1):
+        if i > 1:
+            tv = op.apply(v)
+            if check:
+                product = finite(cod.inner(tv, u), "<T v, u>", i)
+                if abs(product - adjoint_product) > GK_ADJOINT_RTOL * scale:
+                    raise NumericalError(
+                        f"the adjoint is inconsistent with the forward map: "
+                        f"<T v, u> = {product:.6e} but <v, T* u> = "
+                        f"{adjoint_product:.6e} at Golub-Kahan step {i}")
+            u = tv - alpha * u
+        beta, alpha = finite(cod.norm(u), "beta", i), 0.0
+        if beta != 0.0:
+            u = u / beta
+            tu = op.apply_adjoint(u)
+            v = tu - beta * v
+            alpha = finite(dom.norm(v), "alpha", i)
+        if alpha == 0.0:
+            yield beta, 0.0, np.zeros(dom.dim)
+            return
+        v = v / alpha
+        if check:
+            adjoint_product = dom.inner(v, tu)
+            # beta_1 = ||b|| is a norm of the data, not a coefficient of T
+            scale = max(scale, alpha, beta if i > 1 else 0.0)
+        del tu
+        yield beta, alpha, v
 
 
 class DenseOperator(LinearOperator):
@@ -289,11 +338,13 @@ class MatrixFreeOperator(LinearOperator):
 
     The caller is responsible for supplying an adjoint consistent with the
     weighted inner products of the given spaces; the adjoint-consistency
-    test in the suite is the contract check, and the Golub-Kahan
-    projection raises :class:`NumericalError` at the first step whose
-    vectors break it by more than rounding. Its shift solve is the inherited inner CG, which
+    test in the suite is the contract check. The Golub-Kahan process of
+    the projected runs and of :meth:`norm_estimate` raises
+    :class:`NumericalError` at the first step whose vectors break it by
+    more than rounding. Its shift solve is the inherited inner CG, which
     ``run_sine``, ``run_compare`` and ``run_diagnostics`` replace by that
-    projection, and it has no norm bound.
+    projection. With no norm bound, every other run (``run_cgne``, a
+    ``sine_step`` loop) runs the estimate, and so the check, at once.
     """
 
     def __init__(self, domain, codomain, forward, adjoint):

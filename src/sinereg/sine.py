@@ -27,13 +27,14 @@ K(T*T, T*r_0) in every solve. There :func:`run_sine`, with or without
 history, and the SINE half of ``run_compare`` run the same recurrence on a
 Golub-Kahan projection instead: T V_k = U_{k+1} B_k from u_1 = r_0/||r_0||,
 with exact k x k shift solves on the small bidiagonal B_k, and
-x = x_0 + V_k z. No basis is stored; a second pass regenerates V_k. That
-costs about 4k applies in all (k = 60 on a 2^14-point FFT blur) against
-one inner CG per step. A history adds m + 1 forward applies: the second
-pass forms each direction w_j = V_k zeta_j from the small run's zeta_j,
-then q_j = T w_j, and r_{j+1} = r_j - alpha_j q_j from r_0. So
-``run_diagnostics`` runs no inner CG either; only hand-written
-:func:`sine_step` loops keep it.
+x = x_0 + V_k z. The process, with its non-finite and adjoint checks, is
+the one :meth:`LinearOperator.norm_estimate` runs from a seeded start. No
+basis is stored; a second pass regenerates V_k. That costs about 4k
+applies in all (k = 60 on a 2^14-point FFT blur) against one inner CG per
+step. A history adds m + 1 forward applies: the second pass forms each
+direction w_j = V_k zeta_j from the small run's zeta_j, then q_j = T w_j,
+and r_{j+1} = r_j - alpha_j q_j from r_0. So ``run_diagnostics`` runs no
+inner CG either; only hand-written :func:`sine_step` loops keep it.
 """
 
 import itertools
@@ -43,7 +44,7 @@ import time
 import numpy as np
 
 from .exceptions import DimensionError, NumericalError
-from .operators import LinearOperator
+from .operators import LinearOperator, _golub_kahan
 from .problems import Problem
 from .spaces import InnerProductSpace, _real
 from .stopping import KrylovState, RunReport, StoppingRule, drive
@@ -54,13 +55,10 @@ __all__ = ["ShiftSolver", "build_shift_solver", "sine_init", "sine_step", "run_s
 # time until two checkpoints agree, with iterates within GK_SETTLE_RTOL
 # relative; past GK_STEPS_PER_DIM * domain_dim steps it raises. Its
 # iterate's recomputed residual may exceed tau * delta by GK_RESIDUAL_RTOL
-# relative at a discrepancy stop. An adjoint callable is inconsistent with
-# the forward map when <T v_i, u_i> and <v_i, T* u_i> differ by more than
-# GK_ADJOINT_RTOL times the largest coefficient of T so far (consistent
-# adjoints stay below 1e-15 of it).
+# relative at a discrepancy stop. The process itself, with its adjoint
+# check (GK_ADJOINT_RTOL), is the one of LinearOperator.norm_estimate.
 GK_CHUNK = 10
 GK_SETTLE_RTOL = 1e-10
-GK_ADJOINT_RTOL = 1e-8
 GK_STEPS_PER_DIM = 10
 GK_RESIDUAL_RTOL = 1e-9
 
@@ -232,56 +230,6 @@ class _Bidiagonal(LinearOperator):
                 t[i] /= diag[i]
             return np.array(t)
         return "exact", solve
-
-
-def _golub_kahan(op, b, check=True):
-    """Golub-Kahan bidiagonalization T V = U B from u_1 = b/||b|| in the
-    weighted products, keeping no basis. Item i is (beta_i, alpha_i, v_i),
-    made by one forward apply (none for i = 1) and one adjoint apply. A
-    zero coefficient ends it: the Krylov space is exhausted, and the last
-    item has alpha_i = 0 and v_i = 0. A non-finite coefficient raises
-    :class:`NumericalError` naming the step. With ``check``, so does an
-    adjoint that is not the forward map's: with T* u_i from step i and
-    T v_i from step i + 1, <T v_i, u_i> must equal <v_i, T* u_i> to
-    ``GK_ADJOINT_RTOL`` times the largest coefficient of T so far, checked
-    at step i + 1. A rerun from the same b makes the same vectors, so it
-    need not check them again."""
-    dom, cod = op.domain, op.codomain
-
-    def finite(value, name, i):
-        if not np.isfinite(value):
-            raise NumericalError(
-                f"non-finite {name} {value} at Golub-Kahan step {i}")
-        return value
-
-    u, v, alpha, scale = b, np.zeros(dom.dim), 0.0, 0.0
-    for i in itertools.count(1):
-        if i > 1:
-            tv = op.apply(v)
-            if check:
-                product = finite(cod.inner(tv, u), "<T v, u>", i)
-                if abs(product - adjoint_product) > GK_ADJOINT_RTOL * scale:
-                    raise NumericalError(
-                        f"the adjoint is inconsistent with the forward map: "
-                        f"<T v, u> = {product:.6e} but <v, T* u> = "
-                        f"{adjoint_product:.6e} at Golub-Kahan step {i}")
-            u = tv - alpha * u
-        beta, alpha = finite(cod.norm(u), "beta", i), 0.0
-        if beta != 0.0:
-            u = u / beta
-            tu = op.apply_adjoint(u)
-            v = tu - beta * v
-            alpha = finite(dom.norm(v), "alpha", i)
-        if alpha == 0.0:
-            yield beta, 0.0, np.zeros(dom.dim)
-            return
-        v = v / alpha
-        if check:
-            adjoint_product = dom.inner(v, tu)
-            # beta_1 = ||b|| is a norm of the data, not a coefficient of T
-            scale = max(scale, alpha, beta if i > 1 else 0.0)
-        del tu
-        yield beta, alpha, v
 
 
 def _settled(stops, z, stops_before, z_before, k):

@@ -151,8 +151,9 @@ def discrepancy_met(residual_norm, rule):
 def detect_breakdown(state):
     """True iff the current mapped direction q has (numerically) vanished:
     ||q|| <= EPS_BREAKDOWN * ||T||^2 * ||w_0||, with ||T|| the cached
-    Lanczos estimate of :meth:`LinearOperator.norm_estimate`. An exactly
-    zero q is always a breakdown, even when ||T|| is zero.
+    Golub-Kahan estimate of :meth:`LinearOperator.norm_estimate`, which
+    raises where its process does. An exactly zero q is always a
+    breakdown, even when ||T|| is zero.
 
     The test runs bound first. The squared estimate is a Ritz value of
     T*T, so it is <= ||T||^2 <= U^2 up to rounding for the operator's

@@ -118,11 +118,20 @@ class TestNormEstimate:
         op = DenseOperator(np.zeros((5, 5)))
         assert op.norm_estimate() == 0.0
 
-    def test_matches_svd_oracle(self):
+    @pytest.mark.parametrize("rows, cols, weighted", [
+        (40, 40, False), (60, 25, False), (25, 60, False), (40, 30, True),
+    ], ids=["square", "tall", "wide", "weighted"])
+    def test_matches_svd_oracle(self, rows, cols, weighted):
+        """The estimate starts in the range space, so a wide operator's
+        process ends after at most ``rows`` steps and a tall one's after
+        ``cols``; either way the norm is found to 1e-10."""
         rng = np.random.default_rng(11)
-        a = rng.standard_normal((40, 40))
-        op = DenseOperator(a)
-        top = np.linalg.svd(a, compute_uv=False)[0]
+        a = rng.standard_normal((rows, cols))
+        w_r = rng.uniform(0.2, 5.0, rows) if weighted else np.ones(rows)
+        w_d = rng.uniform(0.2, 5.0, cols) if weighted else np.ones(cols)
+        op = DenseOperator(a, InnerProductSpace(cols, w_d), InnerProductSpace(rows, w_r))
+        embedded = np.sqrt(w_r)[:, None] * a / np.sqrt(w_d)
+        top = np.linalg.svd(embedded, compute_uv=False)[0]
         assert op.norm_estimate() == pytest.approx(top, rel=1e-10)
 
     def test_matrix_free_circulant(self):

@@ -21,10 +21,15 @@ from sinereg import (
     Problem,
     StoppingRule,
     add_noise,
+    build_shift_solver,
+    drive,
     random_problem,
+    run_cgne,
     run_compare,
     run_diagnostics,
     run_sine,
+    sine_init,
+    sine_step,
 )
 
 
@@ -172,13 +177,26 @@ def test_history_with_nonzero_start_equals_shifted_data():
             assert relative_gap(mine, theirs) <= 1e-12
 
 
-@pytest.mark.parametrize("entry", [
-    lambda p, rule: run_sine(p, 1e-3, rule),
-    lambda p, rule: run_diagnostics(p, 1e-3, rule),
-], ids=["run_sine", "run_diagnostics"])
-def test_inconsistent_adjoint_fails_fast(entry):
+def sine_loop(p, rule):
+    """A hand-written SINE loop: ``drive`` over ``sine_step``."""
+    solver = build_shift_solver(p.operator, 1e-3)
+    drive(sine_init(p, 1e-3), lambda st: sine_step(st, solver), rule,
+          p.operator.domain_dim)
+
+
+@pytest.mark.parametrize("entry, adjoint_calls", [
+    (lambda p, rule: run_sine(p, 1e-3, rule), 1),
+    (lambda p, rule: run_diagnostics(p, 1e-3, rule), 1),
+    (run_cgne, 2),
+    (lambda p, rule: run_compare(p, 1e-3, rule), 2),
+    (sine_loop, 2),
+], ids=["run_sine", "run_diagnostics", "run_cgne", "run_compare", "sine_loop"])
+def test_inconsistent_adjoint_fails_fast(entry, adjoint_calls):
     """An adjoint of 1.5 A^T is caught by the forward apply of step 2,
-    long before the cap on the projection."""
+    long before the cap on the projection. A projected SINE run makes one
+    adjoint call before it; a run that needs the breakdown scale makes the
+    start's T* r first, and its norm estimate, which runs the same
+    process, then makes the call of step 1."""
     p = random_problem(80, 50, "algebraic", 1, seed=0, delta=1e-3)
     matrix, calls = p.operator.matrix, [0]
 
@@ -189,7 +207,7 @@ def test_inconsistent_adjoint_fails_fast(entry):
     with pytest.raises(NumericalError, match="inconsistent with the forward "
                        "map.* at Golub-Kahan step 2$"):
         entry(wrapped(p, adjoint), StoppingRule(1.01, 1e-3))
-    assert calls[0] == 1
+    assert calls[0] == adjoint_calls
 
 
 def test_nonzero_start_equals_shifted_data():

@@ -295,16 +295,25 @@ def test_nan_forward_fails_fast_in_cgne():
     assert count[0] == 5
 
 
-def run_sine_with_nan(side):
-    """A matrix-free SINE run whose ``side`` callable returns NaN from its
-    seventh call on; returns the error raised and the calls made."""
+def nan_failure(side, calls_ok, run):
+    """``run(op)`` on a matrix-free operator whose ``side`` callable
+    returns NaN from call ``calls_ok + 1`` on; returns the error raised,
+    the calls made, and the operator."""
     diag = DiagonalOperator(np.linspace(1.0, 0.3, 8))
-    wrapped, count = nan_after(6, diag.apply)
+    wrapped, count = nan_after(calls_ok, diag.apply)
     forward, adjoint = (wrapped, diag.apply) if side == "forward" else (diag.apply, wrapped)
     op = MatrixFreeOperator(diag.domain, diag.codomain, forward, adjoint)
     with pytest.raises(NumericalError) as err:
-        run_sine(Problem(op, np.ones(8), 0.0), 1.0, StoppingRule(1.001, 0.0))
-    return str(err.value), count[0]
+        run(op)
+    return str(err.value), count[0], op
+
+
+def run_sine_with_nan(side):
+    """A matrix-free SINE run whose ``side`` callable returns NaN from its
+    seventh call on; returns the error raised and the calls made."""
+    message, calls, _ = nan_failure(side, 6, lambda op: run_sine(
+        Problem(op, np.ones(8), 0.0), 1.0, StoppingRule(1.001, 0.0)))
+    return message, calls
 
 
 def test_nan_forward_fails_fast_in_sine():
@@ -324,13 +333,21 @@ def test_nan_adjoint_fails_fast_in_sine():
 
 
 def test_nan_forward_fails_fast_in_norm_estimate():
-    """A NaN is no norm: caching it would switch off breakdown detection."""
-    diag = DiagonalOperator(np.linspace(1.0, 0.3, 8))
-    forward, count = nan_after(2, diag.apply)
-    op = MatrixFreeOperator(diag.domain, diag.codomain, forward, diag.apply)
-    with pytest.raises(NumericalError, match="norm-estimate step 3"):
-        op.norm_estimate()
-    assert count[0] == 3
+    """A NaN is no norm: caching it would switch off breakdown detection.
+    The estimate runs the Golub-Kahan process, whose step i makes forward
+    call i - 1."""
+    message, calls, op = nan_failure("forward", 2, LinearOperator.norm_estimate)
+    assert message.endswith("Golub-Kahan step 4")
+    assert calls == 3
+    assert op._norm_estimate is None
+
+
+def test_nan_adjoint_fails_fast_in_norm_estimate():
+    """Step i of the process makes adjoint call i."""
+    message, calls, op = nan_failure("adjoint", 2, LinearOperator.norm_estimate)
+    assert message.endswith("Golub-Kahan step 3")
+    assert calls == 3
+    assert op._norm_estimate is None
 
 
 def test_overflow_fails_fast_at_iteration_zero():
