@@ -12,9 +12,9 @@ by default, overridden by a diagonal's division and a dense Cholesky.
 they project the run onto a Golub-Kahan bidiagonalization instead (see
 :mod:`sinereg.sine`). Only hand-written ``sine_step`` loops keep it.
 That process lives here, with its non-finite and adjoint checks, since
-``norm_estimate`` runs it too for the breakdown scale. The dense and
-diagonal backends compute their norm bound (``norm_bound``) once, at
-construction; a matrix-free operator has none. A complex matrix,
+``norm_estimate`` runs it too for the breakdown scale, once per operator.
+A diagonal operator knows its norm, max |d_i|, and caches it at
+construction instead. A complex matrix,
 diagonal, input vector or callable output raises ``ValueError`` instead
 of being cut to its real part.
 
@@ -69,10 +69,10 @@ class LinearOperator:
     """Base class: a linear map between two inner-product spaces.
 
     A subclass defines ``apply``/``apply_adjoint`` and inherits an inner-CG
-    :meth:`shift_solve`. It may supply :meth:`norm_bound`, a cheap upper
-    bound U >= ||T||. The breakdown test checks against it first and runs
-    the Golub-Kahan estimate of :meth:`norm_estimate` only when a mapped
-    direction nears the threshold that U implies, or when there is no bound.
+    :meth:`shift_solve` and the Golub-Kahan :meth:`norm_estimate`, the
+    scale of the breakdown test, which the first test of a run computes
+    and caches. A subclass that knows ||T|| overrides :meth:`norm_estimate`
+    to return it; the diagonal backend presets the cache at construction.
 
     Parameters
     ----------
@@ -85,8 +85,7 @@ class LinearOperator:
     def __init__(self, domain, codomain):
         self.domain = domain
         self.codomain = codomain
-        self._norm_bound = None  # set by a backend that has a bound
-        self._norm_estimate = None
+        self._norm_estimate = None  # preset by a backend that knows ||T||
 
     @property
     def domain_dim(self):
@@ -107,11 +106,6 @@ class LinearOperator:
     def normal_apply(self, x):
         """T* T x, the normal-equation operator."""
         return self.apply_adjoint(self.apply(x))
-
-    def norm_bound(self):
-        """Upper bound on ||T||, computed at construction, or None when the
-        backend has none."""
-        return self._norm_bound
 
     def shift_solve(self, gamma):
         """``(name, solve)`` with ``solve(v) = (I + T*T/gamma)^{-1} v``; here
@@ -233,8 +227,7 @@ class DenseOperator(LinearOperator):
     """Operator backed by a dense (range_dim x domain_dim) matrix.
 
     Under weighted spaces the adjoint is W_domain^{-1} A^T W_range, which
-    keeps <T u, v>_range = <u, T* v>_domain exact up to rounding. The norm
-    bound is the weighted Frobenius norm ||W_r^{1/2} A W_d^{-1/2}||_F.
+    keeps <T u, v>_range = <u, T* v>_domain exact up to rounding.
     """
 
     def __init__(self, matrix, domain=None, codomain=None):
@@ -262,9 +255,6 @@ class DenseOperator(LinearOperator):
         super().__init__(domain, codomain)
         self.matrix = a
         self.matrix.setflags(write=False)
-        # the bound summed row by row, with no matrix-sized temporary
-        row_sq = np.einsum("ij,ij,j->i", a, a, 1.0 / domain.weights)
-        self._norm_bound = float(np.sqrt(row_sq @ codomain.weights))
 
     def apply(self, x):
         x = self.domain.check_vector(x, "input")
@@ -302,8 +292,9 @@ class DiagonalOperator(LinearOperator):
 
     Diagonal matrices commute with the (diagonal) weight matrix, so the
     weighted adjoint coincides with the forward map: the operator is
-    self-adjoint in any weighted product on its space. Its norm bound is
-    max |d_i|, the exact norm in any weighted product on the space.
+    self-adjoint in any weighted product on its space, and its norm is
+    max |d_i| in any of them: :meth:`norm_estimate` returns that, cached
+    at construction.
     """
 
     def __init__(self, diagonal, space=None):
@@ -318,7 +309,7 @@ class DiagonalOperator(LinearOperator):
         super().__init__(space, space)
         self.diagonal = d
         self.diagonal.setflags(write=False)
-        self._norm_bound = float(max(d.max(), -d.min()))
+        self._norm_estimate = float(max(d.max(), -d.min()))
 
     def apply(self, x):
         x = self.domain.check_vector(x, "input")
@@ -343,8 +334,8 @@ class MatrixFreeOperator(LinearOperator):
     :class:`NumericalError` at the first step whose vectors break it by
     more than rounding. Its shift solve is the inherited inner CG, which
     ``run_sine``, ``run_compare`` and ``run_diagnostics`` replace by that
-    projection. With no norm bound, every other run (``run_cgne``, a
-    ``sine_step`` loop) runs the estimate, and so the check, at once.
+    projection. Every other run (``run_cgne``, a ``sine_step`` loop) runs
+    the estimate, and so the check, at its first breakdown test.
     """
 
     def __init__(self, domain, codomain, forward, adjoint):

@@ -152,23 +152,17 @@ def run_sine(problem, gamma, rule, x0=None, keep_history=False):
 
 
 def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
-    """The SINE run of :func:`run_sine` and ``run_compare``, projected when
-    the operator's shift solve is the inherited inner CG. Returns what
-    :func:`_drive_sine` returns."""
+    """The SINE run of :func:`run_sine`, ``run_compare`` and each
+    checkpoint of a projected run, driven by ``rule`` to ``cap``; projected
+    when the operator's shift solve is the inherited inner CG. With
+    ``fill``, a discrepancy stop continues at threshold 0 to ``cap``.
+    Returns the final state, the first stop's reason, index and iterate,
+    and the reason the run ended."""
     op = problem.operator
     if type(op).shift_solve is LinearOperator.shift_solve:
         return _run_projected(problem, _real(gamma, "gamma"), rule, cap, x0,
                               keep_history, fill)
     solver = build_shift_solver(op, gamma)
-    return _drive_sine(problem, solver, rule, cap, x0, keep_history, fill)
-
-
-def _drive_sine(problem, solver, rule, cap, x0=None, keep_history=False,
-                fill=False):
-    """SINE on ``problem`` with ``solver``, driven by ``rule`` to ``cap``.
-    With ``fill``, a discrepancy stop continues at threshold 0 to ``cap``.
-    Returns the final state, the first stop's reason, index and iterate,
-    and the reason the run ended."""
     state = sine_init(problem, solver.gamma, x0=x0, keep_history=keep_history)
 
     def step(st):
@@ -184,16 +178,17 @@ def _drive_sine(problem, solver, rule, cap, x0=None, keep_history=False,
 
 class _Bidiagonal(LinearOperator):
     """The (k+1) x k lower bidiagonal B of a Golub-Kahan run, ``alphas`` on
-    its diagonal and ``betas`` below, between Euclidean spaces. Its norm
-    bound is sqrt(||B||_1 ||B||_inf)."""
+    its diagonal and ``betas`` below, between Euclidean spaces. Its norm,
+    cached at construction, is the root of the top eigenvalue of the
+    tridiagonal B^T B, with alpha_i^2 + beta_i^2 on its diagonal and
+    beta_i alpha_{i+1} beside it."""
 
     def __init__(self, alphas, betas):
         k = len(alphas)
         super().__init__(InnerProductSpace(k), InnerProductSpace(k + 1))
         self.alphas, self.betas = a, b = np.array(alphas), np.array(betas)
-        norm_1 = (a + b).max()  # the largest column sum; all entries are >= 0
-        norm_inf = (np.append(a, 0.0) + np.append(0.0, b)).max()  # row sum
-        self._norm_bound = float(np.sqrt(norm_1 * norm_inf))
+        gram = np.diag(a * a + b * b) + np.diag(b[:-1] * a[1:], -1)
+        self._norm_estimate = float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
     def apply(self, z):
         out = np.append(self.alphas * z, 0.0)
@@ -252,7 +247,7 @@ def _settled(stops, z, stops_before, z_before, k):
 
 
 def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
-    """:func:`_drive_sine` on Golub-Kahan projections of ``problem``, grown
+    """:func:`_sine` on Golub-Kahan projections of ``problem``, grown
     by ``GK_CHUNK`` steps until a checkpoint is :func:`_settled`, or at
     once when the process has ended and the projection is exact. A second
     pass regenerates V_k to map the first stop's iterate back and, when
@@ -295,8 +290,8 @@ def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
         data[0] = betas[0]
         small = Problem(_Bidiagonal(alphas[:cols], (betas + [0.0])[1:cols + 1]),
                         data, rule.delta)
-        state, terminated, m, z, end = _drive_sine(
-            small, build_shift_solver(small.operator, gamma), rule, min(cap, cols),
+        state, terminated, m, z, end = _sine(
+            small, gamma, rule, min(cap, cols),
             keep_history=errors_wanted or keep_history, fill=fill)
         stops = ((terminated, m), (end, state.iteration))
         if alphas[-1] == 0.0 or (

@@ -150,25 +150,15 @@ def discrepancy_met(residual_norm, rule):
 
 def detect_breakdown(state):
     """True iff the current mapped direction q has (numerically) vanished:
-    ||q|| <= EPS_BREAKDOWN * ||T||^2 * ||w_0||, with ||T|| the cached
-    Golub-Kahan estimate of :meth:`LinearOperator.norm_estimate`, which
-    raises where its process does. An exactly zero q is always a
-    breakdown, even when ||T|| is zero.
-
-    The test runs bound first. The squared estimate is a Ritz value of
-    T*T, so it is <= ||T||^2 <= U^2 up to rounding for the operator's
-    :meth:`~LinearOperator.norm_bound` U, and the factor 2 on U^2 covers
-    that rounding. While ||q|| > EPS_BREAKDOWN * 2 U^2 * ||w_0|| the
-    answer is no and no estimate runs; otherwise, or when the operator
-    has no bound, the estimate decides. Either way the answer is the one
-    the estimate gives.
+    ||q|| <= EPS_BREAKDOWN * ||T||^2 * ||w_0||, with ||T|| the operator's
+    cached :meth:`~LinearOperator.norm_estimate`. The first test on an
+    operator whose norm is not known computes it by the Golub-Kahan
+    process, which raises where the process does. An exactly zero q is
+    always a breakdown, even when ||T|| is zero.
     """
-    op, w0_norm = state.op, state.initial_direction_norm
     q_norm = math.sqrt(state.mapped_norm_sq)
-    bound = op.norm_bound()
-    if bound is not None and q_norm > EPS_BREAKDOWN * 2 * bound * bound * w0_norm:
-        return False
-    return q_norm <= EPS_BREAKDOWN * (op.norm_estimate() ** 2 * w0_norm)
+    return q_norm <= EPS_BREAKDOWN * (
+        state.op.norm_estimate() ** 2 * state.initial_direction_norm)
 
 
 def drive(state, step, rule, cap):

@@ -9,7 +9,9 @@ solve: an FFT resolvent, a Cholesky factor or a division.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import sinereg.operators
 import sinereg.sine
 from sinereg import (
     DenseOperator,
@@ -31,6 +33,8 @@ from sinereg import (
     sine_init,
     sine_step,
 )
+
+from test_stopping import count_norm_estimates
 
 
 def wrapped(problem, adjoint=None):
@@ -272,6 +276,61 @@ def test_rank_deficient_breakdown_settles():
     want, got = run_sine(p, 1.0, rule), run_sine(wrapped(p), 1.0, rule)
     assert got.terminated_by == want.terminated_by == "breakdown"
     assert abs(got.stopping_index - want.stopping_index) <= 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 60), st.booleans())
+def test_bidiagonal_norm_is_exact(seed, k, last_alpha_zero):
+    """The small operator's scale, set at construction, is its spectral
+    norm, also when the process ended on alpha_k = 0."""
+    rng = np.random.default_rng(seed)
+    alphas, betas = rng.uniform(0.0, 2.0, k), rng.uniform(0.0, 2.0, k)
+    if last_alpha_zero:
+        alphas[-1] = 0.0
+    b = np.zeros((k + 1, k))
+    b[np.arange(k), np.arange(k)] = alphas
+    b[np.arange(1, k + 1), np.arange(k)] = betas
+    small = sinereg.sine._Bidiagonal(alphas, betas)
+    assert small.norm_estimate() == pytest.approx(np.linalg.norm(b, 2), rel=1e-13)
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 1e-2, 1e-1])
+def test_projected_runs_estimate_no_small_norm(monkeypatch, gamma):
+    """The projection's bidiagonals know their norms, so the projected
+    entry points run no estimate; run_compare's CGNE half runs the one
+    of the full operator."""
+    calls = count_norm_estimates(monkeypatch)
+    _, free = blur_problems(2**12, 1)
+    rule = StoppingRule(1.01, free.delta)
+    run_sine(free, gamma, rule)
+    run_sine(free, gamma, rule, keep_history=True)
+    run_diagnostics(free, gamma, rule)
+    assert calls == []
+    run_compare(free, gamma, rule)
+    assert calls == [free.operator]
+
+
+def test_overridden_norm_replaces_the_estimate(monkeypatch):
+    """A subclass that knows its norm returns it from norm_estimate; the
+    breakdown test then runs no Golub-Kahan step, and CGNE stops where it
+    does with the estimate."""
+    class KnownNormBlur(FFTBlur):
+        def norm_estimate(self):
+            return float(np.abs(self.eigenvalues).max())
+
+    _, free = blur_problems(2**12, 1)
+    rule = StoppingRule(1.01, free.delta)
+    want = run_cgne(free, rule)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Golub-Kahan step ran")
+
+    monkeypatch.setattr(sinereg.operators, "_golub_kahan", forbidden)
+    known = Problem(KnownNormBlur(2**12), free.y_delta, free.delta, truth=free.truth)
+    got = run_cgne(known, rule)
+    assert (got.terminated_by, got.stopping_index) == (want.terminated_by,
+                                                      want.stopping_index)
+    assert np.array_equal(got.iterate, want.iterate)
 
 
 def test_cap_on_the_projection_raises(monkeypatch):

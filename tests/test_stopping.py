@@ -213,12 +213,10 @@ def count_norm_estimates(monkeypatch):
 
 
 def test_full_rank_runs_skip_power_iteration(monkeypatch):
-    """On the full-rank benchmark no mapped direction nears the breakdown
-    threshold, so neither an entry point nor a hand-written loop over
-    detect_breakdown pays for the norm estimate."""
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the power iteration ran")
-    monkeypatch.setattr(LinearOperator, "norm_estimate", forbidden)
+    """The benchmark's operator is diagonal, so its norm is known at
+    construction: neither an entry point nor a hand-written loop over
+    detect_breakdown runs the norm estimate."""
+    calls = count_norm_estimates(monkeypatch)
     problem = multiplication_problem(4096, 1, 1e-3)
     rule = StoppingRule(1.001, 1e-3)
     assert run_sine(problem, 1e-3, rule).stopping_index == 2
@@ -235,35 +233,34 @@ def test_full_rank_runs_skip_power_iteration(monkeypatch):
     while cgne.iteration < 25 and not detect_breakdown(cgne):
         cgne_step(cgne)
     assert (sine.iteration, cgne.iteration) == (10, 25)
+    assert calls == []
 
 
 def test_compare_evaluates_dense_bound_once(monkeypatch):
-    """The weighted Frobenius bound belongs to the immutable operator, so
-    the three drives of one run_compare share one evaluation of it."""
-    calls = []
-    einsum = np.einsum
-
-    def counted(subscripts, *operands, **kwargs):
-        if subscripts == "ij,ij,j->i":
-            calls.append(subscripts)
-        return einsum(subscripts, *operands, **kwargs)
-    monkeypatch.setattr(np, "einsum", counted)
+    """The estimate is cached on the immutable operator, so the three
+    drives of one run_compare share one evaluation of it."""
+    calls = count_norm_estimates(monkeypatch)
     problem = random_problem(60, 40, "algebraic", rate=1.0, seed=1, delta=1e-3)
     result = run_compare(problem, 1e-3, StoppingRule(1.001, 1e-3))
     assert result.terminated_by_sine == "discrepancy"
-    assert len(calls) == 1
-
-
-def test_power_iteration_runs_once_near_breakdown(monkeypatch):
-    calls = count_norm_estimates(monkeypatch)
-    problem = Problem(DiagonalOperator([1.0, 0.5, 0.0, 0.0]), np.ones(4), 0.0)
-    report = run_sine(problem, 1e-3, StoppingRule(1.001, 0.0))
-    assert (report.terminated_by, report.stopping_index) == ("breakdown", 2)
     assert calls == [problem.operator]
 
 
+def test_power_iteration_runs_once_near_breakdown(monkeypatch):
+    """A dense operator runs the estimate once, at its first breakdown
+    test; a diagonal one with the same matrix runs none."""
+    calls = count_norm_estimates(monkeypatch)
+    dense = DenseOperator(np.diag([1.0, 0.5, 0.0, 0.0]))
+    diagonal = DiagonalOperator([1.0, 0.5, 0.0, 0.0])
+    for op in (dense, diagonal):
+        report = run_sine(Problem(op, np.ones(4), 0.0), 1e-3, StoppingRule(1.001, 0.0))
+        assert (report.terminated_by, report.stopping_index) == ("breakdown", 2)
+    assert calls == [dense]
+
+
 def test_matrix_free_keeps_eager_scale(monkeypatch):
-    """Without a bound the scale is computed before the first step."""
+    """The scale is computed at the first breakdown test, before the
+    first step."""
     calls = count_norm_estimates(monkeypatch)
     diag = DiagonalOperator(np.linspace(1.0, 0.1, 8))
     free = MatrixFreeOperator(diag.domain, diag.codomain, diag.apply, diag.apply)
