@@ -236,8 +236,10 @@ class TestErrorsAndSeeds:
     @pytest.mark.parametrize("solver", ["sine", "cgne"])
     def test_overflowing_operator_exit_one(self, tmp_path, capsys, solver):
         """Finite inputs whose products overflow stop at once with the
-        iteration named, not at the iteration cap."""
-        save_vector(np.array([1e200, 1.0]), tmp_path / "d.csv")
+        iteration named, not at the iteration cap. d^2 = 1e308 and the
+        shift factors 1 + d_i^2/gamma stay finite, so the products, not
+        the factors, overflow."""
+        save_vector(np.array([1e154, 1.0]), tmp_path / "d.csv")
         save_vector(np.ones(2), tmp_path / "y.csv")
         cfg = write_config(tmp_path, {
             "solver": solver, "gamma": 1.0, "tau": 1.01, "delta": 0.0,

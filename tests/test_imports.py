@@ -85,7 +85,7 @@ assert "scipy.linalg" not in sys.modules
 
 def test_cholesky_failure_is_numerical_error(monkeypatch):
     """scipy's LinAlgError is numpy's, which the dense shift solve catches."""
-    def fail(m):
+    def fail(m, **kwargs):
         raise scipy.linalg.LinAlgError("2-th leading minor not positive definite")
 
     op = DenseOperator(np.eye(3))

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -9,7 +12,11 @@ from sinereg import (
     LinearOperator,
     MatrixFreeOperator,
     NumericalError,
+    StoppingRule,
     build_shift_solver,
+    multiplication_problem,
+    random_problem,
+    run_sine,
 )
 from sinereg import operators
 
@@ -145,13 +152,78 @@ def test_unit_diagonal_resolvent_matches_formula():
 
 @pytest.mark.parametrize("gamma", [1e-3, 0.7])
 def test_dense_unit_resolvent_is_plain_cholesky_bit_for_bit(gamma):
+    """The upper factor U of scipy's Cholesky, then U^T z = v and U x = z
+    by two BLAS triangular solves."""
     dense, _ = make_ops(30, 20, seed=27)
     solver = build_shift_solver(dense, gamma)
     assert solver.strategy == "cholesky"
     a = dense.matrix
-    factor = scipy.linalg.cho_factor(a.T @ a / gamma + np.eye(20))
+    u, lower = scipy.linalg.cho_factor(a.T @ a / gamma + np.eye(20))
+    assert not lower
     v = np.random.default_rng(28).standard_normal(20)
-    assert np.array_equal(solver.apply(v), scipy.linalg.cho_solve(factor, v))
+    z = scipy.linalg.blas.dtrsv(u, v, trans=1)
+    assert np.array_equal(solver.apply(v), scipy.linalg.blas.dtrsv(u, z, trans=0))
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.7, 10.0])
+@pytest.mark.parametrize("shape,weighted", [((30, 20), False), ((12, 20), False),
+                                            ((30, 20), True), ((12, 20), True)])
+def test_dense_resolvent_matches_explicit_solve(shape, weighted, gamma):
+    """Oracle: np.linalg.solve on the explicit M = W_d + A^T W_r A / gamma
+    with right-hand side W_d v, for tall and wide, unit and weighted
+    operators. Both solves are backward stable, so they agree to a few
+    eps cond(M) relative (at most 0.49 over 20 seeds of each case)."""
+    dense, _ = make_ops(*shape, seed=30, weighted=weighted)
+    solver = build_shift_solver(dense, gamma)
+    a = dense.matrix
+    wd, wr = dense.domain.weights, dense.codomain.weights
+    m = np.diag(wd) + a.T @ (wr[:, None] * a) / gamma
+    tol = 4 * np.finfo(float).eps * np.linalg.cond(m)
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        v = rng.standard_normal(shape[1])
+        want = np.linalg.solve(m, wd * v)
+        assert np.linalg.norm(solver.apply(v) - want) <= tol * np.linalg.norm(want)
+
+
+def test_dense_solve_keeps_its_input_and_allocates_one_vector():
+    """A solve allocates O(n), not the n x n copy that f2py makes of a
+    factor it cannot pass to BLAS as it is, and leaves v unchanged."""
+    n = 400
+    dense, _ = make_ops(500, n, seed=32, weighted=True)
+    solver = build_shift_solver(dense, 0.1)
+    v = np.random.default_rng(33).standard_normal(n)
+    kept = v.copy()
+    solver.apply(v)  # warm up
+    tracemalloc.start()
+    try:
+        solver.apply(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(v, kept)
+    assert peak <= 4 * 8 * n  # the factor alone is 8 n^2 bytes
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal"])
+def test_overflowing_shift_raises_numerical_error(kind):
+    """At gamma = 5e-324, 1 + d^2/gamma and A^T A/gamma overflow: a typed
+    error naming gamma, with no RuntimeWarning before it. gamma = 1e-300
+    and 1e300 do not overflow, and run to their usual stops."""
+    if kind == "dense":
+        p = random_problem(30, 20, "algebraic", 1, seed=1, delta=1e-3)
+        stops = {1e-300: ("breakdown", 1), 1e300: ("discrepancy", 12)}
+    else:
+        p = multiplication_problem(64, 1, 1e-3)
+        stops = {1e-300: ("breakdown", 1), 1e300: ("discrepancy", 18)}
+    rule = StoppingRule(1.01, 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="gamma=4.94066e-324"):
+            run_sine(p, 5e-324, rule)
+        for gamma, stop in stops.items():
+            report = run_sine(p, gamma, rule)
+            assert (report.terminated_by, report.stopping_index) == stop
 
 
 def test_inner_cg_stops_at_first_nan():
