@@ -1,83 +1,25 @@
 """Iterative regularization of ill-posed linear systems over the
 shift-and-invert rational Krylov subspace, with a conjugate-gradient
 baseline on the polynomial subspace, discrepancy-principle stopping,
-spectral diagnostics, and reproduction harnesses."""
+spectral diagnostics, and reproduction harnesses.
 
-from .cgne import cgne_init, cgne_step, run_cgne
-from .diagnostics import (
-    OrthogonalityReport,
-    ResidualFunction,
-    RitzSpectrum,
-    build_basis,
-    check_interlacing,
-    orthogonality_audit,
-    projected_gram,
-    residual_function_eval,
-    ritz_values,
-    rprime_at_zero,
-)
-from .exceptions import DataFormatError, DimensionError, NumericalError
-from .experiments import (
-    CompareResult,
-    DiagnosticsReport,
-    RateCheckConfig,
-    RateCheckResult,
-    RateRecord,
-    fit_rate,
-    run_compare,
-    run_diagnostics,
-    run_ratecheck,
-)
-from .operators import (
-    DenseOperator,
-    DiagonalOperator,
-    LinearOperator,
-    MatrixFreeOperator,
-    load_dense_operator,
-    load_diagonal_operator,
-    load_vector,
-    save_dense_operator,
-    save_vector,
-)
-from .problems import (
-    Problem,
-    add_noise,
-    load_problem,
-    multiplication_problem,
-    random_problem,
-)
-from .sine import ShiftSolver, build_shift_solver, run_sine, sine_init, sine_step
-from .spaces import InnerProductSpace
-from .stopping import (
-    EPS_BREAKDOWN,
-    KrylovState,
-    RunReport,
-    StoppingRule,
-    detect_breakdown,
-    discrepancy_met,
-    drive,
-)
+Each module's ``__all__`` says what it makes public; the package
+re-exports all of them and lists them in ``__all__`` in module order."""
+
+from . import (cgne, diagnostics, exceptions, experiments, operators,
+               problems, sine, spaces, stopping)
+from .cgne import *  # noqa: F401,F403
+from .diagnostics import *  # noqa: F401,F403
+from .exceptions import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+from .operators import *  # noqa: F401,F403
+from .problems import *  # noqa: F401,F403
+from .sine import *  # noqa: F401,F403
+from .spaces import *  # noqa: F401,F403
+from .stopping import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "cgne_init", "cgne_step", "run_cgne",
-    "OrthogonalityReport", "ResidualFunction", "RitzSpectrum",
-    "build_basis", "check_interlacing", "orthogonality_audit",
-    "projected_gram", "residual_function_eval", "ritz_values",
-    "rprime_at_zero",
-    "DataFormatError", "DimensionError", "NumericalError",
-    "CompareResult", "DiagnosticsReport", "RateCheckConfig",
-    "RateCheckResult", "RateRecord", "fit_rate", "run_compare",
-    "run_diagnostics", "run_ratecheck",
-    "DenseOperator", "DiagonalOperator", "LinearOperator",
-    "MatrixFreeOperator", "load_dense_operator", "load_diagonal_operator",
-    "save_dense_operator",
-    "Problem", "add_noise", "load_problem", "load_vector",
-    "multiplication_problem", "random_problem", "save_vector",
-    "ShiftSolver", "build_shift_solver",
-    "run_sine", "sine_init", "sine_step",
-    "InnerProductSpace",
-    "EPS_BREAKDOWN", "KrylovState", "RunReport", "StoppingRule",
-    "detect_breakdown", "discrepancy_met", "drive",
-]
+__all__ = [name for module in (cgne, diagnostics, exceptions, experiments, operators,
+                               problems, sine, spaces, stopping)
+           for name in module.__all__]

@@ -270,12 +270,14 @@ class DenseOperator(LinearOperator):
 
     def shift_solve(self, gamma):
         """Cholesky M = U^T U of M = W_d + A^T W_r A / gamma, factored
-        once: the weighted map B = I + T*T/gamma has B x = v iff
-        M x = W_d v. Each solve is two BLAS-2 triangular solves (``dtrsv``),
-        U^T z = W_d v and U x = z, on the Fortran-ordered factor, which
-        f2py passes without a copy; one right-hand side through LAPACK
-        ``potrs`` (``cho_solve``) took 2.5-3.5 times as long at n = 1000.
-        A non-finite M (an overflow at a tiny gamma) raises
+        once and in place: M is symmetric, so its transpose is M in
+        Fortran order, which LAPACK overwrites without the copy f2py makes
+        of a C-ordered array. The weighted map B = I + T*T/gamma has
+        B x = v iff M x = W_d v. Each solve is two BLAS-2 triangular solves
+        (``dtrsv``), U^T z = W_d v and U x = z, on that Fortran-ordered
+        factor, which f2py passes without a copy; one right-hand side
+        through LAPACK ``potrs`` (``cho_solve``) took 2.5-3.5 times as long
+        at n = 1000. A non-finite M (an overflow at a tiny gamma) raises
         :class:`NumericalError`."""
         import scipy.linalg
 
@@ -287,7 +289,7 @@ class DenseOperator(LinearOperator):
                 "the shifted normal matrix W_d + A^T W_r A / gamma has "
                 f"non-finite entries (gamma={gamma:g})")
         try:
-            u, _ = scipy.linalg.cho_factor(m, check_finite=False)
+            u, _ = scipy.linalg.cho_factor(m.T, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "Cholesky factorization of the shifted normal matrix failed "

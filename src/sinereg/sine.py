@@ -66,8 +66,9 @@ GK_RESIDUAL_RTOL = 1e-9
 class ShiftSolver:
     """Applies (I + T*T/gamma)^{-1} by the operator's own solve,
     ``op.shift_solve(gamma)``, whose name is ``strategy``: "diagonal",
-    "cholesky" or the inherited inner "cg". Built through
-    :func:`build_shift_solver`; immutable and shareable across threads."""
+    "cholesky" or the inherited inner "cg"; factorizations run when it is
+    built. ``build_shift_solver`` is this class. Immutable and shareable
+    across threads."""
 
     def __init__(self, op, gamma):
         self.op = op
@@ -82,9 +83,7 @@ class ShiftSolver:
         return self._solve(v)
 
 
-def build_shift_solver(op, gamma):
-    """The :class:`ShiftSolver` of (I + T*T/gamma); factorizations run here."""
-    return ShiftSolver(op, gamma)
+build_shift_solver = ShiftSolver
 
 
 def sine_init(problem, gamma, x0=None, keep_history=False):

@@ -2,6 +2,7 @@
 built (its Cholesky solve) and by Matrix Market I/O. Import checks run in
 a fresh interpreter, because the suite itself has scipy loaded."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import sinereg
 from sinereg import DenseOperator, NumericalError, build_shift_solver
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -92,3 +94,21 @@ def test_cholesky_failure_is_numerical_error(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "cho_factor", fail)
     with pytest.raises(NumericalError, match="Cholesky factorization"):
         build_shift_solver(op, 1.0)
+
+
+def test_package_exports_every_module_all():
+    """The package's public names are its nine modules' ``__all__`` lists,
+    joined in order, each the module's own object."""
+    modules = [importlib.import_module(f"sinereg.{name}") for name in (
+        "cgne", "diagnostics", "exceptions", "experiments", "operators",
+        "problems", "sine", "spaces", "stopping")]
+    names = [n for module in modules for n in module.__all__]
+    assert sinereg.__all__ == names
+    assert len(set(names)) == len(names)
+    for module in modules:
+        for n in module.__all__:
+            assert getattr(sinereg, n) is getattr(module, n), n
+    namespace = {}
+    exec("from sinereg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
+    assert sinereg.build_shift_solver is sinereg.ShiftSolver

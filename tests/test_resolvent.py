@@ -205,6 +205,21 @@ def test_dense_solve_keeps_its_input_and_allocates_one_vector():
     assert peak <= 4 * 8 * n  # the factor alone is 8 n^2 bytes
 
 
+def test_dense_build_factors_in_place():
+    """A unit-weight build holds the n x n shifted matrix once: LAPACK
+    factors its Fortran-ordered transpose in place. A C-ordered M makes
+    f2py copy it first, a peak of 2 n^2 doubles."""
+    n = 400
+    dense, _ = make_ops(600, n, seed=34)
+    tracemalloc.start()
+    try:
+        build_shift_solver(dense, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n**2
+
+
 @pytest.mark.parametrize("kind", ["dense", "diagonal"])
 def test_overflowing_shift_raises_numerical_error(kind):
     """At gamma = 5e-324, 1 + d^2/gamma and A^T A/gamma overflow: a typed
