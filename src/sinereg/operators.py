@@ -121,7 +121,7 @@ class LinearOperator:
 
         def solve(b):
             target = RESOLVENT_TOL * space.norm(b)
-            x, r, p = np.zeros_like(b), b, b.copy()
+            x, r, p = np.zeros_like(b), b, b
             rz = space.inner(r, r)
             for k in range(max_iter + 1):
                 if not math.isfinite(rz):
@@ -177,18 +177,16 @@ class LinearOperator:
         )
 
 
-def _golub_kahan(op, b, check=True):
+def _golub_kahan(op, b):
     """Golub-Kahan bidiagonalization T V = U B from u_1 = b/||b|| in the
     weighted products, keeping no basis. Item i is (beta_i, alpha_i, v_i),
     made by one forward apply (none for i = 1) and one adjoint apply. A
     zero coefficient ends it: the Krylov space is exhausted, and the last
     item has alpha_i = 0 and v_i = 0. A non-finite coefficient raises
-    :class:`NumericalError` naming the step. With ``check``, so does an
-    adjoint that is not the forward map's: with T* u_i from step i and
-    T v_i from step i + 1, <T v_i, u_i> must equal <v_i, T* u_i> to
-    ``GK_ADJOINT_RTOL`` times the largest coefficient of T so far, checked
-    at step i + 1. A rerun from the same b makes the same vectors, so it
-    need not check them again."""
+    :class:`NumericalError` naming the step, and so does an adjoint that is
+    not the forward map's: with T* u_i from step i and T v_i from step
+    i + 1, <T v_i, u_i> must equal <v_i, T* u_i> to ``GK_ADJOINT_RTOL``
+    times the largest coefficient of T so far, checked at step i + 1."""
     dom, cod = op.domain, op.codomain
 
     def finite(value, name, i):
@@ -201,13 +199,12 @@ def _golub_kahan(op, b, check=True):
     for i in itertools.count(1):
         if i > 1:
             tv = op.apply(v)
-            if check:
-                product = finite(cod.inner(tv, u), "<T v, u>", i)
-                if abs(product - adjoint_product) > GK_ADJOINT_RTOL * scale:
-                    raise NumericalError(
-                        f"the adjoint is inconsistent with the forward map: "
-                        f"<T v, u> = {product:.6e} but <v, T* u> = "
-                        f"{adjoint_product:.6e} at Golub-Kahan step {i}")
+            product = finite(cod.inner(tv, u), "<T v, u>", i)
+            if abs(product - adjoint_product) > GK_ADJOINT_RTOL * scale:
+                raise NumericalError(
+                    f"the adjoint is inconsistent with the forward map: "
+                    f"<T v, u> = {product:.6e} but <v, T* u> = "
+                    f"{adjoint_product:.6e} at Golub-Kahan step {i}")
             u = tv - alpha * u
         beta, alpha = finite(cod.norm(u), "beta", i), 0.0
         if beta != 0.0:
@@ -219,10 +216,9 @@ def _golub_kahan(op, b, check=True):
             yield beta, 0.0, np.zeros(dom.dim)
             return
         v = v / alpha
-        if check:
-            adjoint_product = dom.inner(v, tu)
-            # beta_1 = ||b|| is a norm of the data, not a coefficient of T
-            scale = max(scale, alpha, beta if i > 1 else 0.0)
+        adjoint_product = dom.inner(v, tu)
+        # beta_1 = ||b|| is a norm of the data, not a coefficient of T
+        scale = max(scale, alpha, beta if i > 1 else 0.0)
         del tu
         yield beta, alpha, v
 
@@ -353,15 +349,15 @@ class DiagonalOperator(LinearOperator):
 class MatrixFreeOperator(LinearOperator):
     """Operator defined by caller-supplied forward/adjoint callables.
 
-    The caller is responsible for supplying an adjoint consistent with the
-    weighted inner products of the given spaces; the adjoint-consistency
-    test in the suite is the contract check. The Golub-Kahan process of
-    the projected runs and of :meth:`norm_estimate` raises
-    :class:`NumericalError` at the first step whose vectors break it by
-    more than rounding. Its shift solve is the inherited inner CG, which
-    ``run_sine``, ``run_compare`` and ``run_diagnostics`` replace by that
-    projection. Every other run (``run_cgne``, a ``sine_step`` loop) runs
-    the estimate, and so the check, at its first breakdown test.
+    The adjoint must be consistent with the weighted inner products of the
+    given spaces: the Golub-Kahan process raises :class:`NumericalError`
+    at the first step that breaks this by more than rounding. ``run_sine``,
+    ``run_compare`` and ``run_diagnostics`` run that process in place of
+    the inherited inner-CG shift solve; ``run_cgne`` and ``sine_step``
+    loops run it in :meth:`norm_estimate`, at their first breakdown test.
+    Each output is checked and copied once, so a callable may reuse one
+    output buffer. Its input is the library's own vector: a write into it
+    fails the adjoint check, or raises on the problem's read-only data.
     """
 
     def __init__(self, domain, codomain, forward, adjoint):
@@ -371,11 +367,11 @@ class MatrixFreeOperator(LinearOperator):
 
     def apply(self, x):
         x = self.domain.check_vector(x, "input")
-        return self.codomain.check_vector(self._forward(x), "forward output")
+        return self.codomain.check_vector(self._forward(x), "forward output").copy()
 
     def apply_adjoint(self, y):
         y = self.codomain.check_vector(y, "input")
-        return self.domain.check_vector(self._adjoint(y), "adjoint output")
+        return self.domain.check_vector(self._adjoint(y), "adjoint output").copy()
 
 
 def _load_matrix(path):

@@ -30,7 +30,8 @@ __all__ = [
 class Problem:
     """An inverse problem instance: operator, noisy data, noise level.
 
-    ``truth`` is the exact solution when known.
+    ``truth`` is the exact solution when known. It and ``y_delta`` are the
+    problem's own read-only copies, which every run shares.
     """
 
     operator: LinearOperator
@@ -40,12 +41,13 @@ class Problem:
 
     def __post_init__(self):
         self.delta = _real(self.delta, "noise level", strict=False)
-        # copies keep the instance immune to later mutation of caller arrays
         y = self.operator.codomain.check_vector(self.y_delta, "data")
         self.y_delta = _as_finite(y, "data vector", copy=True)
+        self.y_delta.setflags(write=False)
         if self.truth is not None:
             x = self.operator.domain.check_vector(self.truth, "truth")
             self.truth = _as_finite(x, "truth vector", copy=True)
+            self.truth.setflags(write=False)
 
     @property
     def domain_space(self):

@@ -309,7 +309,7 @@ def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
     if x0 is not None:
         xs += x0
     ws = np.zeros((len(zetas), op.domain_dim))
-    for i, (_, _, v) in zip(range(cols), _golub_kahan(op, b, check=False)):
+    for i, (_, _, v) in zip(range(cols), _golub_kahan(op, b)):
         for xj, c in zip(xs, zs[:, i]):
             xj += c * v
         for wj, zeta in zip(ws, zetas):
@@ -326,7 +326,7 @@ def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
     del xs  # frees the iterates before the history's applies
     history = {}
     if keep_history:
-        qs, rs = [op.apply(w) for w in ws], [b.copy()]
+        qs, rs = [op.apply(w) for w in ws], [b]
         for alpha, q in zip(state.alphas, qs):
             rs.append(rs[-1] - alpha * q)
         history = dict(direction_history=list(ws), mapped_history=qs,

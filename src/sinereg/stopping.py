@@ -35,7 +35,8 @@ class KrylovState:
     application. ``gamma`` is the shift of a SINE state and
     ``normal_residual_sq`` the squared norm of T* r of a CGNE state; each
     is None for the other method. A state started with ``keep_history``
-    keeps the w, q and r of every iterate in its three history lists.
+    keeps the w, q and r of every iterate in its three history lists: the
+    run's own arrays, not copies, since no step writes into one it made.
     """
 
     op: object
@@ -67,7 +68,7 @@ class KrylovState:
         op = problem.operator
         if x0 is None:
             x = np.zeros(op.domain_dim)
-            r = problem.y_delta.copy()
+            r = problem.y_delta
         else:
             x = op.domain.check_vector(x0, "starting iterate").copy()
             r = problem.y_delta - op.apply(x)
@@ -101,9 +102,9 @@ class KrylovState:
         if self.error_norms is not None:
             self.error_norms.append(op.domain.norm(x - self.truth))
         if self.direction_history is not None:
-            self.direction_history.append(w.copy())
-            self.mapped_history.append(q.copy())
-            self.residual_vectors.append(r.copy())
+            self.direction_history.append(w)
+            self.mapped_history.append(q)
+            self.residual_vectors.append(r)
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,7 @@ class RunReport(_Record):
         return cls(
             solver=solver,
             stopping_index=state.iteration,
-            iterate=state.iterate.copy(),
+            iterate=state.iterate,
             residual_history=list(state.residual_norms),
             error_history=None
             if state.error_norms is None

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sinereg import (
     DataFormatError,
+    DiagonalOperator,
     DimensionError,
     InnerProductSpace,
     Problem,
@@ -259,6 +260,30 @@ class TestProblemValidation:
             run_sine(p, 1e-3, StoppingRule(1.001, 0.0), x0=np.zeros(8, dtype=complex))
         with pytest.raises(ValueError, match="weights has complex entries"):
             InnerProductSpace(2, weights=np.array([1 + 2j, 3]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: multiplication_problem(8, 1, 1e-3),
+        lambda: random_problem(6, 4, seed=1, delta=1e-3),
+        lambda: Problem(DiagonalOperator(np.arange(1.0, 5.0)), [1.0, 2, 3, 4], 0.0,
+                        truth=np.ones(4, dtype=np.float32)),
+    ], ids=["multiplication", "random", "direct"])
+    def test_data_and_truth_are_read_only(self, build):
+        """Runs share the problem's own copies, so an in-place write
+        raises instead of changing them under every later run."""
+        p = build()
+        for name in ("y_delta", "truth"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(p, name)[0] = 0.0
+
+    def test_caller_arrays_stay_writable_and_unshared(self):
+        """The problem freezes its own copies, not the caller's arrays, so
+        a later write into those changes no problem."""
+        y, truth = np.ones(4), np.ones(4)
+        p = Problem(DiagonalOperator(np.ones(4)), y, 0.0, truth=truth)
+        y[0] = truth[0] = 2.0
+        assert np.array_equal(p.y_delta, np.ones(4))
+        assert np.array_equal(p.truth, np.ones(4))
+        assert y.flags.writeable and truth.flags.writeable
 
     def test_error_norm_requires_truth(self):
         p = multiplication_problem(8, 1, 0.0)

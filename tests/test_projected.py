@@ -25,6 +25,7 @@ from sinereg import (
     add_noise,
     build_shift_solver,
     drive,
+    multiplication_problem,
     random_problem,
     run_cgne,
     run_compare,
@@ -350,3 +351,68 @@ def test_discrepancy_stop_is_checked_in_the_full_space(monkeypatch):
     p = wrapped(random_problem(80, 50, "algebraic", 1, seed=0, delta=1e-3))
     with pytest.raises(NumericalError, match="exceeds tau"):
         run_sine(p, 1e-3, StoppingRule(1.01, 1e-3))
+
+
+def reused_buffer_results(reuse):
+    """The results of every entry point on the 256-point multiplication
+    problem behind a ``MatrixFreeOperator`` whose one callable, forward and
+    adjoint alike, returns ``x * d`` or, with ``reuse``, writes it into one
+    preallocated buffer and returns that."""
+    p = multiplication_problem(256, 1, 1e-3)
+    d, buf, space = p.operator.diagonal, np.empty(256), p.domain_space
+
+    def times_d(x):
+        return np.multiply(x, d, out=buf) if reuse else x * d
+
+    free = Problem(MatrixFreeOperator(space, space, times_d, times_d),
+                   p.y_delta, p.delta, truth=p.truth)
+    rule = StoppingRule(1.01, 1e-3)
+    history = run_sine(free, 1e-2, rule, keep_history=True).state
+    state, solver = sine_init(free, 1e-2), build_shift_solver(free.operator, 1e-2)
+    for _ in range(3):
+        sine_step(state, solver)
+    cgne = run_cgne(free, rule)
+    return dict(residual_vectors=history.residual_vectors,
+                mapped_history=history.mapped_history,
+                diagnostics=run_diagnostics(free, 1e-2, rule).to_dict(),
+                loop_iterate=state.iterate,
+                cgne_stop=(cgne.terminated_by, cgne.stopping_index),
+                cgne_iterate=cgne.iterate)
+
+
+def test_a_reused_output_buffer_changes_no_result():
+    """Each callable output is copied as it enters, so a callable may
+    return one buffer that it overwrites. When the buffer itself was
+    returned, a 3-step loop landed 28 % away, CGNE ran to its cap of 256
+    instead of stopping at 18, and the history held one array four
+    times."""
+    fresh, reused = reused_buffer_results(False), reused_buffer_results(True)
+    assert fresh["cgne_stop"] == ("discrepancy", 18)
+    for name in ("residual_vectors", "mapped_history"):
+        assert len(reused[name]) == len(fresh[name])
+        for got, want in zip(reused[name], fresh[name]):
+            assert np.array_equal(got, want), name
+    assert reused["diagnostics"] == fresh["diagnostics"]
+    assert np.array_equal(reused["loop_iterate"], fresh["loop_iterate"])
+    assert reused["cgne_stop"] == fresh["cgne_stop"]
+    assert np.array_equal(reused["cgne_iterate"], fresh["cgne_iterate"])
+
+
+def test_a_callable_that_writes_into_its_input_fails_loudly():
+    """A callable's input is the library's own vector. Scaled in place, it
+    breaks the adjoint check of a projected run; CGNE's first apply is to
+    the problem's read-only data, which raises there."""
+    p = multiplication_problem(256, 1, 1e-3)
+    d, space = p.operator.diagonal, p.domain_space
+
+    def in_place(x):
+        x *= d
+        return x
+
+    free = Problem(MatrixFreeOperator(space, space, in_place, in_place),
+                   p.y_delta, p.delta)
+    rule = StoppingRule(1.01, 1e-3)
+    with pytest.raises(NumericalError, match="inconsistent with the forward map"):
+        run_sine(free, 1e-2, rule)
+    with pytest.raises(ValueError, match="read-only"):
+        run_cgne(free, rule)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -193,6 +195,27 @@ class TestRun:
         errors = np.array(report.error_history)
         assert errors[-1] <= 1e-6 * errors[0]
         assert np.all(np.diff(errors) <= 1e-12 * errors[0])
+
+
+    def test_history_holds_the_runs_own_vectors(self):
+        """A history run keeps the w, q and r each step made, without
+        copies: 13 vectors of 2^18 at the peak with the problem built
+        beforehand (17 when the state, the history and the report each
+        copied them)."""
+        n = 2**18
+        p = multiplication_problem(n, 1, 1e-3)
+        tracemalloc.start()
+        try:
+            report = run_sine(p, 1e-3, StoppingRule(1.001, 1e-3), keep_history=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        state = report.state
+        assert report.iterate is state.iterate
+        assert state.residual_vectors[0] is p.y_delta
+        assert state.residual_vectors[-1] is state.residual
+        assert state.mapped_history[-1] is state.mapped_direction
+        assert peak <= 14 * 8 * n
 
 
 class TestInvariants:
