@@ -124,10 +124,6 @@ class RitzSpectrum:
         if np.any(np.diff(self.values) < 0):
             raise ValueError("Ritz values must be sorted ascending")
 
-    @property
-    def m(self):
-        return self.values.size
-
 
 def ritz_values(s_matrix):
     """Eigenvalues of a symmetric positive definite matrix, ascending.
@@ -169,12 +165,9 @@ def check_interlacing(prev, nxt):
         )
 
     def lt(a, b):
-        return a < b + INTERLACING_SLACK * max(abs(a), abs(b))
+        return a < b + INTERLACING_SLACK * np.maximum(np.abs(a), np.abs(b))
 
-    for i in range(u.size):
-        if not (lt(l[i], u[i]) and lt(u[i], l[i + 1])):
-            return False
-    return True
+    return bool(np.all(lt(l[:-1], u) & lt(u, l[1:])))
 
 
 @dataclass
@@ -209,14 +202,15 @@ class ResidualFunction:
 
 
 def residual_function_eval(rf, lam):
-    """Evaluate the residual filter at lam (scalar or array, lam >= 0)."""
+    """Evaluate the residual filter at lam (scalar or array, lam >= 0) as
+    one running product over the zeros, which forms no n x m block."""
     lam = _as_real(lam, "lam")
-    scalar = lam.ndim == 0
     lam2 = np.atleast_1d(lam)
-    num = np.prod(1.0 - lam2[:, None] / rf.zeros[None, :], axis=1)
-    den = (1.0 + lam2 / rf.gamma) ** (rf.m - 1)
-    out = num / den
-    return float(out[0]) if scalar else out
+    out = 1.0 - lam2 / rf.zeros[0]
+    for z in rf.zeros[1:]:
+        out *= 1.0 - lam2 / z
+    out /= (1.0 + lam2 / rf.gamma) ** (rf.m - 1)
+    return float(out[0]) if lam.ndim == 0 else out
 
 
 def rprime_at_zero(rf):

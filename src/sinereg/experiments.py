@@ -85,7 +85,10 @@ def run_compare(problem, gamma, rule):
     continued run to the table's last row.
     """
     rep_c = run_cgne(problem, rule)
-    table_len = len(rep_c.residual_history)  # entries m = 0 .. m_table
+    res_c, m_cgne, terminated_c = (
+        rep_c.residual_history, rep_c.stopping_index, rep_c.terminated_by)
+    del rep_c  # frees the vectors of its state before the second run
+    table_len = len(res_c)  # entries m = 0 .. m_table
     state, terminated_s, m_sine, iterate_sine, _ = _sine(
         problem, gamma, rule, table_len - 1, fill=True)
     if terminated_s == "iteration_cap":
@@ -96,7 +99,6 @@ def run_compare(problem, gamma, rule):
     res_s += [res_s[-1]] * (table_len - len(res_s))
 
     r0 = res_s[0]
-    res_c = list(rep_c.residual_history)
     dominance = [
         res_s[m] <= res_c[m] + DOMINANCE_TOL * r0 for m in range(table_len)
     ]
@@ -104,9 +106,9 @@ def run_compare(problem, gamma, rule):
         residuals_sine=res_s,
         residuals_cgne=res_c,
         stopping_index_sine=m_sine,
-        stopping_index_cgne=rep_c.stopping_index,
+        stopping_index_cgne=m_cgne,
         terminated_by_sine=terminated_s,
-        terminated_by_cgne=rep_c.terminated_by,
+        terminated_by_cgne=terminated_c,
         dominance=dominance,
         iterate_sine=iterate_sine,
     )
@@ -273,7 +275,8 @@ def run_diagnostics(problem, gamma, rule):
             basis, truncated = _orthonormal_prefix(history, problem.domain_space)
     if basis is not None:
         s_full = projected_gram(basis, problem.operator)
-        for m in range(1, basis.shape[1] + 1):
+        del basis  # n x m, unused past here
+        for m in range(1, s_full.shape[0] + 1):
             try:
                 spectra.append(ritz_values(s_full[:m, :m]))
             except ValueError as exc:

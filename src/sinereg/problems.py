@@ -26,9 +26,9 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Problem:
-    """An inverse problem instance: operator, noisy data, noise level.
+    """A frozen inverse problem instance: operator, noisy data, noise level.
 
     ``truth`` is the exact solution when known. It and ``y_delta`` are the
     problem's own read-only copies, which every run shares.
@@ -40,13 +40,14 @@ class Problem:
     truth: np.ndarray | None = None
 
     def __post_init__(self):
-        self.delta = _real(self.delta, "noise level", strict=False)
+        set_field = object.__setattr__  # the only writes to a frozen field
+        set_field(self, "delta", _real(self.delta, "noise level", strict=False))
         y = self.operator.codomain.check_vector(self.y_delta, "data")
-        self.y_delta = _as_finite(y, "data vector", copy=True)
+        set_field(self, "y_delta", _as_finite(y, "data vector", copy=True))
         self.y_delta.setflags(write=False)
         if self.truth is not None:
             x = self.operator.domain.check_vector(self.truth, "truth")
-            self.truth = _as_finite(x, "truth vector", copy=True)
+            set_field(self, "truth", _as_finite(x, "truth vector", copy=True))
             self.truth.setflags(write=False)
 
     @property

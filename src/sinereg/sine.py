@@ -156,13 +156,15 @@ def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
     when the operator's shift solve is the inherited inner CG. With
     ``fill``, a discrepancy stop continues at threshold 0 to ``cap``.
     Returns the final state, the first stop's reason, index and iterate,
-    and the reason the run ended."""
+    and the reason the run ended; a filled state keeps no error norms."""
     op = problem.operator
     if type(op).shift_solve is LinearOperator.shift_solve:
         return _run_projected(problem, _real(gamma, "gamma"), rule, cap, x0,
                               keep_history, fill)
     solver = build_shift_solver(op, gamma)
     state = sine_init(problem, solver.gamma, x0=x0, keep_history=keep_history)
+    if fill:  # a filled run reports no errors, as a projected one
+        state.error_norms = None
 
     def step(st):
         sine_step(st, solver)

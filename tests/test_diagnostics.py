@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from sinereg import (
     DenseOperator,
@@ -28,9 +29,27 @@ from sinereg import (
     sine_init,
     sine_step,
 )
+from sinereg.diagnostics import INTERLACING_SLACK
 
 
 from oracles import forward_difference_at_zero
+
+
+@st.composite
+def spectrum_pairs(draw):
+    """Sorted positive spectra u (size k) and l (size k + 1); some entries
+    of u are moved to within a hair of an entry of l, on both sides of
+    the interlacing slack."""
+    k = draw(st.integers(1, 6))
+    positive = st.floats(1e-6, 1e6)
+    l = sorted(draw(st.lists(positive, min_size=k + 1, max_size=k + 1)))
+    u = sorted(draw(st.lists(positive, min_size=k, max_size=k)))
+    hair = st.sampled_from([0.0, 1e-11, -1e-11, 0.99e-10, -0.99e-10,
+                            1.01e-10, -1.01e-10, 1e-9, -1e-9])
+    for i in range(k):
+        if draw(st.booleans()):
+            u[i] = l[i + draw(st.integers(0, 1))] * (1.0 + draw(hair))
+    return sorted(u), l
 
 
 def run_with_history(problem, gamma, steps):
@@ -208,6 +227,17 @@ class TestInterlacing:
         with pytest.raises(DimensionError):
             check_interlacing(RitzSpectrum([1.0]), RitzSpectrum([1.0, 2.0, 3.0]))
 
+    @settings(max_examples=500, deadline=None)
+    @given(spectrum_pairs())
+    def test_verdicts_match_the_pairwise_loop(self, pair):
+        u, l = pair
+
+        def lt(a, b):
+            return a < b + INTERLACING_SLACK * max(abs(a), abs(b))
+
+        loop = all(lt(l[i], u[i]) and lt(u[i], l[i + 1]) for i in range(len(u)))
+        assert check_interlacing(RitzSpectrum(u), RitzSpectrum(l)) is loop
+
     @pytest.mark.parametrize("seed", range(5))
     def test_consecutive_spectra_from_run(self, seed):
         p = random_problem(50, 40, rate=0.95, seed=seed, delta=1e-4)
@@ -222,6 +252,33 @@ class TestInterlacing:
 
 
 class TestResidualFunction:
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 33, 56])
+    def test_running_product_matches_the_block_product(self, m):
+        """The running product multiplies the factors in the order of the
+        zeros, as ``np.prod`` does along a row of the n x m block it
+        replaces, so the values are the same bits."""
+        rng = np.random.default_rng(m)
+        rf = ResidualFunction(gamma=1e-3, zeros=np.sort(rng.uniform(1e-4, 1.0, m)))
+        lam = rng.uniform(0.0, 1.0, 4097) ** 2
+        block = np.prod(1.0 - lam[:, None] / rf.zeros[None, :], axis=1)
+        reference = block / (1.0 + lam / rf.gamma) ** (m - 1)
+        assert np.array_equal(residual_function_eval(rf, lam), reference)
+        assert residual_function_eval(rf, lam[7]) == reference[7]
+
+    def test_evaluation_forms_no_block(self):
+        """One evaluation at n = 2^20 points with m = 8 zeros peaks below
+        4n doubles; the n x m block product took two n x m arrays."""
+        n = 2**20
+        lam = np.linspace(0.0, 1.0, n)
+        rf = ResidualFunction(gamma=1e-3, zeros=np.linspace(0.1, 0.8, 8))
+        tracemalloc.start()
+        try:
+            residual_function_eval(rf, lam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * n
+
     def test_value_one_at_zero(self):
         rf = ResidualFunction(gamma=0.5, zeros=np.array([0.3, 1.7, 2.2]))
         assert residual_function_eval(rf, 0.0) == 1.0

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,6 +276,19 @@ class TestProblemValidation:
         for name in ("y_delta", "truth"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(p, name)[0] = 0.0
+
+    def test_fields_cannot_be_reassigned(self):
+        """A reassigned field would skip the checks and the copy, so the
+        problem is frozen; ``dataclasses.replace`` checks and copies."""
+        p = multiplication_problem(64, 1, 1e-3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.truth = [0.0] * 64
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.y_delta = np.full(65, np.nan)
+        q = dataclasses.replace(p, truth=[0.0] * 64)
+        assert isinstance(q.truth, np.ndarray) and not q.truth.flags.writeable
+        with pytest.raises(DimensionError, match="data has shape"):
+            dataclasses.replace(p, y_delta=np.full(65, np.nan))
 
     def test_caller_arrays_stay_writable_and_unshared(self):
         """The problem freezes its own copies, not the caller's arrays, so
