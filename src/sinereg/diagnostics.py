@@ -41,39 +41,37 @@ INTERLACING_SLACK = 1e-10
 
 
 def _orthonormal_prefix(w_history, space):
-    """Orthonormalize directions by modified Gram-Schmidt with one full
-    reorthogonalization pass, up to the first one that is numerically
-    dependent on those before it.
+    """Orthonormalize directions by classical Gram-Schmidt, twice, up to
+    the first one that is numerically dependent on those before it.
 
     Returns the n x k array of the k orthonormal columns of the independent
     prefix (None when it is empty) and None, or a message naming the
-    dependent direction.
+    dependent direction. The columns are the rows of one array, each
+    projected out of the rows before it in two passes.
     """
-    vs = []
+    rows = np.empty((len(w_history), space.dim))
+    dependent = None
     for k, w in enumerate(w_history):
-        v = space.check_vector(w, f"direction {k}").copy()
+        v = rows[k]
+        v[:] = space.check_vector(w, f"direction {k}")
         before = space.norm(v)
-        for _ in range(2):
-            for u in vs:
-                v -= space.inner(u, v) * u
+        for _ in range(2):  # the vector first: weights fall on it alone
+            v -= rows[:k].T @ space.gram(v, rows[:k].T)
         after = space.norm(v)
         if after <= _RANK_LOSS_RATIO * before or after == 0.0:
             dependent = (
                 f"direction {k} is numerically dependent on the previous ones "
                 f"(norm dropped from {before:.3e} to {after:.3e})"
             )
+            rows = rows[:k]
             break
         v /= after
-        vs.append(v)
-    else:
-        dependent = None
-    return (np.column_stack(vs) if vs else None), dependent
+    return (rows.T if len(rows) else None), dependent
 
 
 def build_basis(w_history, space):
-    """Orthonormalize direction vectors by modified Gram-Schmidt with one
-    full reorthogonalization pass; returns the n x m array whose columns
-    are orthonormal in ``space``.
+    """Orthonormalize direction vectors by classical Gram-Schmidt, twice;
+    returns the n x m array whose columns are orthonormal in ``space``.
 
     Nothing is dropped: pre-breakdown directions are linearly independent,
     so a vector annihilated to numerical noise signals a tolerance

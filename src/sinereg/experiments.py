@@ -20,7 +20,7 @@ from .diagnostics import (
 )
 from .exceptions import NumericalError
 from .operators import DiagonalOperator
-from .problems import multiplication_problem
+from .problems import Problem, multiplication_problem
 # build_shift_solver and sine_step are unused here, but bench/layertrace.py
 # wraps them by their names in this module
 from .sine import _sine, build_shift_solver, run_sine, sine_step  # noqa: F401
@@ -82,8 +82,11 @@ def run_compare(problem, gamma, rule):
     minimizers over same-index subspaces. On an operator with the
     inherited inner-CG shift solve that iteration runs on a Golub-Kahan
     projection, as in :func:`run_sine`, grown until it also carries the
-    continued run to the table's last row.
+    continued run to the table's last row. Both run on the problem without
+    its truth, since the table holds residuals only, and so compute no
+    error norms.
     """
+    problem = Problem(problem.operator, problem.y_delta, problem.delta)
     rep_c = run_cgne(problem, rule)
     res_c, m_cgne, terminated_c = (
         rep_c.residual_history, rep_c.stopping_index, rep_c.terminated_by)

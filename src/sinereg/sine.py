@@ -156,15 +156,13 @@ def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
     when the operator's shift solve is the inherited inner CG. With
     ``fill``, a discrepancy stop continues at threshold 0 to ``cap``.
     Returns the final state, the first stop's reason, index and iterate,
-    and the reason the run ended; a filled state keeps no error norms."""
+    and the reason the run ended."""
     op = problem.operator
     if type(op).shift_solve is LinearOperator.shift_solve:
         return _run_projected(problem, _real(gamma, "gamma"), rule, cap, x0,
                               keep_history, fill)
     solver = build_shift_solver(op, gamma)
     state = sine_init(problem, solver.gamma, x0=x0, keep_history=keep_history)
-    if fill:  # a filled run reports no errors, as a projected one
-        state.error_norms = None
 
     def step(st):
         sine_step(st, solver)
@@ -252,11 +250,10 @@ def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
     by ``GK_CHUNK`` steps until a checkpoint is :func:`_settled`, or at
     once when the process has ended and the projection is exact. A second
     pass regenerates V_k to map the first stop's iterate back and, when
-    the problem has a truth and the run is not filled, every iterate
-    before it for the error history. With ``keep_history`` it also maps
-    back every direction w_j = V_k zeta_j of the small run; then one
-    forward apply each forms q_j = T w_j, and r_{j+1} = r_j - alpha_j q_j
-    from r_0 = y - T x_0.
+    the problem has a truth, every iterate before it for the error
+    history. With ``keep_history`` it also maps back every direction
+    w_j = V_k zeta_j of the small run; then one forward apply each forms
+    q_j = T w_j, and r_{j+1} = r_j - alpha_j q_j from r_0 = y - T x_0.
 
     Returns a state of ``problem`` that holds the projected residual norms
     and coefficients, the error norms, the vector histories and, as its
@@ -272,7 +269,7 @@ def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
     if x0 is not None:
         x0 = op.domain.check_vector(x0, "starting iterate")
         b = b - op.apply(x0)
-    errors_wanted = problem.truth is not None and not fill
+    errors_wanted = problem.truth is not None
     # two checkpoints at least, as a settled run compares two
     limit = max(GK_STEPS_PER_DIM * op.domain_dim, 2 * GK_CHUNK)
     process, alphas, betas = _golub_kahan(op, b), [], []
@@ -302,7 +299,7 @@ def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
     process.close()  # frees its vectors before the second pass
     if errors_wanted:  # every iterate, by the recurrence's own updates
         zs = np.zeros((m + 1, cols))
-        for j, (alpha, w) in enumerate(zip(state.alphas, state.direction_history)):
+        for j, (alpha, w) in enumerate(zip(state.alphas[:m], state.direction_history)):
             zs[j + 1] = zs[j] + alpha * w
     else:
         zs = z[None, :]

@@ -92,3 +92,25 @@ def eager_run(problem, rule, gamma=None):
             return state, "iteration_cap"
         step(state)
     return state, "discrepancy"
+
+
+def mgs2_prefix(w_history, space):
+    """Modified Gram-Schmidt with one full reorthogonalization pass, one
+    earlier vector at a time, up to the first direction whose norm drops
+    below 1e-12 times its input norm. Returns the n x k array of the
+    orthonormal prefix (None when it is empty) and None, or the message
+    naming the dependent direction."""
+    vs = []
+    for k, w in enumerate(w_history):
+        v = np.array(w, dtype=float)
+        before = space.norm(v)
+        for _ in range(2):
+            for u in vs:
+                v -= space.inner(u, v) * u
+        after = space.norm(v)
+        if after <= 1e-12 * before or after == 0.0:
+            return (np.column_stack(vs) if vs else None), (
+                f"direction {k} is numerically dependent on the previous ones "
+                f"(norm dropped from {before:.3e} to {after:.3e})")
+        vs.append(v / after)
+    return (np.column_stack(vs) if vs else None), None

@@ -4,6 +4,7 @@ import pytest
 from sinereg import (
     DiagonalOperator,
     DimensionError,
+    NumericalError,
     Problem,
     StoppingRule,
     cgne_init,
@@ -34,6 +35,19 @@ def test_step_rejects_a_sine_state():
     with pytest.raises(DimensionError, match="cgne_step expects a state from cgne_init"):
         cgne_step(state)
     assert state.iteration == 0
+
+
+def test_step_after_exact_breakdown_raises():
+    state = cgne_init(Problem(DiagonalOperator(np.ones(2)), np.zeros(2), 0.0))
+    with pytest.raises(NumericalError, match="after exact breakdown at iteration 0"):
+        cgne_step(state)
+    assert state.iteration == 0
+
+
+@pytest.mark.parametrize("rule", [None, 1.001, (1.001, 1e-3)])
+def test_rule_must_be_a_stopping_rule(rule):
+    with pytest.raises(DimensionError, match="run_cgne expects a StoppingRule"):
+        run_cgne(multiplication_problem(64, 1, 1e-3), rule)
 
 
 def test_benchmark_stopping_index():

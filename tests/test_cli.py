@@ -350,6 +350,23 @@ class TestConfigTypes:
                      "--out", str(tmp_path / "out")]) == 1
         assert f"config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "ratecheck"])
+    @pytest.mark.parametrize("config", ["[1, 2]", '"solve"', "3", "null"])
+    def test_config_not_an_object_exit_one(self, tmp_path, capsys, command,
+                                           config):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(config)
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "diagnose"])
+    def test_unknown_problem_kind_exit_one(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, {"problem": {"kind": "fourier", "n": 64}})
+        assert main([command, "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "unknown problem kind 'fourier'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed_args", [[], ["--seed", "3"]])
     @pytest.mark.parametrize("problem", [None, [1], "random"])
     def test_problem_not_an_object_exit_one(self, tmp_path, capsys, seed_args,
@@ -434,6 +451,21 @@ class TestLibraryDefaults:
                         else 2)
         payload = json.loads((out / "report.json").read_text())
         assert payload["report"]["iterate"] == expected.to_dict()["iterate"]
+
+    @pytest.mark.parametrize("noise", ["constant", "random-direction"])
+    def test_random_problem_takes_the_noise_key(self, tmp_path, noise):
+        """The config's ``noise`` is ``random_problem``'s ``noise_mode``."""
+        cfg = write_config(tmp_path, {"problem": {
+            "kind": "random", "rows": 12, "cols": 8, "delta": 1e-2,
+            "noise": noise}})
+        out = tmp_path / "out"
+        main(["solve", "--config", str(cfg), "--out", str(out)])
+        problem = random_problem(12, 8, delta=1e-2, noise_mode=noise)
+        expected = run_sine(problem, 1e-3, StoppingRule(1.001, 1e-2))
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["report"]["iterate"] == expected.to_dict()["iterate"]
+        assert payload["report"]["residual_history"] == (
+            expected.to_dict()["residual_history"])
 
     @pytest.mark.parametrize("section, key", [
         ("problem", "kind"), ("top", "solver"), ("problem", "noise")])

@@ -29,10 +29,10 @@ from sinereg import (
     sine_init,
     sine_step,
 )
-from sinereg.diagnostics import INTERLACING_SLACK
+from sinereg.diagnostics import INTERLACING_SLACK, _orthonormal_prefix
 
 
-from oracles import forward_difference_at_zero
+from oracles import forward_difference_at_zero, mgs2_prefix
 
 
 @st.composite
@@ -102,9 +102,9 @@ class TestBuildBasis:
             build_basis([], InnerProductSpace(2))
 
     def test_each_direction_copied_once(self):
-        """Each direction is copied once and normalized in place, so the
-        peak is the columns plus their stacked result, 16 + 16 MB (it was
-        40 MB)."""
+        """Each direction is copied once, into the basis, so the peak is
+        the basis plus one projection temporary, 16 + 8 MB (it was 40 MB
+        with two copies, then 32 MB with a stacked copy)."""
         n = 10**6
         rng = np.random.default_rng(7)
         ws = [rng.standard_normal(n) for _ in range(2)]
@@ -116,6 +116,61 @@ class TestBuildBasis:
         finally:
             tracemalloc.stop()
         assert peak < 33e6
+
+    @staticmethod
+    def weighted_history(n=4000, m=60, seed=9):
+        """A weighted space with weights in [0.5, 2] and m directions of
+        condition number about 1e8."""
+        rng = np.random.default_rng(seed)
+        space = InnerProductSpace(n, rng.uniform(0.5, 2.0, n))
+        mix, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        graded = rng.standard_normal((n, m)) * np.logspace(0, -8, m)
+        return space, list((graded @ mix).T)
+
+    def test_weighted_orthonormality_at_rounding_level(self):
+        space, ws = self.weighted_history()
+        basis = build_basis(ws, space)
+        assert basis.shape == (4000, 60)
+        assert np.max(np.abs(space.gram(basis, basis) - np.eye(60))) <= 1e-14
+
+    def test_peak_is_the_basis_and_two_vectors(self):
+        """The basis is one preallocated array, and the weights fall on one
+        vector, never on a block of earlier ones: no list of columns and no
+        stacked copy (the peak was about twice the basis)."""
+        space, ws = self.weighted_history()
+        build_basis(ws, space)  # warm-up outside the traced call
+        tracemalloc.start()
+        try:
+            basis = build_basis(ws, space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= basis.nbytes + 2 * 8 * space.dim
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_dependent_direction_named_as_by_modified_gram_schmidt(self, weighted):
+        """A direction in the span of the first five ends the prefix at
+        five columns, as the one-vector-at-a-time loop of the oracle ends
+        it; the norm the message quotes is rounding noise, so only the
+        direction it names is compared."""
+        rng = np.random.default_rng(4)
+        n = 200
+        space = InnerProductSpace(n, rng.uniform(0.5, 2.0, n) if weighted else None)
+        ws = list(rng.standard_normal((5, n)))
+        ws += [rng.standard_normal(5) @ np.array(ws), rng.standard_normal(n)]
+        basis, dependent = _orthonormal_prefix(ws, space)
+        want_basis, want = mgs2_prefix(ws, space)
+        assert basis.shape == want_basis.shape == (n, 5)
+        assert np.max(np.abs(basis - want_basis)) <= 1e-12
+        name = "direction 5 is numerically dependent on the previous ones"
+        assert dependent.startswith(name) and want.startswith(name)
+        with pytest.raises(NumericalError, match=name):
+            build_basis(ws, space)
+
+    def test_dependent_first_direction_leaves_no_prefix(self):
+        space = InnerProductSpace(3)
+        basis, dependent = _orthonormal_prefix([np.zeros(3), np.ones(3)], space)
+        assert basis is None and dependent.startswith("direction 0 ")
 
 
 class TestProjectedGram:
@@ -145,6 +200,11 @@ class TestProjectedGram:
                          for j in range(5)] for i in range(5)])
         dev = np.abs(projected_gram(basis, op) - (ref + ref.T) / 2)
         assert np.max(dev) <= 1e-13 * op.norm_estimate() ** 2
+
+    def test_basis_of_the_wrong_dimension_rejected(self):
+        op = DenseOperator(np.ones((4, 3)))
+        with pytest.raises(DimensionError, match="dimension 4"):
+            projected_gram(np.eye(4)[:, :2], op)
 
     def test_eigenvalues_within_operator_norm(self):
         p = random_problem(30, 20, rate=0.8, seed=2, delta=1e-3)
@@ -177,6 +237,10 @@ class TestRitzValues:
             vals = ritz_values(s).values
             ref = scipy.linalg.eigh(s, eigvals_only=True)
             assert np.max(np.abs(vals - ref)) <= 1e-12 * ref[-1]
+
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionError, match="square"):
+            ritz_values(np.ones((2, 3)))
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):

@@ -255,9 +255,19 @@ class TestConstructionValidation:
         with pytest.raises(DimensionError):
             DiagonalOperator(np.ones((2, 2)))
 
+    @pytest.mark.parametrize("matrix", [np.ones(3), np.ones((2, 2, 2)), 1.0],
+                             ids=["1-d", "3-d", "scalar"])
+    def test_dense_rejects_what_is_not_a_matrix(self, matrix):
+        with pytest.raises(DimensionError, match="matrix must be 2-d"):
+            DenseOperator(matrix)
+
     def test_space_shape_mismatch(self):
         with pytest.raises(DimensionError):
             DenseOperator(np.ones((3, 2)), domain=InnerProductSpace(3))
+
+    def test_diagonal_space_size_mismatch(self):
+        with pytest.raises(DimensionError, match="length 3 does not match space dim 4"):
+            DiagonalOperator(np.ones(3), space=InnerProductSpace(4))
 
     def test_complex_matrix_or_diagonal_rejected(self):
         a = np.eye(2) + 1j * np.eye(2)

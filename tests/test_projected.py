@@ -228,6 +228,18 @@ def test_nonzero_start_equals_shifted_data():
     assert via.error_history is None
 
 
+def test_filled_run_keeps_the_errors_to_its_first_stop():
+    """A projected run continued past its discrepancy stop on a problem
+    with a truth maps back the iterates up to that stop only, so its error
+    history is the one of the run that stops there (it indexed past its
+    coefficients before)."""
+    p = wrapped(random_problem(40, 30, "algebraic", 1.0, seed=1, delta=1e-3))
+    rule = StoppingRule(1.001, 1e-3)
+    got, terminated, m, _, end = sinereg.sine._sine(p, 1.0, rule, 20, fill=True)
+    assert (terminated, m, end, got.iteration) == ("discrepancy", 14, "iteration_cap", 20)
+    assert got.error_norms == run_sine(p, 1.0, rule).state.error_norms
+
+
 def test_stop_at_zero_has_one_error():
     p = wrapped(random_problem(30, 15, "algebraic", 1, seed=0, delta=10.0))
     report = run_sine(p, 1e-3, StoppingRule(1.01, 10.0))
@@ -277,6 +289,55 @@ def test_rank_deficient_breakdown_settles():
     want, got = run_sine(p, 1.0, rule), run_sine(wrapped(p), 1.0, rule)
     assert got.terminated_by == want.terminated_by == "breakdown"
     assert abs(got.stopping_index - want.stopping_index) <= 1
+
+
+def settled(stops, stops_before, gap=0.0, k=30):
+    """``_settled`` at k steps after a checkpoint at k - 10, with iterates
+    whose relative gap is ``gap``; the earlier one is the shorter."""
+    z = np.zeros(k)
+    z[:5] = [1.0, -2.0, 0.5, 3.0, -1.0]
+    z_before = z[:k - 10] * (1.0 + gap)
+    return sinereg.sine._settled(stops, z, stops_before, z_before, k)
+
+
+FIRST = ("discrepancy", 5)
+
+
+@pytest.mark.parametrize("stops, stops_before, want", [
+    # a filled run that ends below k has ended for good, wherever the
+    # checkpoint before it ended
+    ((FIRST, ("iteration_cap", 29)), (FIRST, ("iteration_cap", 20)), True),
+    ((FIRST, ("iteration_cap", 29)), (FIRST, ("iteration_cap", 29)), True),
+    ((FIRST, FIRST), (FIRST, FIRST), True),
+    # a run that used all k columns may go on with more
+    ((FIRST, ("iteration_cap", 30)), (FIRST, ("iteration_cap", 20)), False),
+    ((("iteration_cap", 30),) * 2, (("iteration_cap", 20),) * 2, False),
+    # a breakdown of the space repeats; one of a short projection moves
+    ((FIRST, ("breakdown", 14)), (FIRST, ("breakdown", 14)), True),
+    ((("breakdown", 14),) * 2, (("breakdown", 14),) * 2, True),
+    ((FIRST, ("breakdown", 14)), (FIRST, ("breakdown", 12)), False),
+    ((FIRST, ("breakdown", 14)), (FIRST, ("iteration_cap", 20)), False),
+    # differing first stops never settle
+    ((("discrepancy", 6), ("iteration_cap", 29)),
+     (FIRST, ("iteration_cap", 29)), False),
+    ((("discrepancy", 5), ("discrepancy", 5)),
+     (("breakdown", 5), ("breakdown", 5)), False),
+], ids=["filled-end-below-k", "same-end-below-k", "discrepancy-end",
+        "filled-end-at-k", "cap-at-k", "end-breakdown-repeats",
+        "first-breakdown-repeats", "breakdown-moves", "breakdown-after-cap",
+        "first-index-differs", "first-reason-differs"])
+def test_settled_needs_equal_first_stops_that_are_final(stops, stops_before, want):
+    assert bool(settled(stops, stops_before)) is want
+
+
+@pytest.mark.parametrize("gap, want", [
+    (0.0, True),
+    (0.1 * sinereg.sine.GK_SETTLE_RTOL, True),
+    (10 * sinereg.sine.GK_SETTLE_RTOL, False),
+])
+def test_settled_needs_iterates_within_the_tolerance(gap, want):
+    stops = (FIRST, ("iteration_cap", 29))
+    assert bool(settled(stops, (FIRST, ("iteration_cap", 20)), gap)) is want
 
 
 @settings(max_examples=100, deadline=None)

@@ -113,6 +113,13 @@ class TestStep:
         with pytest.raises(NumericalError):
             sine_step(state, solver)
 
+    def test_step_rejects_what_is_not_a_shift_solver(self):
+        p = identity_problem(2, np.array([1.0, 0.0]))
+        state = sine_init(p, gamma=1.0)
+        with pytest.raises(DimensionError, match="expects a ShiftSolver"):
+            sine_step(state, lambda v: v)
+        assert state.iteration == 0
+
     def test_solver_shift_mismatch_raises(self):
         p = identity_problem(2, np.array([1.0, 0.0]))
         solver = build_shift_solver(p.operator, gamma=2.0)
@@ -175,6 +182,11 @@ class TestRun:
         report = run_sine(p, gamma=1e-3, rule=rule)
         assert report.terminated_by == "iteration_cap"
         assert report.stopping_index == 1
+
+    @pytest.mark.parametrize("rule", [None, 1.001, (1.001, 1e-3)])
+    def test_rule_must_be_a_stopping_rule(self, rule):
+        with pytest.raises(DimensionError, match="run_sine expects a StoppingRule"):
+            run_sine(multiplication_problem(64, 1, 1e-3), 1e-3, rule)
 
     def test_error_history_present_with_truth(self):
         p = multiplication_problem(128, 1, 1e-3)
