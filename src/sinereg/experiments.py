@@ -23,7 +23,8 @@ from .operators import DiagonalOperator
 from .problems import Problem, multiplication_problem
 # build_shift_solver and sine_step are unused here, but bench/layertrace.py
 # wraps them by their names in this module
-from .sine import _sine, build_shift_solver, run_sine, sine_step  # noqa: F401
+from .sine import (_shift_and_rule, _sine, build_shift_solver,  # noqa: F401
+                   run_sine, sine_step)
 from .spaces import _count, _real
 from .stopping import StoppingRule, _Record
 
@@ -34,10 +35,8 @@ __all__ = [
     "RateRecord",
     "RateCheckResult",
     "run_ratecheck",
-    "fit_rate",
     "DiagnosticsReport",
     "run_diagnostics",
-    "DOMINANCE_TOL",
 ]
 
 # Slack for the per-iteration residual comparison: in exact arithmetic the
@@ -86,6 +85,7 @@ def run_compare(problem, gamma, rule):
     its truth, since the table holds residuals only, and so compute no
     error norms.
     """
+    gamma = _shift_and_rule("run_compare", gamma, rule)
     problem = Problem(problem.operator, problem.y_delta, problem.delta)
     rep_c = run_cgne(problem, rule)
     res_c, m_cgne, terminated_c = (
@@ -264,6 +264,7 @@ def run_diagnostics(problem, gamma, rule):
     are positive definite (``analyzed_steps``). The orthogonality audit
     covers the whole run.
     """
+    gamma = _shift_and_rule("run_diagnostics", gamma, rule)
     report = run_sine(problem, gamma, rule, keep_history=True)
     state = report.state
     steps = state.iteration

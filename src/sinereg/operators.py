@@ -375,14 +375,18 @@ class MatrixFreeOperator(LinearOperator):
 
 
 def _load_matrix(path):
-    """The finite 2-d array in a Matrix Market (.mtx, .mtx.gz) or
-    headerless CSV file; the one parser of every loader."""
+    """The finite, non-empty 2-d array in a Matrix Market (.mtx, .mtx.gz)
+    or headerless CSV file, else :class:`DataFormatError` naming it; the
+    one parser of every loader."""
     path = str(path)
     try:
         if path.endswith(".mtx") or path.endswith(".mtx.gz"):
             import scipy.io
 
-            a = scipy.io.mmread(path)
+            # the header's shape first: a zero-row array file ends the
+            # interpreter inside mmread, by an integer division by zero
+            shape = scipy.io.mminfo(path)[:2]
+            a = scipy.io.mmread(path) if min(shape) else np.empty(shape)
             if hasattr(a, "toarray"):
                 a = a.toarray()
         else:
@@ -391,6 +395,8 @@ def _load_matrix(path):
         raise
     except Exception as exc:
         raise DataFormatError(f"{path}: cannot parse file: {exc}") from exc
+    if a.size == 0:
+        raise DataFormatError(f"{path}: file has no entries")
     try:
         return _as_finite(a, "file")
     except ValueError as exc:
@@ -409,19 +415,12 @@ def load_vector(path):
 
 def load_dense_operator(path):
     """Load a dense operator from a Matrix Market (.mtx) or CSV file."""
-    a = _load_matrix(path)
-    try:
-        return DenseOperator(a)
-    except (DimensionError, ValueError) as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    return DenseOperator(_load_matrix(path))
 
 
 def load_diagonal_operator(path):
     """Load a diagonal operator from a one-column file (see :func:`load_vector`)."""
-    try:
-        return DiagonalOperator(load_vector(path))
-    except DimensionError as exc:
-        raise DataFormatError(f"{path}: {exc}") from exc
+    return DiagonalOperator(load_vector(path))
 
 
 def save_dense_operator(matrix, path):

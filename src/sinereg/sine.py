@@ -140,8 +140,7 @@ def run_sine(problem, gamma, rule, x0=None, keep_history=False):
     Returns a :class:`RunReport`; an iteration-cap termination is
     reported, not raised.
     """
-    if not isinstance(rule, StoppingRule):
-        raise DimensionError("run_sine expects a StoppingRule")
+    gamma = _shift_and_rule("run_sine", gamma, rule)
     start = time.perf_counter()
     cap = rule.resolve_cap(problem.operator.domain_dim)
     state, terminated, *_ = _sine(problem, gamma, rule, cap, x0, keep_history)
@@ -150,17 +149,25 @@ def run_sine(problem, gamma, rule, x0=None, keep_history=False):
     )
 
 
+def _shift_and_rule(name, gamma, rule):
+    """``gamma`` as a float, once it and ``rule`` are checked where the
+    entry point ``name`` takes them: before any operator is applied."""
+    if not isinstance(rule, StoppingRule):
+        raise DimensionError(f"{name} expects a StoppingRule")
+    return _real(gamma, f"{name}: gamma")
+
+
 def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
     """The SINE run of :func:`run_sine`, ``run_compare`` and each
-    checkpoint of a projected run, driven by ``rule`` to ``cap``; projected
-    when the operator's shift solve is the inherited inner CG. With
+    checkpoint of a projected run, at a ``gamma`` that
+    :func:`_shift_and_rule` has checked, driven by ``rule`` to ``cap``;
+    projected when the operator's shift solve is the inherited inner CG. With
     ``fill``, a discrepancy stop continues at threshold 0 to ``cap``.
     Returns the final state, the first stop's reason, index and iterate,
     and the reason the run ended."""
     op = problem.operator
     if type(op).shift_solve is LinearOperator.shift_solve:
-        return _run_projected(problem, _real(gamma, "gamma"), rule, cap, x0,
-                              keep_history, fill)
+        return _run_projected(problem, gamma, rule, cap, x0, keep_history, fill)
     solver = build_shift_solver(op, gamma)
     state = sine_init(problem, solver.gamma, x0=x0, keep_history=keep_history)
 

@@ -11,10 +11,7 @@ import numpy as np
 from .exceptions import NumericalError
 from .spaces import _count, _real
 
-__all__ = [
-    "KrylovState", "StoppingRule", "discrepancy_met", "EPS_BREAKDOWN",
-    "detect_breakdown", "drive", "RunReport", "DEFAULT_MAX_ITERS",
-]
+__all__ = ["KrylovState", "StoppingRule", "detect_breakdown", "drive", "RunReport"]
 
 DEFAULT_MAX_ITERS = 10000
 
@@ -142,13 +139,6 @@ class StoppingRule:
         return min(domain_dim, DEFAULT_MAX_ITERS)
 
 
-def discrepancy_met(residual_norm, rule):
-    """True iff residual_norm <= tau * delta."""
-    if residual_norm < 0:
-        raise ValueError(f"residual norm must be nonnegative, got {residual_norm}")
-    return residual_norm <= rule.threshold
-
-
 def detect_breakdown(state):
     """True iff the current mapped direction q has (numerically) vanished:
     ||q|| <= EPS_BREAKDOWN * ||T||^2 * ||w_0||, with ||T|| the operator's
@@ -166,8 +156,8 @@ def drive(state, step, rule, cap):
     """Call ``step(state)`` until the run stops; return the reason.
 
     Before every step the tests run in one order: the discrepancy
-    principle on the current residual (so a stopping index of 0 is
-    possible), then :func:`detect_breakdown`, then ``state.iteration >=
+    principle, residual norm <= ``rule.threshold`` (so a stopping index of
+    0 is possible), then :func:`detect_breakdown`, then ``state.iteration >=
     cap``. The result is "discrepancy", "breakdown" or "iteration_cap". A
     residual norm or squared mapped-direction norm that is not finite
     raises :class:`NumericalError` naming the iteration; a ``cap`` that is
@@ -182,7 +172,7 @@ def drive(state, step, rule, cap):
                 f"norm {residual_norm}, squared mapped-direction norm "
                 f"{state.mapped_norm_sq}"
             )
-        if discrepancy_met(residual_norm, rule):
+        if residual_norm <= rule.threshold:
             return "discrepancy"
         if detect_breakdown(state):
             return "breakdown"

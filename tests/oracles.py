@@ -9,15 +9,8 @@ eager driver reuses the step functions but none of the logic of
 
 import numpy as np
 
-from sinereg import (
-    EPS_BREAKDOWN,
-    build_shift_solver,
-    cgne_init,
-    cgne_step,
-    discrepancy_met,
-    sine_init,
-    sine_step,
-)
+from sinereg import build_shift_solver, cgne_init, cgne_step, sine_init, sine_step
+from sinereg.stopping import EPS_BREAKDOWN
 
 
 def weighted_lstsq_minimizer(op, y, basis_cols):
@@ -70,10 +63,11 @@ def forward_difference_at_zero(f, h=1e-7):
 
 def eager_run(problem, rule, gamma=None):
     """Run SINE (with ``gamma``) or CGNE (without) under the plain stopping
-    loop: discrepancy, then breakdown, then the cap. Breakdown is the
-    definition, ||q|| <= EPS_BREAKDOWN * ||T||^2 * ||w_0|| with the
-    estimated ||T||, tested in full before every step. Returns the
-    final state and the termination reason."""
+    loop: discrepancy (residual norm <= ``rule.threshold``), then
+    breakdown, then the cap. Breakdown is the definition,
+    ||q|| <= EPS_BREAKDOWN * ||T||^2 * ||w_0|| with the estimated ||T||,
+    tested in full before every step. Returns the final state and the
+    termination reason."""
     if gamma is None:
         state, step = cgne_init(problem), cgne_step
     else:
@@ -84,7 +78,7 @@ def eager_run(problem, rule, gamma=None):
             sine_step(st, solver)
     cap = rule.resolve_cap(problem.operator.domain_dim)
     norm_sq = problem.operator.norm_estimate() ** 2
-    while not discrepancy_met(state.residual_norms[-1], rule):
+    while not state.residual_norms[-1] <= rule.threshold:
         threshold = EPS_BREAKDOWN * (norm_sq * state.initial_direction_norm)
         if np.sqrt(state.mapped_norm_sq) <= threshold:
             return state, "breakdown"

@@ -493,6 +493,26 @@ class TestLibraryDefaults:
         assert payload["report"]["config"] == RateCheckConfig(grid, 0.5).to_dict()
 
 
+@pytest.mark.parametrize("name, text", [
+    ("zero-row.mtx", "%%MatrixMarket matrix array real general\n0 1\n"),
+    ("empty.csv", ""),
+], ids=["zero-row-mtx", "empty-csv"])
+def test_files_problem_with_no_entries_exits_one(tmp_path, name, text):
+    """A zero-row Matrix Market operator ended ``solve`` by SIGFPE, so the
+    command runs in a fresh interpreter."""
+    (tmp_path / name).write_text(text)
+    save_vector(np.ones(2), tmp_path / "y.csv")
+    cfg = write_config(tmp_path, {"problem": {
+        "kind": "files", "operator": str(tmp_path / name),
+        "data": str(tmp_path / "y.csv"), "delta": 1e-3}})
+    proc = subprocess.run(
+        [sys.executable, "-m", "sinereg.cli", "solve", "--config", str(cfg),
+         "--out", str(tmp_path / "out")], capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert f"error: {tmp_path / name}: file has no entries" in proc.stderr
+
+
 def test_console_entry_point(tmp_path):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({

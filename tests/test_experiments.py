@@ -7,6 +7,7 @@ import pytest
 from sinereg import (
     DenseOperator,
     DiagonalOperator,
+    DimensionError,
     InnerProductSpace,
     MatrixFreeOperator,
     NumericalError,
@@ -16,7 +17,6 @@ from sinereg import (
     StoppingRule,
     add_noise,
     build_basis,
-    fit_rate,
     multiplication_problem,
     random_problem,
     run_compare,
@@ -24,6 +24,7 @@ from sinereg import (
     run_ratecheck,
     run_sine,
 )
+from sinereg.experiments import fit_rate
 
 
 def rank_four_problem(seed):
@@ -171,6 +172,30 @@ class TestCompare:
         rule = StoppingRule(tau=1.001, delta=1e-2)
         d = run_compare(p, gamma=1e-3, rule=rule).to_dict()
         assert json.loads(json.dumps(d)) == d
+
+
+@pytest.mark.parametrize("run", [run_compare, run_diagnostics])
+@pytest.mark.parametrize("gamma, rule", [
+    (-1.0, StoppingRule(1.001, 1e-3)), (0.0, StoppingRule(1.001, 1e-3)),
+    (np.nan, StoppingRule(1.001, 1e-3)), (1e-3, (1.001, 1e-3)),
+], ids=["negative", "zero", "nan", "not-a-rule"])
+def test_shift_and_rule_checked_before_any_apply(run, gamma, rule):
+    """run_compare ran the whole CGNE baseline before a bad shift raised,
+    and both named run_cgne or run_sine in the error for a bad rule."""
+    base = random_problem(20, 12, seed=1, delta=1e-3)
+    calls = []
+
+    def counted(apply):
+        return lambda v: calls.append(apply) or apply(v)
+
+    op = MatrixFreeOperator(base.domain_space, base.range_space,
+                            counted(base.operator.apply),
+                            counted(base.operator.apply_adjoint))
+    problem = Problem(op, base.y_delta, base.delta)
+    error = ValueError if isinstance(rule, StoppingRule) else DimensionError
+    with pytest.raises(error, match=run.__name__):
+        run(problem, gamma, rule)
+    assert calls == []
 
 
 @pytest.mark.parametrize("run, vectors", [(run_compare, 15), (run_diagnostics, 17)],

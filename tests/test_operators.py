@@ -1,5 +1,7 @@
 import gzip
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from sinereg import (
     MatrixFreeOperator,
     load_dense_operator,
     load_diagonal_operator,
+    load_problem,
     load_vector,
     save_dense_operator,
 )
@@ -347,3 +350,59 @@ class TestLoaders:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_dense_operator(tmp_path / "nope.csv")
+
+
+ARRAY_HEADER = "%%MatrixMarket matrix array real general\n"
+EMPTY_FILES = {
+    "zero-row.mtx": ARRAY_HEADER + "0 1\n",
+    "zero-row.mtx.gz": ARRAY_HEADER + "0 1\n",
+    "zero-column.mtx": ARRAY_HEADER + "3 0\n",
+    "empty.csv": "",
+}
+
+# each loader on the empty file ``path``; ``one`` is a valid 1 x 1 file
+CHECK_EMPTY = """
+import sys
+import sinereg as sr
+path, one = sys.argv[1:]
+for load in (sr.load_vector, sr.load_dense_operator, sr.load_diagonal_operator,
+             lambda f: sr.load_problem(f, one, 0.0),
+             lambda f: sr.load_problem(one, f, 0.0)):
+    try:
+        load(path)
+    except sr.DataFormatError as exc:
+        assert path in str(exc), exc
+    else:
+        raise AssertionError(f"a loader accepted the empty file {path}")
+"""
+
+
+def write_empty_file(tmp_path, name):
+    path = tmp_path / name
+    with (gzip.open if name.endswith(".gz") else open)(path, "wt") as fh:
+        fh.write(EMPTY_FILES[name])
+    return path
+
+
+@pytest.mark.parametrize("name", EMPTY_FILES)
+def test_file_with_no_entries_raises_naming_it(tmp_path, name):
+    """A zero-row array file ended the interpreter inside scipy's mmread
+    (SIGFPE), so each file is loaded in a fresh interpreter; an empty CSV
+    was read as an empty vector."""
+    path, one = write_empty_file(tmp_path, name), tmp_path / "one.csv"
+    one.write_text("1.0\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", CHECK_EMPTY, str(path), str(one)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.filterwarnings("error")
+def test_empty_csv_raises_with_warnings_as_errors(tmp_path):
+    """numpy warns that the file holds no data; as an error, that warning
+    raises the same DataFormatError as the size check."""
+    path = write_empty_file(tmp_path, "empty.csv")
+    for load in (load_vector, load_dense_operator, load_diagonal_operator,
+                 lambda f: load_problem(f, f, 0.0)):
+        with pytest.raises(DataFormatError, match=re.escape(str(path))):
+            load(path)

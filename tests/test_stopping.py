@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from sinereg import (
     cgne_init,
     cgne_step,
     detect_breakdown,
-    discrepancy_met,
     drive,
     multiplication_problem,
     random_problem,
@@ -58,15 +58,27 @@ def test_delta_nonnegative(delta):
         StoppingRule(tau=2.0, delta=delta)
 
 
+def residual_state(residual):
+    """A state at iteration 0 whose residual norm is ``residual`` and whose
+    direction has not vanished, for :func:`drive`."""
+    return SimpleNamespace(op=DiagonalOperator(np.ones(1)), iteration=0,
+                           residual_norms=[residual], mapped_norm_sq=1.0,
+                           initial_direction_norm=1.0)
+
+
+def never_called(state):
+    raise AssertionError("drive stepped a run that had stopped")
+
+
 def test_zero_residual_always_met():
-    rule = StoppingRule(tau=1.001, delta=1e-3)
-    assert discrepancy_met(0.0, rule)
+    rule = StoppingRule(tau=1.001, delta=0.0)
+    assert drive(residual_state(0.0), never_called, rule, 5) == "discrepancy"
 
 
 def test_threshold_boundary():
     rule = StoppingRule(tau=1.001, delta=1e-3)
-    assert discrepancy_met(1.0005e-3, rule)
-    assert not discrepancy_met(1.0011e-3, rule)
+    assert drive(residual_state(1.0005e-3), never_called, rule, 0) == "discrepancy"
+    assert drive(residual_state(1.0011e-3), never_called, rule, 0) == "iteration_cap"
 
 
 @given(st.floats(min_value=1e-12, max_value=1e6),
@@ -74,13 +86,27 @@ def test_threshold_boundary():
        st.floats(min_value=0.0, max_value=1e6))
 def test_discrepancy_definition(residual, tau, delta):
     rule = StoppingRule(tau=tau, delta=delta)
-    assert discrepancy_met(residual, rule) == (residual <= tau * delta)
+    stopped = drive(residual_state(residual), never_called, rule, 0)
+    assert (stopped == "discrepancy") == (residual <= tau * delta)
 
 
-def test_negative_residual_rejected():
-    rule = StoppingRule(tau=2.0, delta=1.0)
-    with pytest.raises(ValueError):
-        discrepancy_met(-1.0, rule)
+@pytest.mark.parametrize("solver", ["sine", "cgne"])
+def test_run_stops_where_its_residual_equals_the_threshold(solver):
+    """With tau = 2 and delta half a residual norm of the run, tau * delta
+    is that norm exactly, and the run stops there by the discrepancy
+    principle."""
+    p = multiplication_problem(256, 1, 1e-3)
+
+    def run(delta):
+        rule = StoppingRule(2.0, delta)
+        return run_sine(p, 1e-2, rule) if solver == "sine" else run_cgne(p, rule)
+
+    history = run(0.0).residual_history
+    for m in (1, 2):
+        report = run(history[m] / 2)
+        assert 2.0 * (history[m] / 2) == history[m]
+        assert (report.stopping_index, report.terminated_by) == (m, "discrepancy")
+        assert report.residual_history == history[:m + 1]
 
 
 def test_cap_resolution():
