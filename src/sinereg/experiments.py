@@ -180,19 +180,21 @@ def run_ratecheck(config):
     """Solve the benchmark for each noise level and fit the error decay.
 
     Each record holds (delta, stopping index, weighted-norm error against
-    the truth). Cap-terminated runs are flagged and excluded from the
-    least-squares slope of log(error) against log(delta).
+    the truth). The levels share one operator, truth and exact data, and
+    run without the truth, so no error history is computed. Cap-terminated
+    runs are flagged and excluded from the fitted slope (see :func:`fit_rate`).
     """
+    base = multiplication_problem(config.n, config.truth_exponent, 0.0)
     records = []
     for delta in config.delta_grid:
-        problem = multiplication_problem(config.n, config.truth_exponent, delta)
+        problem = Problem(base.operator, base.y_delta + delta, delta)
         rule = StoppingRule(tau=config.tau, delta=delta, max_iters=config.max_iters)
         report = run_sine(problem, config.gamma, rule)
         records.append(
             RateRecord(
                 delta=delta,
                 stopping_index=report.stopping_index,
-                error=problem.error_norm(report.iterate),
+                error=base.error_norm(report.iterate),
                 flagged=report.terminated_by == "iteration_cap",
             )
         )

@@ -34,6 +34,7 @@ threads for read-only application.
 import gzip
 import itertools
 import math
+import warnings
 
 import numpy as np
 
@@ -390,7 +391,9 @@ def _load_matrix(path):
             if hasattr(a, "toarray"):
                 a = a.toarray()
         else:
-            a = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
+            with warnings.catch_warnings():  # the size check below reports it
+                warnings.simplefilter("ignore", UserWarning)
+                a = np.loadtxt(path, delimiter=",", dtype=float, ndmin=2)
     except OSError:
         raise
     except Exception as exc:

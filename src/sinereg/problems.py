@@ -160,12 +160,10 @@ def load_problem(operator_path, data_path, delta, operator_kind="dense"):
     Dimensions and finiteness are validated with the offending file named
     in the error.
     """
-    if operator_kind == "diagonal":
-        op = load_diagonal_operator(operator_path)
-    elif operator_kind == "dense":
-        op = load_dense_operator(operator_path)
-    else:
+    loaders = {"dense": load_dense_operator, "diagonal": load_diagonal_operator}
+    if operator_kind not in loaders:
         raise DataFormatError(f"unknown operator_kind {operator_kind!r}")
+    op = loaders[operator_kind](operator_path)
     y = load_vector(data_path)
     if y.size != op.range_dim:
         raise DimensionError(

@@ -89,10 +89,7 @@ build_shift_solver = ShiftSolver
 def sine_init(problem, gamma, x0=None, keep_history=False):
     """Initialize the iteration at x0 (see :meth:`KrylovState.start`)
     for the shift ``gamma``."""
-    gamma = _real(gamma, "gamma")
-    state = KrylovState.start(problem, x0=x0, keep_history=keep_history)
-    state.gamma = gamma
-    return state
+    return KrylovState.start(problem, x0, keep_history, _real(gamma, "gamma"))
 
 
 def sine_step(state, solver):
@@ -169,7 +166,7 @@ def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
     if type(op).shift_solve is LinearOperator.shift_solve:
         return _run_projected(problem, gamma, rule, cap, x0, keep_history, fill)
     solver = build_shift_solver(op, gamma)
-    state = sine_init(problem, solver.gamma, x0=x0, keep_history=keep_history)
+    state = KrylovState.start(problem, x0, keep_history, solver.gamma)
 
     def step(st):
         sine_step(st, solver)

@@ -56,7 +56,7 @@ class KrylovState:
     residual_vectors: list[np.ndarray] | None = None
 
     @classmethod
-    def start(cls, problem, x0=None, keep_history=False):
+    def start(cls, problem, x0=None, keep_history=False, gamma=None):
         """Iterate 0: r = y - T x0 (x0 defaults to zero), w = T* r, q = T w.
 
         A nonzero start folds prior information into the data residual,
@@ -71,7 +71,7 @@ class KrylovState:
             r = problem.y_delta - op.apply(x)
         w = op.apply_adjoint(r)
         state = cls(op=op, initial_direction_norm=op.domain.norm(w),
-                    truth=problem.truth,
+                    truth=problem.truth, gamma=gamma,
                     error_norms=None if problem.truth is None else [])
         if keep_history:
             state.direction_history, state.mapped_history = [], []

@@ -4,12 +4,16 @@ These deliberately avoid the solver recurrences: subspace minimizers come
 from explicitly built basis matrices and a dense least-squares solve,
 derivatives from finite differences, spectra from full eigensolves. The
 eager driver reuses the step functions but none of the logic of
-``drive`` or ``detect_breakdown``.
+``drive`` or ``detect_breakdown``. The rate-check reference runs the
+solver as the sweep does, on a benchmark problem built per noise level.
 """
 
 import numpy as np
 
-from sinereg import build_shift_solver, cgne_init, cgne_step, sine_init, sine_step
+from sinereg import (RateCheckResult, RateRecord, StoppingRule, build_shift_solver,
+                     cgne_init, cgne_step, multiplication_problem, run_sine,
+                     sine_init, sine_step)
+from sinereg.experiments import fit_rate
 from sinereg.stopping import EPS_BREAKDOWN
 
 
@@ -108,3 +112,20 @@ def mgs2_prefix(w_history, space):
                 f"(norm dropped from {before:.3e} to {after:.3e})")
         vs.append(v / after)
     return (np.column_stack(vs) if vs else None), None
+
+
+def ratecheck_per_level(config):
+    """The rate check with one benchmark problem built per noise level,
+    truth included, so that every run also records its error history.
+    Returns the :class:`RateCheckResult` that ``run_ratecheck`` gives."""
+    records = []
+    for delta in config.delta_grid:
+        problem = multiplication_problem(config.n, config.truth_exponent, delta)
+        rule = StoppingRule(config.tau, delta, config.max_iters)
+        report = run_sine(problem, config.gamma, rule)
+        assert report.error_history is not None
+        records.append(RateRecord(
+            delta=delta, stopping_index=report.stopping_index,
+            error=problem.error_norm(report.iterate),
+            flagged=report.terminated_by == "iteration_cap"))
+    return RateCheckResult(records=records, slope=fit_rate(records), config=config)

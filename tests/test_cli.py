@@ -511,6 +511,7 @@ def test_files_problem_with_no_entries_exits_one(tmp_path, name, text):
         timeout=120)
     assert proc.returncode == 1, proc.stderr
     assert f"error: {tmp_path / name}: file has no entries" in proc.stderr
+    assert "Warning" not in proc.stderr, proc.stderr
 
 
 def test_console_entry_point(tmp_path):

@@ -24,7 +24,13 @@ from sinereg import (
     run_ratecheck,
     run_sine,
 )
+import sinereg.experiments
 from sinereg.experiments import fit_rate
+
+from oracles import ratecheck_per_level
+
+# the noise levels of the paper's rate check
+RATE_GRID = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
 
 
 def rank_four_problem(seed):
@@ -277,6 +283,38 @@ class TestRateCheck:
         result = run_ratecheck(config)
         assert result.slope is None
         assert result.flagged_fraction == 0.0
+
+    @pytest.mark.parametrize("mu, n, max_iters", [
+        (0.5, 4096, None), (1.5, 4096, None), (0.5, 512, None), (1.5, 512, None),
+        (0.5, 512, 1),
+    ])
+    def test_sweep_matches_one_problem_per_level(self, mu, n, max_iters):
+        """One operator and exact data serve the whole sweep; its records
+        and slope are bit-identical to a problem built per level."""
+        config = RateCheckConfig(RATE_GRID, mu, n=n, max_iters=max_iters)
+        result = run_ratecheck(config)
+        assert result.to_dict() == ratecheck_per_level(config).to_dict()
+        assert all(r.flagged for r in result.records) == (max_iters == 1)
+
+    def test_sweep_builds_one_problem_and_solves_without_truth(self, monkeypatch):
+        built, truths = [], []
+        build, solve = (sinereg.experiments.multiplication_problem,
+                        sinereg.experiments.run_sine)
+
+        def counted_build(*args):
+            built.append(args)
+            return build(*args)
+
+        def recorded_solve(problem, *args, **kwargs):
+            truths.append(problem.truth)
+            return solve(problem, *args, **kwargs)
+
+        monkeypatch.setattr(sinereg.experiments, "multiplication_problem", counted_build)
+        monkeypatch.setattr(sinereg.experiments, "run_sine", recorded_solve)
+        run_ratecheck(RateCheckConfig(RATE_GRID, 0.5, n=512))
+        assert len(built) == 1
+        assert len(truths) == len(RATE_GRID)
+        assert all(t is None for t in truths)
 
     def test_capped_runs_flagged(self):
         config = RateCheckConfig(

@@ -2,6 +2,7 @@ import gzip
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -395,14 +396,35 @@ def test_file_with_no_entries_raises_naming_it(tmp_path, name):
         [sys.executable, "-c", CHECK_EMPTY, str(path), str(one)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    # the error is all a caller sees: no numpy warning comes with it
+    assert "Warning" not in proc.stderr, proc.stderr
+
+
+LOADERS = (load_vector, load_dense_operator, load_diagonal_operator,
+           lambda f: load_problem(f, f, 0.0))
+BLANK_CSVS = {"empty.csv": "", "blank.csv": "\n\n"}
 
 
 @pytest.mark.filterwarnings("error")
 def test_empty_csv_raises_with_warnings_as_errors(tmp_path):
-    """numpy warns that the file holds no data; as an error, that warning
-    raises the same DataFormatError as the size check."""
-    path = write_empty_file(tmp_path, "empty.csv")
-    for load in (load_vector, load_dense_operator, load_diagonal_operator,
-                 lambda f: load_problem(f, f, 0.0)):
-        with pytest.raises(DataFormatError, match=re.escape(str(path))):
-            load(path)
+    """numpy warns that an empty or blank CSV holds no data; that warning
+    is ignored, so even as an error it leaves the size check's message."""
+    for name, text in BLANK_CSVS.items():
+        path = tmp_path / name
+        path.write_text(text)
+        for load in LOADERS:
+            with pytest.raises(DataFormatError,
+                               match=re.escape(f"{path}: file has no entries")):
+                load(path)
+
+
+@pytest.mark.parametrize("name", BLANK_CSVS)
+def test_csv_without_entries_warns_nothing(tmp_path, name):
+    path = tmp_path / name
+    path.write_text(BLANK_CSVS[name])
+    for load in LOADERS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            with pytest.raises(DataFormatError, match="file has no entries"):
+                load(path)
+        assert caught == []
