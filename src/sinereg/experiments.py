@@ -251,8 +251,9 @@ def run_diagnostics(problem, gamma, rule):
     residual-filter identity is also evaluated and its worst relative
     error reported.
 
-    The run is :func:`run_sine` with ``keep_history``, so on an operator
-    with the inherited inner-CG shift solve it is projected onto a
+    It checks its shift and rule once and drives ``_sine`` itself, for
+    the run of :func:`run_sine` with ``keep_history``. So on an operator
+    with the inherited inner-CG shift solve the run is projected onto a
     Golub-Kahan bidiagonalization, and its direction, mapped-direction and
     residual vectors are formed in the full space from the regenerated
     basis; no inner CG runs. That costs about 4k applies for the
@@ -267,9 +268,8 @@ def run_diagnostics(problem, gamma, rule):
     covers the whole run.
     """
     gamma = _shift_and_rule("run_diagnostics", gamma, rule)
-    report = run_sine(problem, gamma, rule, keep_history=True)
-    state = report.state
-    steps = state.iteration
+    cap = rule.resolve_cap(problem.operator.domain_dim)
+    state, terminated, steps, _, _ = _sine(problem, gamma, rule, cap, keep_history=True)
     spectra, truncated, basis = [], None, None
     if steps:
         history = state.direction_history[:steps]
@@ -305,8 +305,8 @@ def run_diagnostics(problem, gamma, rule):
         rprime=[rprime_at_zero(rf) for rf in filters],
         orthogonality=orthogonality_audit(state),
         residual_identity_max=identity_max,
-        stopping_index=report.stopping_index,
-        terminated_by=report.terminated_by,
+        stopping_index=steps,
+        terminated_by=terminated,
         analyzed_steps=len(spectra),
         truncated_reason=truncated,
     )

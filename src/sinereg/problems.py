@@ -123,11 +123,7 @@ def random_problem(rows, cols, decay="geometric", rate=0.5, seed=0, delta=0.0,
     op = DenseOperator(a)
     truth = rng.standard_normal(cols)
     truth = truth / np.linalg.norm(truth)
-    y = a @ truth
-    if delta > 0:
-        y_delta = add_noise(y, delta, noise_mode, seed=seed, space=op.codomain)
-    else:
-        y_delta = y
+    y_delta = add_noise(a @ truth, delta, noise_mode, seed=seed, space=op.codomain)
     return Problem(operator=op, y_delta=y_delta, delta=delta, truth=truth)
 
 

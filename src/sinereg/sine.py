@@ -205,16 +205,18 @@ class _Bidiagonal(LinearOperator):
         """Exact solve by the Cholesky factor of the tridiagonal
         I + B^T B / gamma, formed and applied row by row: the leading
         entries of a solution then barely depend on k, and projections of
-        two sizes give the same iterate once both have settled."""
-        a, b, k = self.alphas.tolist(), self.betas.tolist(), len(self.alphas)
-        diag, low = [], []
-        for i in range(k):
-            d = 1.0 + (a[i] * a[i] + b[i] * b[i]) / gamma
-            if i:
-                d -= low[-1] * low[-1]
-            diag.append(math.sqrt(d))
-            if i + 1 < k:
-                low.append(b[i] * a[i + 1] / gamma / diag[-1])
+        two sizes give the same iterate once both have settled. A pivot
+        term that overflows (at a tiny gamma) raises :class:`NumericalError`."""
+        a, b, k = self.alphas, self.betas, len(self.alphas)
+        with np.errstate(over="ignore"):
+            pivots, offs = 1.0 + (a * a + b * b) / gamma, b[:-1] * a[1:] / gamma
+        if not np.isfinite(pivots).all():
+            raise NumericalError(
+                f"the shifted bidiagonal I + B^T B / gamma overflows (gamma={gamma:g})")
+        diag, low = [math.sqrt(pivots[0])], []
+        for d, off in zip(pivots[1:].tolist(), offs.tolist()):
+            low.append(off / diag[-1])
+            diag.append(math.sqrt(d - low[-1] * low[-1]))
 
         def solve(v):
             t = v.tolist()
@@ -277,13 +279,8 @@ def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
     # two checkpoints at least, as a settled run compares two
     limit = max(GK_STEPS_PER_DIM * op.domain_dim, 2 * GK_CHUNK)
     process, alphas, betas = _golub_kahan(op, b), [], []
-    previous, k = None, 0
-    while True:
-        k += GK_CHUNK
-        if k > limit:
-            raise NumericalError(
-                f"the Golub-Kahan projection had not settled at k = {k - GK_CHUNK} "
-                f"steps, the cap of {GK_STEPS_PER_DIM} per domain dimension")
+    previous = None
+    for k in range(GK_CHUNK, limit + 1, GK_CHUNK):
         for beta, alpha, _ in itertools.islice(process, k + 1 - len(alphas)):
             betas.append(beta)
             alphas.append(alpha)
@@ -300,6 +297,10 @@ def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
                 previous is not None and _settled(stops, z, *previous, cols)):
             break
         previous = stops, z
+    else:
+        raise NumericalError(
+            f"the Golub-Kahan projection had not settled at k = {k} steps, "
+            f"the cap of {GK_STEPS_PER_DIM} per domain dimension")
     process.close()  # frees its vectors before the second pass
     if errors_wanted:  # every iterate, by the recurrence's own updates
         zs = np.zeros((m + 1, cols))

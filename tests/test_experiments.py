@@ -204,6 +204,34 @@ def test_shift_and_rule_checked_before_any_apply(run, gamma, rule):
     assert calls == []
 
 
+@pytest.mark.parametrize("matrix_free", [False, True], ids=["diagonal", "projected"])
+def test_diagnostics_checks_once_and_drives_its_own_run(monkeypatch, matrix_free):
+    """run_diagnostics checked its shift and rule, then called run_sine,
+    which checked both again and built a report only to be unpacked."""
+    p = multiplication_problem(256, 1, 1e-3)
+    if matrix_free:
+        op = p.operator
+        p = Problem(MatrixFreeOperator(op.domain, op.codomain, op.apply,
+                                       op.apply_adjoint), p.y_delta, p.delta)
+    rule = StoppingRule(1.001, 1e-3)
+    want = run_sine(p, 1e-3, rule)
+    checks = []
+
+    def counted(check):
+        return lambda *args: checks.append(args[0]) or check(*args)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("run_diagnostics called run_sine")
+
+    for module in (sinereg.experiments, sinereg.sine):
+        monkeypatch.setattr(module, "_shift_and_rule", counted(module._shift_and_rule))
+    monkeypatch.setattr(sinereg.experiments, "run_sine", refused)
+    report = run_diagnostics(p, 1e-3, rule)
+    assert checks == ["run_diagnostics"]
+    assert (report.terminated_by, report.stopping_index) == (
+        want.terminated_by, want.stopping_index)
+
+
 @pytest.mark.parametrize("run, vectors", [(run_compare, 15), (run_diagnostics, 17)],
                          ids=["compare", "diagnostics"])
 def test_peak_holds_only_the_vectors_in_use(run, vectors):

@@ -89,6 +89,11 @@ class TestRandomProblem:
         p = random_problem(20, 10, seed=3)
         assert p.y_delta == pytest.approx(p.operator.apply(p.truth), rel=1e-14)
 
+    def test_exact_data_ignores_the_noise_mode(self):
+        """At delta = 0 no noise is drawn, so the mode goes unchecked."""
+        p = random_problem(20, 10, seed=3, delta=0.0, noise_mode="bogus")
+        assert np.array_equal(p.y_delta, random_problem(20, 10, seed=3).y_delta)
+
     def test_size_validation(self):
         with pytest.raises(DimensionError):
             random_problem(5, 10)

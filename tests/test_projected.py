@@ -7,6 +7,8 @@ run is checked against a run of the same operator with an exact shift
 solve: an FFT resolvent, a Cholesky factor or a division.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -402,6 +404,30 @@ def test_cap_on_the_projection_raises(monkeypatch):
     p = wrapped(random_problem(30, 15, "algebraic", 1, seed=0, delta=1e-3))
     with pytest.raises(NumericalError, match="not settled at k = 20 steps"):
         run_sine(p, 1e-3, StoppingRule(1.01, 1e-3))
+
+
+@pytest.mark.parametrize("run", [run_sine, run_compare, run_diagnostics])
+def test_an_overflowing_shift_is_named(run):
+    """At gamma = 1e-310 the pivots 1 + (alpha^2 + beta^2)/gamma of the
+    small bidiagonal overflow: a typed error naming gamma, as the dense and
+    diagonal backends raise, where the run used to fail at its first step
+    on a NaN norm. At gamma = 1e-300 it still stops by breakdown at 1."""
+    p = wrapped(multiplication_problem(64, 1, 1e-3))
+    rule = StoppingRule(1.01, 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="gamma=1e-310"):
+            run(p, 1e-310, rule)
+        result = run(p, 1e-300, rule)
+    stop = (result.terminated_by_sine, result.stopping_index_sine) if (
+        run is run_compare) else (result.terminated_by, result.stopping_index)
+    assert stop == ("breakdown", 1)
+
+
+def test_bidiagonal_shift_solve_names_an_overflowing_shift():
+    small = sinereg.sine._Bidiagonal([1.0, 0.5], [0.3, 0.0])
+    with pytest.raises(NumericalError, match="gamma=1e-310"):
+        build_shift_solver(small, 1e-310)
 
 
 def test_discrepancy_stop_is_checked_in_the_full_space(monkeypatch):

@@ -10,7 +10,10 @@ built problem, and prints one line per op: a SHA-256 over
 ``json.dumps(result.to_dict(), sort_keys=True)`` without
 ``elapsed_seconds``, plus the bytes of ``iterate`` and ``iterate_sine``
 where the result has them. A last line per workload and seed holds
-``repr`` of a fresh operator's ``norm_estimate()``. That is 45 lines.
+``repr`` of a fresh operator's ``norm_estimate()``. A last line holds a
+SHA-256 over ``json.dumps`` of the ``to_dict()`` of each result of the
+``ratecheck`` op, which does not depend on the workload and so runs once.
+That is 46 lines.
 
 BLAS runs on one thread, since the dense triangular solves round
 differently on more. Two checkouts whose outputs are bit-identical print
@@ -61,6 +64,9 @@ def main(argv):
                 result = workload.call(kind, workload.build())
                 print(name, seed, kind, fingerprint(result))
             print(name, seed, "norm", repr(workload.build().operator.norm_estimate()))
+    results = workload.call("ratecheck", None)
+    record = json.dumps([r.to_dict() for r in results], sort_keys=True)
+    print("ratecheck", hashlib.sha256(record.encode()).hexdigest())
 
 
 if __name__ == "__main__":
