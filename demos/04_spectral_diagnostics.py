@@ -38,7 +38,7 @@ print(f"basis orthonormality error: {np.max(np.abs(gram - np.eye(8))):.2e}")
 spectra = [ritz_values(s[:m, :m]) for m in range(1, 9)]
 print("\nRitz values per m (zeros of the residual rational function):")
 for m, sp in enumerate(spectra, start=1):
-    print(f"  m={m}: {np.round(sp.values, 5)}")
+    print(f"  m={m}: {np.round(sp, 5)}")
 
 print("\ninterlacing of consecutive spectra:",
       [check_interlacing(a, b) for a, b in zip(spectra, spectra[1:])])

@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, NumericalError
-from .spaces import _as_real, _real
+from .spaces import _as_finite, _as_real, _real
 from .stopping import _Record
 
 __all__ = [
     "build_basis",
     "projected_gram",
     "ritz_values",
-    "RitzSpectrum",
     "check_interlacing",
     "ResidualFunction",
     "residual_function_eval",
@@ -106,25 +105,8 @@ def projected_gram(basis, op):
     return (s + s.T) / 2.0
 
 
-@dataclass
-class RitzSpectrum:
-    """Sorted eigenvalues of a projected normal-equation matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.atleast_1d(_as_real(self.values, "Ritz values"))
-        if not np.all((self.values > 0) & (self.values < np.inf)):
-            raise ValueError(
-                f"Ritz values must be finite and strictly positive, got "
-                f"{self.values}"
-            )
-        if np.any(np.diff(self.values) < 0):
-            raise ValueError("Ritz values must be sorted ascending")
-
-
 def ritz_values(s_matrix):
-    """Eigenvalues of a symmetric positive definite matrix, ascending.
+    """Eigenvalues of a symmetric positive definite matrix, as an ascending array.
 
     Raises on non-finite or non-symmetric input, or on input whose smallest
     eigenvalue is at most m * eps times its largest: ``eigvalsh`` resolves
@@ -145,7 +127,7 @@ def ritz_values(s_matrix):
             f"matrix is numerically singular or indefinite (smallest "
             f"eigenvalue {vals[0]:.3e}, largest {vals[-1]:.3e})"
         )
-    return RitzSpectrum(values=vals)
+    return vals
 
 
 def check_interlacing(prev, nxt):
@@ -153,10 +135,12 @@ def check_interlacing(prev, nxt):
 
     With prev = (u_1 < ... < u_{m-1}) and nxt = (l_1 < ... < l_m), checks
     l_1 < u_1 < l_2 < u_2 < ... < u_{m-1} < l_m, accepting each inequality
-    up to ``INTERLACING_SLACK`` relative to the magnitudes involved.
+    up to ``INTERLACING_SLACK`` relative to the magnitudes involved. A
+    spectrum that is not a real, finite, ascending 1-d array raises ValueError.
     """
-    u = prev.values
-    l = nxt.values
+    u, l = (_as_finite(sp, "spectrum") for sp in (prev, nxt))
+    if not all(sp.ndim == 1 and np.all(np.diff(sp) >= 0) for sp in (u, l)):
+        raise ValueError(f"spectra must be 1-d and ascending, got {u} and {l}")
     if l.size != u.size + 1:
         raise DimensionError(
             f"expected spectra of sizes m-1 and m, got {u.size} and {l.size}"
@@ -183,8 +167,8 @@ class ResidualFunction:
     def __post_init__(self):
         self.zeros = np.atleast_1d(_as_real(self.zeros, "zeros"))
         self.gamma = _real(self.gamma, "gamma")
-        if self.zeros.size == 0:
-            raise ValueError("zeros must be nonempty")
+        if self.zeros.size == 0 or self.zeros.ndim != 1:
+            raise ValueError(f"zeros must be nonempty and 1-d, got {self.zeros.shape}")
         if not np.all((self.zeros > 0) & (self.zeros < np.inf)):
             raise ValueError(
                 f"zeros must be finite and strictly positive, got {self.zeros}"
@@ -196,7 +180,8 @@ class ResidualFunction:
 
     @classmethod
     def from_spectrum(cls, spectrum, gamma):
-        return cls(gamma=gamma, zeros=spectrum.values.copy())
+        """The filter at ``gamma`` whose zeros are a copy of ``spectrum``."""
+        return cls(gamma=gamma, zeros=np.array(spectrum))
 
 
 def residual_function_eval(rf, lam):

@@ -300,7 +300,7 @@ def run_diagnostics(problem, gamma, rule):
         identity_max = max((e / ynorm if ynorm > 0 else e for e in errors),
                            default=None)
     return DiagnosticsReport(
-        ritz=[list(sp.values) for sp in spectra],
+        ritz=[sp.tolist() for sp in spectra],
         interlacing=[check_interlacing(a, b) for a, b in zip(spectra, spectra[1:])],
         rprime=[rprime_at_zero(rf) for rf in filters],
         orthogonality=orthogonality_audit(state),

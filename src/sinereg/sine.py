@@ -205,7 +205,8 @@ class _Bidiagonal(LinearOperator):
         """Exact solve by the Cholesky factor of the tridiagonal
         I + B^T B / gamma, formed and applied row by row: the leading
         entries of a solution then barely depend on k, and projections of
-        two sizes give the same iterate once both have settled. A pivot
+        two sizes give the same iterate once both have settled. Explicit
+        inverses (numpy has no banded solve) moved long runs' stops. A pivot
         term that overflows (at a tiny gamma) raises :class:`NumericalError`."""
         a, b, k = self.alphas, self.betas, len(self.alphas)
         with np.errstate(over="ignore"):

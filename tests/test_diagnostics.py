@@ -13,7 +13,6 @@ from sinereg import (
     NumericalError,
     Problem,
     ResidualFunction,
-    RitzSpectrum,
     StoppingRule,
     build_basis,
     build_shift_solver,
@@ -219,22 +218,23 @@ class TestProjectedGram:
 
 class TestRitzValues:
     def test_scalar(self):
-        assert ritz_values(np.array([[4.0]])).values == pytest.approx([4.0])
+        assert ritz_values(np.array([[4.0]])) == pytest.approx([4.0])
 
     def test_diagonal(self):
-        sp = ritz_values(np.diag([1.0, 2.0, 3.0]))
-        assert sp.values == pytest.approx([1.0, 2.0, 3.0])
+        vals = ritz_values(np.diag([1.0, 2.0, 3.0]))
+        assert isinstance(vals, np.ndarray)
+        assert vals == pytest.approx([1.0, 2.0, 3.0])
 
     def test_two_by_two_characteristic_polynomial(self):
-        sp = ritz_values(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert sp.values == pytest.approx([1.0, 3.0])
+        vals = ritz_values(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        assert vals == pytest.approx([1.0, 3.0])
 
     def test_matches_scipy_eigh(self):
         rng = np.random.default_rng(8)
         for size in range(1, 61):
             g = rng.standard_normal((size, size))
             s = g @ g.T + 1e-3 * np.eye(size)
-            vals = ritz_values(s).values
+            vals = ritz_values(s)
             ref = scipy.linalg.eigh(s, eigvals_only=True)
             assert np.max(np.abs(vals - ref)) <= 1e-12 * ref[-1]
 
@@ -258,38 +258,46 @@ class TestRitzValues:
             ritz_values(np.diag([1e-20, 1.0]))
         with pytest.raises(ValueError, match="numerically singular"):
             ritz_values(np.diag([2 * np.finfo(float).eps, 1.0]))
-        assert ritz_values(np.diag([1e-13, 1.0])).values[0] == 1e-13
-        assert ritz_values(np.diag([1e-14, 1.0])).values[0] == 1e-14
+        assert ritz_values(np.diag([1e-13, 1.0]))[0] == 1e-13
+        assert ritz_values(np.diag([1e-14, 1.0]))[0] == 1e-14
 
     def test_spectrum_validation(self):
-        with pytest.raises(ValueError):
-            RitzSpectrum(values=np.array([1.0, -1.0]))
-        with pytest.raises(ValueError):
-            RitzSpectrum(values=np.array([2.0, 1.0]))
+        """``check_interlacing`` takes spectra from a caller and checks
+        them as they enter."""
+        with pytest.raises(ValueError, match="ascending"):
+            check_interlacing([1.0], [1.0, -1.0])
+        with pytest.raises(ValueError, match="ascending"):
+            check_interlacing([2.0, 1.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="1-d"):
+            check_interlacing(2.0, [1.0, 3.0])
+        with pytest.raises(ValueError, match="1-d"):
+            check_interlacing([[2.0]], [[1.0, 3.0]])
         # complex input was cut to its real part with only a ComplexWarning
-        with pytest.raises(ValueError, match="Ritz values has complex entries"):
-            RitzSpectrum([1.0, 2.0 + 1j])
+        with pytest.raises(ValueError, match="spectrum has complex entries"):
+            check_interlacing([1.5], [1.0, 2.0 + 1j])
         with pytest.raises(ValueError, match="matrix has complex entries"):
             ritz_values([[2.0, 1j], [-1j, 2.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
-        with pytest.raises(ValueError, match="Ritz values must be finite"):
-            RitzSpectrum([1.0, bad])
+        with pytest.raises(ValueError, match="spectrum contains non-finite"):
+            check_interlacing([1.5], [1.0, bad])
+        with pytest.raises(ValueError, match="spectrum contains non-finite"):
+            check_interlacing([bad], [1.0, 2.0])
         with pytest.raises(ValueError, match="matrix has non-finite entries"):
             ritz_values([[bad, 0.0], [0.0, 1.0]])
 
 
 class TestInterlacing:
     def test_interlaced_pair(self):
-        assert check_interlacing(RitzSpectrum([2.0]), RitzSpectrum([1.0, 3.0]))
+        assert check_interlacing(np.array([2.0]), np.array([1.0, 3.0]))
 
     def test_violating_pair(self):
-        assert not check_interlacing(RitzSpectrum([2.0]), RitzSpectrum([3.0, 4.0]))
+        assert not check_interlacing(np.array([2.0]), np.array([3.0, 4.0]))
 
     def test_size_mismatch(self):
         with pytest.raises(DimensionError):
-            check_interlacing(RitzSpectrum([1.0]), RitzSpectrum([1.0, 2.0, 3.0]))
+            check_interlacing(np.array([1.0]), np.array([1.0, 2.0, 3.0]))
 
     @settings(max_examples=500, deadline=None)
     @given(spectrum_pairs())
@@ -300,7 +308,7 @@ class TestInterlacing:
             return a < b + INTERLACING_SLACK * max(abs(a), abs(b))
 
         loop = all(lt(l[i], u[i]) and lt(u[i], l[i + 1]) for i in range(len(u)))
-        assert check_interlacing(RitzSpectrum(u), RitzSpectrum(l)) is loop
+        assert check_interlacing(np.array(u), np.array(l)) is loop
 
     @pytest.mark.parametrize("seed", range(5))
     def test_consecutive_spectra_from_run(self, seed):
@@ -394,6 +402,9 @@ class TestResidualFunction:
         # the m = 0 filter is identically 1, which the formula does not give
         with pytest.raises(ValueError, match="zeros must be nonempty"):
             ResidualFunction(1.0, [])
+        # a 2-d array of zeros gave a wrong filter value without an error
+        with pytest.raises(ValueError, match="1-d, got \\(1, 2\\)"):
+            ResidualFunction(1.0, [[1.0, 2.0]])
 
 
 class TestDerivativeAtZero:
@@ -423,7 +434,7 @@ class TestDerivativeAtZero:
             sp = ritz_values(s[:m, :m])
             value = rprime_at_zero(ResidualFunction.from_spectrum(sp, gamma))
             assert value > previous
-            assert value >= 1.0 / sp.values[0] * (1 - 1e-12)
+            assert value >= 1.0 / sp[0] * (1 - 1e-12)
             assert value >= m / norm_sq * (1 - 1e-12)
             previous = value
 

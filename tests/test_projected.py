@@ -440,6 +440,20 @@ def test_discrepancy_stop_is_checked_in_the_full_space(monkeypatch):
         run_sine(p, 1e-3, StoppingRule(1.01, 1e-3))
 
 
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_long_projected_runs_pass_the_full_space_check(seed):
+    """Wrapped 300 x 200 runs of about 55 steps stop by the discrepancy
+    principle, pass the full-space residual check and stop within 2 steps
+    of the Cholesky run. The small bidiagonal's row-by-row Cholesky solve
+    keeps them there: a solve by the explicit inverse of I + B^T B / gamma
+    passed every other test, yet raised "exceeds tau * delta" on this set."""
+    p = random_problem(300, 200, "algebraic", 1.0, seed=seed, delta=1e-4)
+    rule = StoppingRule(1.001, 1e-4)
+    want, got = run_sine(p, 0.1, rule), run_sine(wrapped(p), 0.1, rule)
+    assert got.terminated_by == want.terminated_by == "discrepancy"
+    assert abs(got.stopping_index - want.stopping_index) <= 2
+
+
 def reused_buffer_results(reuse):
     """The results of every entry point on the 256-point multiplication
     problem behind a ``MatrixFreeOperator`` whose one callable, forward and
