@@ -10,6 +10,8 @@ same discrepancy rule used by the rational-subspace solver.
 
 import time
 
+import numpy as np
+
 from .exceptions import DimensionError, NumericalError
 from .stopping import KrylovState, RunReport, StoppingRule, drive
 
@@ -24,7 +26,10 @@ def cgne_init(problem, x0=None):
 
 
 def cgne_step(state):
-    """One CGLS step; must not be called after breakdown."""
+    """One CGLS step; must not be called after breakdown. Like
+    :func:`~sinereg.sine.sine_step`, it forms x, r and p in new float64
+    arrays of its own and writes into no state array, problem data or operator
+    output; T* r is dropped once p is formed."""
     if state.normal_residual_sq is None:
         raise DimensionError("cgne_step expects a state from cgne_init")
     if state.mapped_norm_sq == 0.0:
@@ -33,13 +38,18 @@ def cgne_step(state):
         )
     op = state.op
     alpha = state.normal_residual_sq / state.mapped_norm_sq
-    x = state.iterate + alpha * state.direction
-    r = state.residual - alpha * state.mapped_direction
+    r = np.multiply(state.mapped_direction, alpha, dtype=float)
+    np.subtract(state.residual, r, out=r)
     s = op.apply_adjoint(r)
     ns = op.domain.inner(s, s)
     beta = ns / state.normal_residual_sq
+    p = np.multiply(state.direction, beta, dtype=float)
+    np.add(s, p, out=p)
+    del s
+    x = np.multiply(state.direction, alpha, dtype=float)
+    np.add(state.iterate, x, out=x)
     state.normal_residual_sq = ns
-    state.advance(x, r, s + beta * state.direction, alpha, beta)
+    state.advance(x, r, p, alpha, beta)
     return state
 
 

@@ -1,6 +1,8 @@
 """Experiment harnesses: per-iteration solver comparison, noise-sweep rate
 checks with a log-log slope fit, and the diagnostics driver."""
 
+import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,7 +88,14 @@ def run_compare(problem, gamma, rule):
     error norms.
     """
     gamma = _shift_and_rule("run_compare", gamma, rule)
-    problem = Problem(problem.operator, problem.y_delta, problem.delta)
+    top = problem.operator.norm_estimate()  # the baseline's breakdown scale
+    if not math.isfinite(1.0 + top * top / gamma):
+        raise NumericalError(
+            f"run_compare: the shifted operator I + T*T / gamma overflows, "
+            f"since 1 + ||T||^2 / gamma does (gamma={gamma:g})")
+    # the problem without its truth, sharing its frozen data vector
+    problem = copy.copy(problem)
+    object.__setattr__(problem, "truth", None)
     rep_c = run_cgne(problem, rule)
     res_c, m_cgne, terminated_c = (
         rep_c.residual_history, rep_c.stopping_index, rep_c.terminated_by)
@@ -270,15 +279,22 @@ def run_diagnostics(problem, gamma, rule):
     gamma = _shift_and_rule("run_diagnostics", gamma, rule)
     cap = rule.resolve_cap(problem.operator.domain_dim)
     state, terminated, steps, _, _ = _sine(problem, gamma, rule, cap, keep_history=True)
+    # each vector goes once its last reader is done, the unread iterate first
+    state.iterate = None
+    orthogonality = orthogonality_audit(state)
+    diagonal = isinstance(problem.operator, DiagonalOperator)
+    history = state.direction_history[:steps]
+    residuals = state.residual_vectors[1:] if diagonal else None
+    del state
     spectra, truncated, basis = [], None, None
     if steps:
-        history = state.direction_history[:steps]
         try:
             basis = build_basis(history, problem.domain_space)
         except NumericalError:
             # a second pass, on this rare path only, keeps the directions
             # before the dependent one
             basis, truncated = _orthonormal_prefix(history, problem.domain_space)
+    del history
     if basis is not None:
         s_full = projected_gram(basis, problem.operator)
         del basis  # n x m, unused past here
@@ -292,18 +308,18 @@ def run_diagnostics(problem, gamma, rule):
                 break
     filters = [ResidualFunction.from_spectrum(sp, gamma) for sp in spectra]
     identity_max = None
-    if isinstance(problem.operator, DiagonalOperator):
+    if diagonal:
         lam, y = problem.operator.diagonal ** 2, problem.y_delta
         ynorm = problem.range_space.norm(y)
         errors = [problem.range_space.norm(r - residual_function_eval(rf, lam) * y)
-                  for r, rf in zip(state.residual_vectors[1:], filters)]
+                  for r, rf in zip(residuals, filters)]
         identity_max = max((e / ynorm if ynorm > 0 else e for e in errors),
                            default=None)
     return DiagnosticsReport(
         ritz=[sp.tolist() for sp in spectra],
         interlacing=[check_interlacing(a, b) for a, b in zip(spectra, spectra[1:])],
         rprime=[rprime_at_zero(rf) for rf in filters],
-        orthogonality=orthogonality_audit(state),
+        orthogonality=orthogonality,
         residual_identity_max=identity_max,
         stopping_index=steps,
         terminated_by=terminated,

@@ -274,12 +274,28 @@ class DenseOperator(LinearOperator):
         (``dtrsv``), U^T z = W_d v and U x = z, on that Fortran-ordered
         factor, which f2py passes without a copy; one right-hand side
         through LAPACK ``potrs`` (``cho_solve``) took 2.5-3.5 times as long
-        at n = 1000. A non-finite M (an overflow at a tiny gamma) raises
+        at n = 1000. Under unequal range weights, A^T W_r A / gamma is
+        summed over row blocks of sqrt(W_r) A of at most n^2/8 doubles
+        (2^14 for a small n) by BLAS ``syrk`` into the upper triangle of
+        M's Fortran-ordered transpose, so no weighted copy of A is formed.
+        A non-finite M (an overflow at a tiny gamma) raises
         :class:`NumericalError`."""
         import scipy.linalg
 
-        with np.errstate(over="ignore"):
-            m = self.codomain.gram(self.matrix, self.matrix) / gamma
+        a, w = self.matrix, self.codomain.weights
+        if self.codomain._uniform is not None:
+            with np.errstate(over="ignore"):
+                m = self.codomain.gram(a, a) / gamma
+        else:
+            n = a.shape[1]
+            step = max(1, max(n * n // 8, 2**14) // n)
+            mt = np.zeros((n, n), order="F")
+            for i in range(0, a.shape[0], step):
+                block = np.sqrt(w[i:i + step])[:, None] * a[i:i + step]
+                scipy.linalg.blas.dsyrk(1.0 / gamma, block.T, beta=1.0, c=mt,
+                                        overwrite_c=1)
+                del block  # before the next one is formed
+            m = mt.T
         m[np.diag_indices_from(m)] += self.domain.weights
         if not np.isfinite(m).all():
             raise NumericalError(

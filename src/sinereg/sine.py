@@ -95,6 +95,13 @@ def sine_init(problem, gamma, x0=None, keep_history=False):
 def sine_step(state, solver):
     """Advance the iteration by one step (see module docstring).
 
+    Each of x, r and w is formed in a new float64 array that the step
+    allocates (``np.multiply``, then ``np.add`` or ``np.subtract`` with
+    ``out=``), so the step writes into no state array, problem data,
+    operator output or shift-solver output: a solve may return a buffer
+    that it reuses. T* q is taken after the shift solve and dropped once
+    beta is formed, and t once w is.
+
     Must not be called once breakdown has been detected; an exactly zero
     mapped direction raises :class:`NumericalError`.
     """
@@ -108,16 +115,18 @@ def sine_step(state, solver):
         raise NumericalError(
             f"cannot step after exact breakdown at iteration {state.iteration}"
         )
-    op = state.op
-    q = state.mapped_direction
-    dj = state.mapped_norm_sq
-    alpha = op.codomain.inner(state.residual, q) / dj
-    x = state.iterate + alpha * state.direction
-    r = state.residual - alpha * q
-    s = op.apply_adjoint(q)
+    op, dj = state.op, state.mapped_norm_sq
+    alpha = op.codomain.inner(state.residual, state.mapped_direction) / dj
+    r = np.multiply(state.mapped_direction, alpha, dtype=float)
+    np.subtract(state.residual, r, out=r)
     t = solver.apply(op.apply_adjoint(r))
-    beta = op.domain.inner(t, s) / dj
-    state.advance(x, r, t - beta * state.direction, alpha, beta)
+    beta = op.domain.inner(t, op.apply_adjoint(state.mapped_direction)) / dj
+    w = np.multiply(state.direction, beta, dtype=float)
+    np.subtract(t, w, out=w)
+    del t
+    x = np.multiply(state.direction, alpha, dtype=float)
+    np.add(state.iterate, x, out=x)
+    state.advance(x, r, w, alpha, beta)
     return state
 
 
@@ -206,14 +215,11 @@ class _Bidiagonal(LinearOperator):
         I + B^T B / gamma, formed and applied row by row: the leading
         entries of a solution then barely depend on k, and projections of
         two sizes give the same iterate once both have settled. Explicit
-        inverses (numpy has no banded solve) moved long runs' stops. A pivot
-        term that overflows (at a tiny gamma) raises :class:`NumericalError`."""
+        inverses (numpy has no banded solve) moved long runs' stops. The
+        pivots are finite: :func:`_run_projected` checks each one as the
+        Golub-Kahan steps form it."""
         a, b, k = self.alphas, self.betas, len(self.alphas)
-        with np.errstate(over="ignore"):
-            pivots, offs = 1.0 + (a * a + b * b) / gamma, b[:-1] * a[1:] / gamma
-        if not np.isfinite(pivots).all():
-            raise NumericalError(
-                f"the shifted bidiagonal I + B^T B / gamma overflows (gamma={gamma:g})")
+        pivots, offs = 1.0 + (a * a + b * b) / gamma, b[:-1] * a[1:] / gamma
         diag, low = [math.sqrt(pivots[0])], []
         for d, off in zip(pivots[1:].tolist(), offs.tolist()):
             low.append(off / diag[-1])
@@ -266,10 +272,11 @@ def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
     and coefficients, the error norms, the vector histories and, as its
     iterate, the first stop's; then the first stop's reason, index and
     iterate, and the reason the projected run ended. Raises
-    :class:`NumericalError` past ``GK_STEPS_PER_DIM * domain_dim`` steps
-    (or two checkpoints, if more),
-    and when an iterate stopped by the discrepancy principle has a
-    recomputed residual above tau * delta by more than ``GK_RESIDUAL_RTOL``.
+    :class:`NumericalError` at the first Golub-Kahan step that makes a
+    pivot of the shifted bidiagonal overflow, past ``GK_STEPS_PER_DIM *
+    domain_dim`` steps (or two checkpoints, if more), and when an iterate
+    stopped by the discrepancy principle has a recomputed residual above
+    tau * delta by more than ``GK_RESIDUAL_RTOL``.
     """
     op = problem.operator
     b = problem.y_delta
@@ -283,6 +290,13 @@ def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
     previous = None
     for k in range(GK_CHUNK, limit + 1, GK_CHUNK):
         for beta, alpha, _ in itertools.islice(process, k + 1 - len(alphas)):
+            # pivot i of the small solve, 1 + (alpha_i^2 + beta_{i+1}^2) / gamma,
+            # fails at the step of alpha_i or at the next, which completes it
+            done = alphas[-1] * alphas[-1] + beta * beta if alphas else 0.0
+            if not math.isfinite(1.0 + max(done, alpha * alpha) / gamma):
+                raise NumericalError(
+                    f"the shifted bidiagonal I + B^T B / gamma overflows at "
+                    f"Golub-Kahan step {len(alphas) + 1} (gamma={gamma:g})")
             betas.append(beta)
             alphas.append(alpha)
         cols = min(k, len(alphas))

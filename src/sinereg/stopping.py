@@ -31,9 +31,13 @@ class KrylovState:
     maintained so that breakdown can be tested without an extra operator
     application. ``gamma`` is the shift of a SINE state and
     ``normal_residual_sq`` the squared norm of T* r of a CGNE state; each
-    is None for the other method. A state started with ``keep_history``
-    keeps the w, q and r of every iterate in its three history lists: the
-    run's own arrays, not copies, since no step writes into one it made.
+    is None for the other method. No step writes into an array of the
+    state, the problem's data, or an operator's or shift solve's output:
+    each update goes into a new array of the step's own. So a state
+    started with ``keep_history`` keeps the w, q and r of every iterate in
+    its three history lists as the run's own arrays, not copies.
+    :meth:`advance` lets go of the replaced vectors before it applies T to
+    the new direction, so only a history keeps them past that apply.
     """
 
     op: object
@@ -89,15 +93,14 @@ class KrylovState:
 
     def _record(self, x, r, w):
         op = self.op
-        q = op.apply(w)
-        self.iterate = x
-        self.residual = r
-        self.direction = w
-        self.mapped_direction = q
-        self.mapped_norm_sq = op.codomain.inner(q, q)
+        # the replaced vectors go before the apply; only a history keeps them
+        self.iterate, self.residual, self.direction = x, r, w
+        self.mapped_direction = None
         self.residual_norms.append(op.codomain.norm(r))
         if self.error_norms is not None:
             self.error_norms.append(op.domain.norm(x - self.truth))
+        self.mapped_direction = q = op.apply(w)
+        self.mapped_norm_sq = op.codomain.inner(q, q)
         if self.direction_history is not None:
             self.direction_history.append(w)
             self.mapped_history.append(q)

@@ -19,6 +19,7 @@ from sinereg import (
     build_basis,
     multiplication_problem,
     random_problem,
+    run_cgne,
     run_compare,
     run_diagnostics,
     run_ratecheck,
@@ -204,6 +205,69 @@ def test_shift_and_rule_checked_before_any_apply(run, gamma, rule):
     assert calls == []
 
 
+class Counting:
+    """Counts its forward and adjoint applies in ``calls``."""
+
+    def apply(self, x):
+        self.calls[0] += 1
+        return super().apply(x)
+
+    def apply_adjoint(self, y):
+        self.calls[1] += 1
+        return super().apply_adjoint(y)
+
+
+class CountingDense(Counting, DenseOperator):
+    pass
+
+
+class CountingDiagonal(Counting, DiagonalOperator):
+    pass
+
+
+def counting_operator(kind):
+    """A fresh counting operator of ``kind``, with ``calls`` at zero, and
+    its data: the dense 80 x 50 random problem, or the 64-point
+    multiplication problem as a diagonal or behind callables."""
+    if kind == "dense":
+        base = random_problem(80, 50, "algebraic", 1, seed=0, delta=1e-3)
+        op = CountingDense(base.operator.matrix)
+    else:
+        base = multiplication_problem(64, 1, 1e-3)
+        d, space = base.operator.diagonal, base.domain_space
+        if kind == "diagonal":
+            op = CountingDiagonal(d, space)
+        else:
+            def counted(i):
+                def apply(v):
+                    op.calls[i] += 1
+                    return d * v
+                return apply
+
+            op = MatrixFreeOperator(space, space, counted(0), counted(1))
+    op.calls = [0, 0]
+    return op, base.y_delta
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "matrix-free"])
+def test_compare_names_an_overflowing_shift_before_its_baseline(kind):
+    """At gamma = 1e-310, 1 + ||T||^2 / gamma overflows. run_compare used
+    to run its whole CGNE baseline before the SINE half raised: 25 forward
+    and 26 adjoint applies on the dense problem, 38 and 19 on the diagonal
+    one, 57 and 59 on the wrapped one. It now makes only the applies of
+    the norm estimate, which the baseline's first breakdown test takes
+    anyway: none for a diagonal, which knows its norm."""
+    op, y = counting_operator(kind)
+    with pytest.raises(NumericalError, match=r"run_compare: .*\(gamma=1e-310\)"):
+        run_compare(Problem(op, y, 1e-3), 1e-310, StoppingRule(1.01, 1e-3))
+    fresh, _ = counting_operator(kind)
+    fresh.norm_estimate()
+    assert op.calls == fresh.calls
+    assert sum(op.calls) < {"dense": 51, "diagonal": 57, "matrix-free": 116}[kind]
+    if kind == "diagonal":
+        assert op.calls == [0, 0]
+
+
 @pytest.mark.parametrize("matrix_free", [False, True], ids=["diagonal", "projected"])
 def test_diagnostics_checks_once_and_drives_its_own_run(monkeypatch, matrix_free):
     """run_diagnostics checked its shift and rule, then called run_sine,
@@ -232,15 +296,21 @@ def test_diagnostics_checks_once_and_drives_its_own_run(monkeypatch, matrix_free
         want.terminated_by, want.stopping_index)
 
 
-@pytest.mark.parametrize("run, vectors", [(run_compare, 15), (run_diagnostics, 17)],
-                         ids=["compare", "diagnostics"])
+@pytest.mark.parametrize("run, vectors", [
+    (run_sine, 12), (lambda p, gamma, rule: run_cgne(p, rule), 11),
+    (run_compare, 12), (run_diagnostics, 14),
+], ids=["sine", "cgne", "compare", "diagnostics"])
 def test_peak_holds_only_the_vectors_in_use(run, vectors):
     """With the problem built inside the window, as the benchmark measures
-    it, compare peaks at 15 vectors of 2^18 (20 while the baseline's
-    report, with its state, and the continued run's error norms stayed
-    alive; 16 while the baseline computed error norms the table drops)
-    and diagnostics at 17 (20 while the n x m basis stayed alive past the
-    projected matrix)."""
+    it, a run peaks at the vectors its recurrence reads: sine at 12
+    vectors of 2^18 (15 while a step held T*q through the shift solve and
+    its state kept the replaced iterate and mapped direction through the
+    next apply), cgne at 11 (13), compare at 12 (15 while it copied the
+    data vector to drop the truth; 20 while the baseline's report, with
+    its state, and the continued run's error norms stayed alive) and
+    diagnostics at 14 (17 while the final iterate lived through the audit
+    and the mapped and residual histories through the basis; 20 while
+    the n x m basis stayed alive past the projected matrix)."""
     n = 2**18
     tracemalloc.start()
     try:

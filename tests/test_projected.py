@@ -195,7 +195,7 @@ def sine_loop(p, rule):
     (lambda p, rule: run_sine(p, 1e-3, rule), 1),
     (lambda p, rule: run_diagnostics(p, 1e-3, rule), 1),
     (run_cgne, 2),
-    (lambda p, rule: run_compare(p, 1e-3, rule), 2),
+    (lambda p, rule: run_compare(p, 1e-3, rule), 1),
     (sine_loop, 2),
 ], ids=["run_sine", "run_diagnostics", "run_cgne", "run_compare", "sine_loop"])
 def test_inconsistent_adjoint_fails_fast(entry, adjoint_calls):
@@ -203,7 +203,8 @@ def test_inconsistent_adjoint_fails_fast(entry, adjoint_calls):
     long before the cap on the projection. A projected SINE run makes one
     adjoint call before it; a run that needs the breakdown scale makes the
     start's T* r first, and its norm estimate, which runs the same
-    process, then makes the call of step 1."""
+    process, then makes the call of step 1. ``run_compare`` takes that
+    estimate before its baseline starts, for its shift check."""
     p = random_problem(80, 50, "algebraic", 1, seed=0, delta=1e-3)
     matrix, calls = p.operator.matrix, [0]
 
@@ -411,23 +412,38 @@ def test_an_overflowing_shift_is_named(run):
     """At gamma = 1e-310 the pivots 1 + (alpha^2 + beta^2)/gamma of the
     small bidiagonal overflow: a typed error naming gamma, as the dense and
     diagonal backends raise, where the run used to fail at its first step
-    on a NaN norm. At gamma = 1e-300 it still stops by breakdown at 1."""
-    p = wrapped(multiplication_problem(64, 1, 1e-3))
+    on a NaN norm. It comes at the Golub-Kahan step that makes the first
+    pivot overflow, its one adjoint apply, where it came after the 10
+    forward and 11 adjoint applies of the first checkpoint. run_compare
+    raises at its own shift check, after the norm estimate alone. At
+    gamma = 1e-300 the run still stops by breakdown at 1."""
+    base = multiplication_problem(64, 1, 1e-3)
+    calls = []
+
+    def counted(name):
+        return lambda v: calls.append(name) or base.operator.apply(v)
+
+    def wrapped_counted():
+        return MatrixFreeOperator(base.domain_space, base.range_space,
+                                  counted("forward"), counted("adjoint"))
+
+    p = Problem(wrapped_counted(), base.y_delta, base.delta, truth=base.truth)
     rule = StoppingRule(1.01, 1e-3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="gamma=1e-310"):
             run(p, 1e-310, rule)
+        counts = calls.count("forward"), calls.count("adjoint")
+        if run is run_compare:
+            calls.clear()
+            wrapped_counted().norm_estimate()
+            assert counts == (calls.count("forward"), calls.count("adjoint"))
+        else:
+            assert counts == (0, 1)
         result = run(p, 1e-300, rule)
     stop = (result.terminated_by_sine, result.stopping_index_sine) if (
         run is run_compare) else (result.terminated_by, result.stopping_index)
     assert stop == ("breakdown", 1)
-
-
-def test_bidiagonal_shift_solve_names_an_overflowing_shift():
-    small = sinereg.sine._Bidiagonal([1.0, 0.5], [0.3, 0.0])
-    with pytest.raises(NumericalError, match="gamma=1e-310"):
-        build_shift_solver(small, 1e-310)
 
 
 def test_discrepancy_stop_is_checked_in_the_full_space(monkeypatch):
