@@ -87,21 +87,16 @@ def build_basis(w_history, space):
 
 
 def projected_gram(basis, op):
-    """Projected normal-equation matrix S with S[i, j] = <T*T v_i, v_j>,
-    the products taken in ``op.domain``, for the columns v_i of ``basis``.
+    """Projected normal-equation matrix S with S[i, j] = <T*T v_i, v_j>
+    for the columns v_i of ``basis``: by adjointness, the products
+    <T v_i, T v_j> in ``op.codomain`` of :meth:`~LinearOperator.apply_columns`,
+    which raises :class:`DimensionError` for a basis not in ``op.domain``.
 
     Symmetrized as (S + S^T)/2; symmetric positive definite whenever the
     basis spans a subspace on which T is injective.
     """
-    m = basis.shape[1]
-    if op.domain_dim != basis.shape[0]:
-        raise DimensionError(
-            f"basis lives in dimension {basis.shape[0]}, operator domain is "
-            f"{op.domain_dim}"
-        )
-    # one row at a time: an n x m block of T*T v_i would raise the peak
-    rows = [op.domain.gram(op.normal_apply(basis[:, i]), basis) for i in range(m)]
-    s = np.array(rows).reshape(m, m)
+    tv = op.apply_columns(basis)
+    s = op.codomain.gram(tv, tv)
     return (s + s.T) / 2.0
 
 

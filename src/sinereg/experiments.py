@@ -85,7 +85,7 @@ def run_compare(problem, gamma, rule):
     projection, as in :func:`run_sine`, grown until it also carries the
     continued run to the table's last row. Both run on the problem without
     its truth, since the table holds residuals only, and so compute no
-    error norms.
+    error norms; the continued run forms no iterate past its first stop.
     """
     gamma = _shift_and_rule("run_compare", gamma, rule)
     top = problem.operator.norm_estimate()  # the baseline's breakdown scale
@@ -93,9 +93,7 @@ def run_compare(problem, gamma, rule):
         raise NumericalError(
             f"run_compare: the shifted operator I + T*T / gamma overflows, "
             f"since 1 + ||T||^2 / gamma does (gamma={gamma:g})")
-    # the problem without its truth, sharing its frozen data vector
-    problem = copy.copy(problem)
-    object.__setattr__(problem, "truth", None)
+    problem = _without_truth(problem)
     rep_c = run_cgne(problem, rule)
     res_c, m_cgne, terminated_c = (
         rep_c.residual_history, rep_c.stopping_index, rep_c.terminated_by)
@@ -124,6 +122,13 @@ def run_compare(problem, gamma, rule):
         dominance=dominance,
         iterate_sine=iterate_sine,
     )
+
+
+def _without_truth(problem):
+    """``problem`` without its truth, sharing its frozen data vector."""
+    problem = copy.copy(problem)
+    object.__setattr__(problem, "truth", None)
+    return problem
 
 
 @dataclass(frozen=True)
@@ -261,13 +266,14 @@ def run_diagnostics(problem, gamma, rule):
     error reported.
 
     It checks its shift and rule once and drives ``_sine`` itself, for
-    the run of :func:`run_sine` with ``keep_history``. So on an operator
-    with the inherited inner-CG shift solve the run is projected onto a
-    Golub-Kahan bidiagonalization, and its direction, mapped-direction and
-    residual vectors are formed in the full space from the regenerated
-    basis; no inner CG runs. That costs about 4k applies for the
-    projection of k steps and m + 1 forward applies for the history,
-    before the applies of the analysis itself.
+    the run of :func:`run_sine` with ``keep_history`` on the problem
+    without its truth, as no field reads an error. So on an operator with
+    the inherited inner-CG shift solve the run is projected onto a
+    Golub-Kahan bidiagonalization, its vectors formed in the full space
+    from the regenerated basis: about 4k applies for k steps and m + 1
+    forward applies for the history; no inner CG runs. The analysis adds
+    m forward applies, or one matrix product on a dense operator, for the
+    projected matrix and m adjoint applies for the orthogonality audit.
 
     The solver's outcome is never changed. On a rank-deficient problem
     the run can continue past the rank of T on rounding noise; the
@@ -278,6 +284,7 @@ def run_diagnostics(problem, gamma, rule):
     """
     gamma = _shift_and_rule("run_diagnostics", gamma, rule)
     cap = rule.resolve_cap(problem.operator.domain_dim)
+    problem = _without_truth(problem)
     state, terminated, steps, _, _ = _sine(problem, gamma, rule, cap, keep_history=True)
     # each vector goes once its last reader is done, the unread iterate first
     state.iterate = None

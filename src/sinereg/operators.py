@@ -10,16 +10,13 @@ by default, overridden by a diagonal's division and a dense Cholesky,
 factored once and applied by two BLAS-2 triangular solves per step. A
 shift so small that the shifted matrix or the factors overflow raises
 :class:`NumericalError` naming it.
-``run_sine`` (with or without history), ``run_compare`` and
-``run_diagnostics`` call no inner CG: on an operator that inherits it,
-they project the run onto a Golub-Kahan bidiagonalization instead (see
-:mod:`sinereg.sine`). Only hand-written ``sine_step`` loops keep it.
-That process lives here, with its non-finite and adjoint checks, since
-``norm_estimate`` runs it too for the breakdown scale, once per operator.
-A diagonal operator knows its norm, max |d_i|, and caches it at
-construction instead. A complex matrix,
-diagonal, input vector or callable output raises ``ValueError`` instead
-of being cut to its real part.
+The Golub-Kahan process that the entry points run in place of inner CG
+(see :mod:`sinereg.sine`) lives here, with its non-finite and adjoint
+checks, since ``norm_estimate`` runs it too for the breakdown scale; a
+diagonal operator caches its norm, max |d_i|, at construction instead.
+``apply_columns`` applies T to each column of a block: one ``apply``
+each, or one matrix product on a dense operator. A complex matrix,
+diagonal, input vector or callable output raises ``ValueError``.
 
 Only numpy is imported with this module. ``scipy.linalg`` is loaded by the
 first ``DenseOperator`` built, for its Cholesky factor and its BLAS
@@ -39,7 +36,7 @@ import warnings
 import numpy as np
 
 from .exceptions import DataFormatError, DimensionError, NumericalError
-from .spaces import InnerProductSpace, _as_finite
+from .spaces import InnerProductSpace, _as_finite, _as_real
 
 __all__ = [
     "LinearOperator",
@@ -111,6 +108,24 @@ class LinearOperator:
     def normal_apply(self, x):
         """T* T x, the normal-equation operator."""
         return self.apply_adjoint(self.apply(x))
+
+    def apply_columns(self, block):
+        """T on each column of a ``domain_dim x m`` block, else
+        :class:`DimensionError`: here one :meth:`apply` per column, so a
+        matrix-free callable is checked and copied once per column, and one
+        matrix product (BLAS-3) on a dense operator, which overrides it."""
+        block = self._columns(block)
+        out = np.empty((block.shape[1], self.range_dim))
+        for row, column in zip(out, block.T):
+            row[:] = self.apply(column)
+        return out.T
+
+    def _columns(self, block):
+        block = _as_real(block, "block")
+        if block.ndim != 2 or block.shape[0] != self.domain_dim:
+            raise DimensionError(
+                f"block has shape {block.shape}, expected ({self.domain_dim}, m)")
+        return block
 
     def shift_solve(self, gamma):
         """``(name, solve)`` with ``solve(v) = (I + T*T/gamma)^{-1} v``; here
@@ -264,6 +279,9 @@ class DenseOperator(LinearOperator):
     def apply_adjoint(self, y):
         y = self.codomain.check_vector(y, "input")
         return self.codomain.gram(y, self.matrix) / self.domain.weights
+
+    def apply_columns(self, block):
+        return self.matrix @ self._columns(block)
 
     def shift_solve(self, gamma):
         """Cholesky M = U^T U of M = W_d + A^T W_r A / gamma, factored

@@ -188,8 +188,9 @@ class TestProjectedGram:
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_matches_entrywise_inner_products(self, weighted):
-        """One gram product per row equals the loop of inner products it
-        replaced, up to summation order."""
+        """The codomain products of T applied to the basis equal the
+        domain-side products <T*T v_i, v_j> of ``normal_apply``, as
+        adjointness says, up to rounding: an independent check."""
         rng = np.random.default_rng(6)
         dom = InnerProductSpace(12, rng.uniform(0.2, 2.0, 12) if weighted else None)
         ran = InnerProductSpace(15, rng.uniform(0.2, 2.0, 15) if weighted else None)
@@ -202,7 +203,7 @@ class TestProjectedGram:
 
     def test_basis_of_the_wrong_dimension_rejected(self):
         op = DenseOperator(np.ones((4, 3)))
-        with pytest.raises(DimensionError, match="dimension 4"):
+        with pytest.raises(DimensionError, match=r"shape \(4, 2\), expected \(3, m\)"):
             projected_gram(np.eye(4)[:, :2], op)
 
     def test_eigenvalues_within_operator_norm(self):

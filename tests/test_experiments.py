@@ -298,19 +298,21 @@ def test_diagnostics_checks_once_and_drives_its_own_run(monkeypatch, matrix_free
 
 @pytest.mark.parametrize("run, vectors", [
     (run_sine, 12), (lambda p, gamma, rule: run_cgne(p, rule), 11),
-    (run_compare, 12), (run_diagnostics, 14),
+    (run_compare, 11), (run_diagnostics, 13),
 ], ids=["sine", "cgne", "compare", "diagnostics"])
 def test_peak_holds_only_the_vectors_in_use(run, vectors):
     """With the problem built inside the window, as the benchmark measures
     it, a run peaks at the vectors its recurrence reads: sine at 12
     vectors of 2^18 (15 while a step held T*q through the shift solve and
     its state kept the replaced iterate and mapped direction through the
-    next apply), cgne at 11 (13), compare at 12 (15 while it copied the
-    data vector to drop the truth; 20 while the baseline's report, with
-    its state, and the continued run's error norms stayed alive) and
-    diagnostics at 14 (17 while the final iterate lived through the audit
-    and the mapped and residual histories through the basis; 20 while
-    the n x m basis stayed alive past the projected matrix)."""
+    next apply), cgne at 11 (13), compare at 11 (12 while its continued
+    SINE run formed an iterate past the first stop; 15 while it copied
+    the data vector to drop the truth; 20 while the baseline's report,
+    with its state, and the continued run's error norms stayed alive) and
+    diagnostics at 13 (14 while its run kept the truth and formed error
+    norms; 17 while the final iterate lived through the audit and the
+    mapped and residual histories through the basis; 20 while the n x m
+    basis stayed alive past the projected matrix)."""
     n = 2**18
     tracemalloc.start()
     try:
@@ -503,6 +505,16 @@ class TestDiagnosticsDriver:
         assert report.terminated_by == "iteration_cap"
         assert report.truncated_reason is None
         assert len(report.ritz) == len(report.orthogonality.galerkin) == 20
+
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_report_does_not_depend_on_the_truth(self, matrix_free):
+        """No field reads an error norm, so the problem and the problem
+        without its truth give the same report."""
+        p = weighted_geometric_problem(matrix_free)
+        rule = StoppingRule(1.001, p.delta)
+        truthless = Problem(p.operator, p.y_delta, p.delta)
+        assert (run_diagnostics(p, 1.0, rule).to_dict()
+                == run_diagnostics(truthless, 1.0, rule).to_dict())
 
     def test_random_run_interlacing_all_true(self):
         p = random_problem(40, 30, rate=0.9, seed=6, delta=1e-4)

@@ -64,6 +64,49 @@ class TestApply:
             op.apply_adjoint(np.ones(2))
 
 
+class TestApplyColumns:
+    """``apply_columns`` against one ``apply`` per column: the base class's
+    loop gives its bits, a dense operator's matrix product its values to
+    rounding."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_base_loop_is_bit_equal_to_column_applies(self, weighted):
+        rng = np.random.default_rng(12)
+        free = random_backends(15, 9, seed=4, weighted=weighted)[1]
+        space = InnerProductSpace(9, rng.uniform(0.5, 2.0, 9) if weighted else None)
+        for op in (free, DiagonalOperator(rng.standard_normal(9), space)):
+            block = rng.standard_normal((9, 5))
+            want = np.column_stack([op.apply(column) for column in block.T])
+            assert np.array_equal(op.apply_columns(block), want)
+
+    def test_base_loop_copies_a_reused_output_buffer(self):
+        buf = np.empty(3)
+
+        def forward(x):
+            buf[:] = [x[0], x[1], x[0] + x[1]]
+            return buf
+
+        op = MatrixFreeOperator(InnerProductSpace(2), InnerProductSpace(3),
+                                forward, lambda y: y[:2] + y[2])
+        block = np.array([[1.0, 3.0], [2.0, 5.0]])
+        assert np.array_equal(op.apply_columns(block),
+                              np.array([[1.0, 3.0], [2.0, 5.0], [3.0, 8.0]]))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_dense_product_matches_column_applies(self, weighted):
+        dense = random_backends(40, 25, seed=7, weighted=weighted)[0]
+        block = np.random.default_rng(9).standard_normal((25, 6))
+        want = np.column_stack([dense.apply(column) for column in block.T])
+        bound = 1e-14 * np.linalg.norm(dense.matrix, 2) * np.linalg.norm(block, 2)
+        assert np.max(np.abs(dense.apply_columns(block) - want)) <= bound
+
+    @pytest.mark.parametrize("shape", [(), (8,), (7, 3), (8, 3, 1)])
+    def test_block_of_the_wrong_shape_rejected(self, shape):
+        for op in random_backends(12, 8, 21) + [DiagonalOperator(np.ones(8))]:
+            with pytest.raises(DimensionError, match="block has shape"):
+                op.apply_columns(np.ones(shape))
+
+
 class TestAdjoint:
     def test_diagonal_self_adjoint(self):
         op = DiagonalOperator(np.array([2.0, -1.0, 0.5]),
