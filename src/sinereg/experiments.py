@@ -85,7 +85,7 @@ def run_compare(problem, gamma, rule):
     projection, as in :func:`run_sine`, grown until it also carries the
     continued run to the table's last row. Both run on the problem without
     its truth, since the table holds residuals only, and so compute no
-    error norms; the continued run forms no iterate past its first stop.
+    error norms.
     """
     gamma = _shift_and_rule("run_compare", gamma, rule)
     top = problem.operator.norm_estimate()  # the baseline's breakdown scale

@@ -36,7 +36,7 @@ import warnings
 import numpy as np
 
 from .exceptions import DataFormatError, DimensionError, NumericalError
-from .spaces import InnerProductSpace, _as_finite, _as_real
+from .spaces import InnerProductSpace, _as_finite
 
 __all__ = [
     "LinearOperator",
@@ -110,22 +110,20 @@ class LinearOperator:
         return self.apply_adjoint(self.apply(x))
 
     def apply_columns(self, block):
-        """T on each column of a ``domain_dim x m`` block, else
-        :class:`DimensionError`: here one :meth:`apply` per column, so a
-        matrix-free callable is checked and copied once per column, and one
-        matrix product (BLAS-3) on a dense operator, which overrides it."""
-        block = self._columns(block)
+        """T on each column of a ``domain_dim x m`` array, else
+        :class:`DimensionError`: one :meth:`apply` per column, so a
+        matrix-free callable is checked and copied once per column, or on
+        a dense operator one matrix product (BLAS-3)."""
+        if block.ndim != 2 or block.shape[0] != self.domain_dim:
+            raise DimensionError(
+                f"block has shape {block.shape}, expected ({self.domain_dim}, m)")
+        return self._apply_block(block)
+
+    def _apply_block(self, block):
         out = np.empty((block.shape[1], self.range_dim))
         for row, column in zip(out, block.T):
             row[:] = self.apply(column)
         return out.T
-
-    def _columns(self, block):
-        block = _as_real(block, "block")
-        if block.ndim != 2 or block.shape[0] != self.domain_dim:
-            raise DimensionError(
-                f"block has shape {block.shape}, expected ({self.domain_dim}, m)")
-        return block
 
     def shift_solve(self, gamma):
         """``(name, solve)`` with ``solve(v) = (I + T*T/gamma)^{-1} v``; here
@@ -280,8 +278,8 @@ class DenseOperator(LinearOperator):
         y = self.codomain.check_vector(y, "input")
         return self.codomain.gram(y, self.matrix) / self.domain.weights
 
-    def apply_columns(self, block):
-        return self.matrix @ self._columns(block)
+    def _apply_block(self, block):
+        return self.matrix @ block
 
     def shift_solve(self, gamma):
         """Cholesky M = U^T U of M = W_d + A^T W_r A / gamma, factored

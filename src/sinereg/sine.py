@@ -100,8 +100,7 @@ def sine_step(state, solver):
     ``out=``), so the step writes into no state array, problem data,
     operator output or shift-solver output: a solve may return a buffer
     that it reuses. T* q is taken after the shift solve and dropped once
-    beta is formed, and t once w is. A state whose iterate is None, as
-    ``run_compare``'s past its first stop, forms no x: its iterate stays None.
+    beta is formed, and t once w is.
 
     Must not be called once breakdown has been detected; an exactly zero
     mapped direction raises :class:`NumericalError`.
@@ -125,10 +124,8 @@ def sine_step(state, solver):
     w = np.multiply(state.direction, beta, dtype=float)
     np.subtract(t, w, out=w)
     del t
-    x = None
-    if state.iterate is not None:
-        x = np.multiply(state.direction, alpha, dtype=float)
-        np.add(state.iterate, x, out=x)
+    x = np.multiply(state.direction, alpha, dtype=float)
+    np.add(state.iterate, x, out=x)
     state.advance(x, r, w, alpha, beta)
     return state
 
@@ -186,7 +183,6 @@ def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
     terminated = drive(state, step, rule, cap)
     m, x, end = state.iteration, state.iterate, terminated
     if fill and terminated == "discrepancy":
-        state.iterate = None  # so the fill's steps form no iterate
         # a zero threshold stops only on an exactly zero residual
         end = drive(state, step, StoppingRule(rule.tau, 0.0), cap)
     return state, terminated, m, x, end

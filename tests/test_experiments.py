@@ -298,17 +298,16 @@ def test_diagnostics_checks_once_and_drives_its_own_run(monkeypatch, matrix_free
 
 @pytest.mark.parametrize("run, vectors", [
     (run_sine, 12), (lambda p, gamma, rule: run_cgne(p, rule), 11),
-    (run_compare, 11), (run_diagnostics, 13),
+    (run_compare, 12), (run_diagnostics, 13),
 ], ids=["sine", "cgne", "compare", "diagnostics"])
 def test_peak_holds_only_the_vectors_in_use(run, vectors):
     """With the problem built inside the window, as the benchmark measures
     it, a run peaks at the vectors its recurrence reads: sine at 12
     vectors of 2^18 (15 while a step held T*q through the shift solve and
     its state kept the replaced iterate and mapped direction through the
-    next apply), cgne at 11 (13), compare at 11 (12 while its continued
-    SINE run formed an iterate past the first stop; 15 while it copied
-    the data vector to drop the truth; 20 while the baseline's report,
-    with its state, and the continued run's error norms stayed alive) and
+    next apply), cgne at 11 (13), compare at 12 (15 while it copied the
+    data vector to drop the truth; 20 while the baseline's report, with
+    its state, and the continued run's error norms stayed alive) and
     diagnostics at 13 (14 while its run kept the truth and formed error
     norms; 17 while the final iterate lived through the audit and the
     mapped and residual histories through the basis; 20 while the n x m

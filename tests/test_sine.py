@@ -131,22 +131,6 @@ class TestStep:
         rel /= p.domain_space.norm(closed_form)
         assert rel <= 1e-3
 
-    def test_state_without_an_iterate_forms_none(self):
-        """A state whose iterate is None, as ``run_compare``'s past its
-        first stop, steps to the same coefficients and residual norms and
-        forms no iterate."""
-        base = random_problem(30, 20, rate=0.5, seed=3, delta=1e-3)
-        p = Problem(base.operator, base.y_delta, base.delta)
-        solver = build_shift_solver(p.operator, 1.0)
-        want, got = sine_init(p, 1.0), sine_init(p, 1.0)
-        got.iterate = None
-        for _ in range(6):
-            sine_step(want, solver)
-            sine_step(got, solver)
-            assert got.iterate is None
-        assert (got.residual_norms, got.alphas, got.betas) == (
-            want.residual_norms, want.alphas, want.betas)
-
     def test_step_after_exact_breakdown_raises(self):
         p = identity_problem(2, np.zeros(2))
         solver = build_shift_solver(p.operator, gamma=1.0)
