@@ -26,10 +26,8 @@ def cgne_init(problem, x0=None):
 
 
 def cgne_step(state):
-    """One CGLS step; must not be called after breakdown. Like
-    :func:`~sinereg.sine.sine_step`, it forms x, r and p in new float64
-    arrays of its own and writes into no state array, problem data or operator
-    output; T* r is dropped once p is formed."""
+    """One CGLS step under the step contract of :class:`KrylovState`;
+    must not be called after breakdown. T* r is dropped once p is formed."""
     if state.normal_residual_sq is None:
         raise DimensionError("cgne_step expects a state from cgne_init")
     if state.mapped_norm_sq == 0.0:

@@ -103,6 +103,8 @@ def _build_problem(pc):
     if kind == "files":
         if any(pc.get(key) is None for key in ("operator", "data", "delta")):
             raise ConfigError("problem kind 'files' needs 'operator', 'data' and 'delta'")
+        if pc.get("seed") is not None:
+            raise ConfigError("problem kind 'files' reads its data and takes no 'seed'")
         return load_problem(pc["operator"], pc["data"],
                             **_take(pc, delta=_float, operator_kind=str))
     raise ConfigError(f"unknown problem kind {kind!r}")

@@ -1,7 +1,6 @@
 """Experiment harnesses: per-iteration solver comparison, noise-sweep rate
 checks with a log-log slope fit, and the diagnostics driver."""
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -80,12 +79,10 @@ def run_compare(problem, gamma, rule):
     The baseline runs under the stopping rule; the rational-subspace
     iteration is then driven for the same number of steps (stopping early
     only if it breaks down) so that every row of the table compares
-    minimizers over same-index subspaces. On an operator with the
-    inherited inner-CG shift solve that iteration runs on a Golub-Kahan
-    projection, as in :func:`run_sine`, grown until it also carries the
-    continued run to the table's last row. Both run on the problem without
-    its truth, since the table holds residuals only, and so compute no
-    error norms.
+    minimizers over same-index subspaces; a projected run (see
+    :mod:`sinereg.sine`) grows until it also carries the continued run to
+    the table's last row. Both run on the problem without its truth, since
+    the table holds residuals only, and so compute no error norms.
     """
     gamma = _shift_and_rule("run_compare", gamma, rule)
     top = problem.operator.norm_estimate()  # the baseline's breakdown scale
@@ -93,7 +90,7 @@ def run_compare(problem, gamma, rule):
         raise NumericalError(
             f"run_compare: the shifted operator I + T*T / gamma overflows, "
             f"since 1 + ||T||^2 / gamma does (gamma={gamma:g})")
-    problem = _without_truth(problem)
+    problem = problem._without_truth()
     rep_c = run_cgne(problem, rule)
     res_c, m_cgne, terminated_c = (
         rep_c.residual_history, rep_c.stopping_index, rep_c.terminated_by)
@@ -122,13 +119,6 @@ def run_compare(problem, gamma, rule):
         dominance=dominance,
         iterate_sine=iterate_sine,
     )
-
-
-def _without_truth(problem):
-    """``problem`` without its truth, sharing its frozen data vector."""
-    problem = copy.copy(problem)
-    object.__setattr__(problem, "truth", None)
-    return problem
 
 
 @dataclass(frozen=True)
@@ -267,13 +257,10 @@ def run_diagnostics(problem, gamma, rule):
 
     It checks its shift and rule once and drives ``_sine`` itself, for
     the run of :func:`run_sine` with ``keep_history`` on the problem
-    without its truth, as no field reads an error. So on an operator with
-    the inherited inner-CG shift solve the run is projected onto a
-    Golub-Kahan bidiagonalization, its vectors formed in the full space
-    from the regenerated basis: about 4k applies for k steps and m + 1
-    forward applies for the history; no inner CG runs. The analysis adds
-    m forward applies, or one matrix product on a dense operator, for the
-    projected matrix and m adjoint applies for the orthogonality audit.
+    without its truth, as no field reads an error; :mod:`sinereg.sine`
+    gives that run's cost. The analysis adds m forward applies, or one
+    matrix product on a dense operator, for the projected matrix and m
+    adjoint applies for the orthogonality audit.
 
     The solver's outcome is never changed. On a rank-deficient problem
     the run can continue past the rank of T on rounding noise; the
@@ -284,7 +271,7 @@ def run_diagnostics(problem, gamma, rule):
     """
     gamma = _shift_and_rule("run_diagnostics", gamma, rule)
     cap = rule.resolve_cap(problem.operator.domain_dim)
-    problem = _without_truth(problem)
+    problem = problem._without_truth()
     state, terminated, steps, _, _ = _sine(problem, gamma, rule, cap, keep_history=True)
     # each vector goes once its last reader is done, the unread iterate first
     state.iterate = None

@@ -6,23 +6,16 @@ Every backend provides ``apply`` (forward) and ``apply_adjoint``, where the
 adjoint is taken with respect to the weighted inner products of the domain
 and range spaces, so that <T u, v>_range = <u, T* v>_domain holds in exact
 arithmetic. Each operator owns its shift solve, ``shift_solve``: inner CG
-by default, overridden by a diagonal's division and a dense Cholesky,
-factored once and applied by two BLAS-2 triangular solves per step. A
-shift so small that the shifted matrix or the factors overflow raises
-:class:`NumericalError` naming it.
-The Golub-Kahan process that the entry points run in place of inner CG
-(see :mod:`sinereg.sine`) lives here, with its non-finite and adjoint
-checks, since ``norm_estimate`` runs it too for the breakdown scale; a
-diagonal operator caches its norm, max |d_i|, at construction instead.
-``apply_columns`` applies T to each column of a block: one ``apply``
-each, or one matrix product on a dense operator. A complex matrix,
-diagonal, input vector or callable output raises ``ValueError``.
+by default, overridden by a diagonal's division and a dense Cholesky. The
+Golub-Kahan process of projected runs (see :mod:`sinereg.sine`) lives
+here, since ``norm_estimate`` runs it too for the breakdown scale. A
+complex matrix, diagonal, input vector or callable output raises
+``ValueError``.
 
 Only numpy is imported with this module. ``scipy.linalg`` is loaded by the
 first ``DenseOperator`` built, for its Cholesky factor and its BLAS
-triangular solves, and ``scipy.io`` by
-the first Matrix Market file read or written, so diagonal and matrix-free
-runs never pay for scipy.
+triangular solves, and ``scipy.io`` by the first Matrix Market file read
+or written, so diagonal and matrix-free runs never pay for scipy.
 
 Operators are immutable after construction and safe to share across
 threads for read-only application.
@@ -50,12 +43,8 @@ __all__ = [
     "save_vector",
 ]
 
-# LinearOperator.norm_estimate runs the Golub-Kahan process for at most
-# NORM_ITERS forward applies from a start drawn from a fixed seed, to a
-# Ritz residual of NORM_RTOL relative. An adjoint callable is inconsistent
-# with the forward map when <T v_i, u_i> and <v_i, T* u_i> differ by more
-# than GK_ADJOINT_RTOL times the largest coefficient of T so far
-# (consistent adjoints stay below 1e-15 of it).
+# Read by LinearOperator.norm_estimate and _golub_kahan, which say how; a
+# consistent adjoint's gap stays below 1e-15 of the adjoint check's scale.
 NORM_ITERS = 50
 NORM_RTOL = 1e-6
 _NORM_SEED = 20210828
@@ -383,11 +372,10 @@ class MatrixFreeOperator(LinearOperator):
     """Operator defined by caller-supplied forward/adjoint callables.
 
     The adjoint must be consistent with the weighted inner products of the
-    given spaces: the Golub-Kahan process raises :class:`NumericalError`
-    at the first step that breaks this by more than rounding. ``run_sine``,
-    ``run_compare`` and ``run_diagnostics`` run that process in place of
-    the inherited inner-CG shift solve; ``run_cgne`` and ``sine_step``
-    loops run it in :meth:`norm_estimate`, at their first breakdown test.
+    given spaces: the Golub-Kahan process, of a projected run (see
+    :mod:`sinereg.sine`) or of :meth:`norm_estimate`, raises
+    :class:`NumericalError` at the first step that breaks this by more
+    than rounding.
     Each output is checked and copied once, so a callable may reuse one
     output buffer. Its input is the library's own vector: a write into it
     fails the adjoint check, or raises on the problem's read-only data.

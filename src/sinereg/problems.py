@@ -2,6 +2,7 @@
 seeded random dense problems with prescribed singular-value decay,
 calibrated noise injection, and file-based problem loading."""
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,8 @@ class Problem:
     truth: np.ndarray | None = None
 
     def __post_init__(self):
-        set_field = object.__setattr__  # the only writes to a frozen field
+        # with _without_truth's, these are the only writes to a frozen field
+        set_field = object.__setattr__
         set_field(self, "delta", _real(self.delta, "noise level", strict=False))
         y = self.operator.codomain.check_vector(self.y_delta, "data")
         set_field(self, "y_delta", _as_finite(y, "data vector", copy=True))
@@ -49,6 +51,12 @@ class Problem:
             x = self.operator.domain.check_vector(self.truth, "truth")
             set_field(self, "truth", _as_finite(x, "truth vector", copy=True))
             self.truth.setflags(write=False)
+
+    def _without_truth(self):
+        """This problem without its truth, sharing its frozen data vector."""
+        problem = copy.copy(self)
+        object.__setattr__(problem, "truth", None)
+        return problem
 
     @property
     def domain_space(self):

@@ -21,20 +21,22 @@ is the minimum-norm least-squares solution. The residual recurrence is
 kept exactly as above; a recomputed residual ``y - T x`` is available only
 through the audit path (:meth:`Problem.residual`), never substituted.
 
-An operator whose shift solve is the inherited inner CG (a
+An operator whose shift solve is the inherited inner CG (a bare
 ``MatrixFreeOperator``, say) would rebuild the one Krylov space
-K(T*T, T*r_0) in every solve. There :func:`run_sine`, with or without
-history, and the SINE half of ``run_compare`` run the same recurrence on a
-Golub-Kahan projection instead: T V_k = U_{k+1} B_k from u_1 = r_0/||r_0||,
-with exact k x k shift solves on the small bidiagonal B_k, and
-x = x_0 + V_k z. The process, with its non-finite and adjoint checks, is
-the one :meth:`LinearOperator.norm_estimate` runs from a seeded start. No
-basis is stored; a second pass regenerates V_k. That costs about 4k
-applies in all (k = 60 on a 2^14-point FFT blur) against one inner CG per
-step. A history adds m + 1 forward applies: the second pass forms each
-direction w_j = V_k zeta_j from the small run's zeta_j, then q_j = T w_j,
-and r_{j+1} = r_j - alpha_j q_j from r_0. So ``run_diagnostics`` runs no
-inner CG either; only hand-written :func:`sine_step` loops keep it.
+K(T*T, T*r_0) in every solve. There :func:`run_sine`, ``run_compare`` and
+``run_diagnostics`` run the same recurrence on a Golub-Kahan projection
+T V_k = U_{k+1} B_k from u_1 = r_0/||r_0|| (the process, with its
+checks, of :meth:`LinearOperator.norm_estimate`), with exact shift
+solves on the small bidiagonal B_k; the residual history and coefficients
+are the projected run's, and x = x_0 + V_k z. No basis is stored: a
+second pass regenerates V_k to map back the first stop's iterate and,
+with a truth, every iterate before it for the error history. That costs
+about 4k applies (k = 60 on a 2^14-point FFT blur) against one inner CG
+per step. A history adds m + 1 forward applies: the second pass forms
+w_j = V_k zeta_j from the small run's zeta_j, then q_j = T w_j, and
+r_{j+1} = r_j - alpha_j q_j from r_0, so it moves neither the stop, the
+iterate nor the histories. Only hand-written :func:`sine_step` loops
+keep inner CG.
 """
 
 import itertools
@@ -47,16 +49,12 @@ from .exceptions import DimensionError, NumericalError
 from .operators import LinearOperator, _golub_kahan
 from .problems import Problem
 from .spaces import InnerProductSpace, _real
-from .stopping import KrylovState, RunReport, StoppingRule, drive
+from .stopping import (KrylovState, RunReport, StoppingRule, _starting_iterate,
+                       drive)
 
 __all__ = ["ShiftSolver", "build_shift_solver", "sine_init", "sine_step", "run_sine"]
 
-# The projected run grows the Golub-Kahan projection by GK_CHUNK steps at a
-# time until two checkpoints agree, with iterates within GK_SETTLE_RTOL
-# relative; past GK_STEPS_PER_DIM * domain_dim steps it raises. Its
-# iterate's recomputed residual may exceed tau * delta by GK_RESIDUAL_RTOL
-# relative at a discrepancy stop. The process itself, with its adjoint
-# check (GK_ADJOINT_RTOL), is the one of LinearOperator.norm_estimate.
+# Read by _run_projected and _settled, which say how.
 GK_CHUNK = 10
 GK_SETTLE_RTOL = 1e-10
 GK_STEPS_PER_DIM = 10
@@ -93,14 +91,9 @@ def sine_init(problem, gamma, x0=None, keep_history=False):
 
 
 def sine_step(state, solver):
-    """Advance the iteration by one step (see module docstring).
-
-    Each of x, r and w is formed in a new float64 array that the step
-    allocates (``np.multiply``, then ``np.add`` or ``np.subtract`` with
-    ``out=``), so the step writes into no state array, problem data,
-    operator output or shift-solver output: a solve may return a buffer
-    that it reuses. T* q is taken after the shift solve and dropped once
-    beta is formed, and t once w is.
+    """Advance the iteration by one step (see module docstring), under
+    the step contract of :class:`KrylovState`. T* q is taken after the
+    shift solve and dropped once beta is formed, and t once w is.
 
     Must not be called once breakdown has been detected; an exactly zero
     mapped direction raises :class:`NumericalError`.
@@ -132,16 +125,10 @@ def sine_step(state, solver):
 
 def run_sine(problem, gamma, rule, x0=None, keep_history=False):
     """Iterate to the discrepancy principle, breakdown, or the cap
-    (see :func:`drive` for the order of the tests).
-
-    On an operator with the inherited inner-CG shift solve, the run is
-    projected onto a Golub-Kahan bidiagonalization (see the module
-    docstring); its residual history and coefficients are the projected
-    run's, and its iterate, error history and, with ``keep_history``, its
-    direction, mapped-direction and residual vectors are formed in the
-    full space. A history then changes neither the stop, nor the iterate,
-    nor the histories. Otherwise every step makes one shift solve with the
-    operator's own solver.
+    (see :func:`drive` for the order of the tests). Every step makes one
+    shift solve with the operator's own solver, except on an operator with
+    the inherited inner CG, where the run is projected (see
+    :mod:`sinereg.sine`).
 
     Returns a :class:`RunReport`; an iteration-cap termination is
     reported, not raised.
@@ -164,10 +151,10 @@ def _shift_and_rule(name, gamma, rule):
 
 
 def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
-    """The SINE run of :func:`run_sine`, ``run_compare`` and each
-    checkpoint of a projected run, at a ``gamma`` that
-    :func:`_shift_and_rule` has checked, driven by ``rule`` to ``cap``;
-    projected when the operator's shift solve is the inherited inner CG. With
+    """The SINE run of :func:`run_sine`, ``run_compare``,
+    ``run_diagnostics`` and each checkpoint of a projected run, at a
+    ``gamma`` that :func:`_shift_and_rule` has checked, driven by ``rule``
+    to ``cap``, and projected where the module docstring says. With
     ``fill``, a discrepancy stop continues at threshold 0 to ``cap``.
     Returns the final state, the first stop's reason, index and iterate,
     and the reason the run ended."""
@@ -190,16 +177,18 @@ def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
 
 class _Bidiagonal(LinearOperator):
     """The (k+1) x k lower bidiagonal B of a Golub-Kahan run, ``alphas`` on
-    its diagonal and ``betas`` below, between Euclidean spaces. Its norm,
-    cached at construction, is the root of the top eigenvalue of the
-    tridiagonal B^T B, with alpha_i^2 + beta_i^2 on its diagonal and
-    beta_i alpha_{i+1} beside it."""
+    its diagonal and ``betas`` below, between Euclidean spaces. The
+    tridiagonal B^T B, formed once for the norm and the shift solve, has
+    ``_diag``, alpha_i^2 + beta_i^2, on its diagonal and ``_off``,
+    beta_i alpha_{i+1}, beside it. The norm, cached at construction, is
+    the root of its top eigenvalue."""
 
     def __init__(self, alphas, betas):
         k = len(alphas)
         super().__init__(InnerProductSpace(k), InnerProductSpace(k + 1))
         self.alphas, self.betas = a, b = np.array(alphas), np.array(betas)
-        gram = np.diag(a * a + b * b) + np.diag(b[:-1] * a[1:], -1)
+        self._diag, self._off = a * a + b * b, b[:-1] * a[1:]
+        gram = np.diag(self._diag) + np.diag(self._off, -1)
         self._norm_estimate = float(np.sqrt(np.linalg.eigvalsh(gram)[-1]))
 
     def apply(self, z):
@@ -218,8 +207,8 @@ class _Bidiagonal(LinearOperator):
         inverses (numpy has no banded solve) moved long runs' stops. The
         pivots are finite: :func:`_run_projected` checks each one as the
         Golub-Kahan steps form it."""
-        a, b, k = self.alphas, self.betas, len(self.alphas)
-        pivots, offs = 1.0 + (a * a + b * b) / gamma, b[:-1] * a[1:] / gamma
+        k = len(self.alphas)
+        pivots, offs = 1.0 + self._diag / gamma, self._off / gamma
         diag, low = [math.sqrt(pivots[0])], []
         for d, off in zip(pivots[1:].tolist(), offs.tolist()):
             low.append(off / diag[-1])
@@ -259,29 +248,21 @@ def _settled(stops, z, stops_before, z_before, k):
 
 
 def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
-    """:func:`_sine` on Golub-Kahan projections of ``problem``, grown
-    by ``GK_CHUNK`` steps until a checkpoint is :func:`_settled`, or at
-    once when the process has ended and the projection is exact. A second
-    pass regenerates V_k to map the first stop's iterate back and, when
-    the problem has a truth, every iterate before it for the error
-    history. With ``keep_history`` it also maps back every direction
-    w_j = V_k zeta_j of the small run; then one forward apply each forms
-    q_j = T w_j, and r_{j+1} = r_j - alpha_j q_j from r_0 = y - T x_0.
-
-    Returns a state of ``problem`` that holds the projected residual norms
-    and coefficients, the error norms, the vector histories and, as its
-    iterate, the first stop's; then the first stop's reason, index and
-    iterate, and the reason the projected run ended. Raises
+    """:func:`_sine` on Golub-Kahan projections of ``problem`` (see the
+    module docstring), grown by ``GK_CHUNK`` steps until a checkpoint is
+    :func:`_settled`, or at once when the process has ended and the
+    projection is exact. Returns what :func:`_sine` does, with a state of
+    ``problem`` whose iterate is the first stop's. Raises
     :class:`NumericalError` at the first Golub-Kahan step that makes a
     pivot of the shifted bidiagonal overflow, past ``GK_STEPS_PER_DIM *
     domain_dim`` steps (or two checkpoints, if more), and when an iterate
     stopped by the discrepancy principle has a recomputed residual above
-    tau * delta by more than ``GK_RESIDUAL_RTOL``.
+    tau * delta by more than ``GK_RESIDUAL_RTOL`` relative.
     """
     op = problem.operator
     b = problem.y_delta
     if x0 is not None:
-        x0 = op.domain.check_vector(x0, "starting iterate")
+        x0 = _starting_iterate(op.domain, x0)
         b = b - op.apply(x0)
     errors_wanted = problem.truth is not None
     # two checkpoints at least, as a settled run compares two

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .spaces import _count, _real
+from .spaces import _as_finite, _count, _real
 
 __all__ = ["KrylovState", "StoppingRule", "detect_breakdown", "drive", "RunReport"]
 
@@ -31,11 +31,12 @@ class KrylovState:
     maintained so that breakdown can be tested without an extra operator
     application. ``gamma`` is the shift of a SINE state and
     ``normal_residual_sq`` the squared norm of T* r of a CGNE state; each
-    is None for the other method. No step writes into an array of the
-    state, the problem's data, or an operator's or shift solve's output:
-    each update goes into a new array of the step's own. So a state
-    started with ``keep_history`` keeps the w, q and r of every iterate in
-    its three history lists as the run's own arrays, not copies.
+    is None for the other method. The step contract: each update goes
+    into a new float64 array of the step's own (``np.multiply``, then
+    ``np.add`` or ``np.subtract`` with ``out=``), and no step writes into
+    a state, data, operator or shift-solve array, so a solve may return a
+    buffer that it reuses. A ``keep_history`` state's three history lists
+    thus hold the run's own w, q and r of every iterate, not copies.
     :meth:`advance` lets go of the replaced vectors before it applies T to
     the new direction, so only a history keeps them past that apply.
     """
@@ -64,14 +65,15 @@ class KrylovState:
         """Iterate 0: r = y - T x0 (x0 defaults to zero), w = T* r, q = T w.
 
         A nonzero start folds prior information into the data residual,
-        so the subspace is spanned from y - T x0.
+        so the subspace is spanned from y - T x0, which
+        :func:`_starting_iterate` checks first.
         """
         op = problem.operator
         if x0 is None:
             x = np.zeros(op.domain_dim)
             r = problem.y_delta
         else:
-            x = op.domain.check_vector(x0, "starting iterate").copy()
+            x = _starting_iterate(op.domain, x0).copy()
             r = problem.y_delta - op.apply(x)
         w = op.apply_adjoint(r)
         state = cls(op=op, initial_direction_norm=op.domain.norm(w),
@@ -105,6 +107,13 @@ class KrylovState:
             self.direction_history.append(w)
             self.mapped_history.append(q)
             self.residual_vectors.append(r)
+
+
+def _starting_iterate(space, x0):
+    """``x0`` as a real vector of ``space`` with finite entries, else
+    ValueError naming the starting iterate: the one check of x0, made
+    before any apply by :meth:`KrylovState.start` and projected runs."""
+    return _as_finite(space.check_vector(x0, "starting iterate"), "starting iterate")
 
 
 @dataclass(frozen=True)
@@ -230,8 +239,8 @@ class RunReport(_Record):
     gamma: float | None = None
     alphas: list[float] = field(default_factory=list)
     betas: list[float] = field(default_factory=list)
-    # the final KrylovState of the run; never serialized, read by the
-    # diagnostics pass (its vector histories exist only with keep_history)
+    # the run's final KrylovState, never serialized; a keep_history caller
+    # reads its vector histories
     state: object | None = field(default=None, repr=False, compare=False)
 
     @classmethod

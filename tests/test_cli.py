@@ -293,6 +293,27 @@ class TestErrorsAndSeeds:
             payload = json.loads((out / "report.json").read_text())
             assert payload["config"]["problem"] == problem
 
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["solve", "compare", "diagnose"])
+    def test_files_problem_rejects_seed(self, tmp_path, capsys, command, where):
+        """A files problem draws nothing, so a seed would only be echoed:
+        --seed 1 and --seed 2 gave identical runs that reported seeds 1
+        and 2, with exit code 0."""
+        p = random_problem(14, 9, "algebraic", 1.2, seed=3, delta=1e-3)
+        save_dense_operator(p.operator.matrix, tmp_path / "A.csv")
+        save_vector(p.y_delta, tmp_path / "y.csv")
+        problem = {"kind": "files", "operator": str(tmp_path / "A.csv"),
+                   "data": str(tmp_path / "y.csv"), "delta": 1e-3}
+        if where == "config":
+            problem["seed"] = 1
+        cfg = write_config(tmp_path, {"gamma": 0.1, "tau": 1.2, "problem": problem})
+        out = tmp_path / "out"
+        seed_args = ["--seed", "1"] if where == "flag" else []
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     *seed_args]) == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_ratecheck_rejects_seed(self, tmp_path, capsys):
         """ratecheck has no seed to override, so --seed is an unknown flag."""
         cfg = write_config(tmp_path, {"delta_grid": [1e-3], "n": 64})

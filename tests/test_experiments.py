@@ -24,6 +24,7 @@ from sinereg import (
     run_diagnostics,
     run_ratecheck,
     run_sine,
+    sine_init,
 )
 import sinereg.experiments
 from sinereg.experiments import fit_rate
@@ -266,6 +267,48 @@ def test_compare_names_an_overflowing_shift_before_its_baseline(kind):
     assert sum(op.calls) < {"dense": 51, "diagonal": 57, "matrix-free": 116}[kind]
     if kind == "diagonal":
         assert op.calls == [0, 0]
+
+
+@pytest.mark.parametrize("kind", ["dense", "diagonal", "matrix-free"])
+@pytest.mark.parametrize("start", [
+    lambda p, x0: run_sine(p, 1e-3, StoppingRule(1.01, 1e-3), x0=x0),
+    lambda p, x0: run_cgne(p, StoppingRule(1.01, 1e-3), x0=x0),
+    lambda p, x0: sine_init(p, 1e-3, x0=x0),
+], ids=["run_sine", "run_cgne", "sine_init"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_start_rejected_before_any_apply(kind, start, bad):
+    """A NaN or inf in x0 raised NumericalError only after applies: "non-finite
+    value at iteration 0" on the direct paths and "non-finite beta nan at
+    Golub-Kahan step 1" on the projected one (matrix-free run_sine)."""
+    op, y = counting_operator(kind)
+    x0 = np.zeros(op.domain_dim)
+    x0[1] = bad
+    with pytest.raises(ValueError, match="starting iterate contains non-finite"):
+        start(Problem(op, y, 1e-3), x0)
+    assert op.calls == [0, 0]
+
+
+@pytest.mark.parametrize("run", [run_compare, run_diagnostics])
+def test_truthless_copy_leaves_the_problem_as_it_was(monkeypatch, run):
+    """Both runs drop the truth on a shallow copy that shares the frozen
+    data vector; the caller's problem keeps its own read-only truth."""
+    p = multiplication_problem(64, 1, 1e-3)
+    y, truth, before = p.y_delta, p.truth, p.truth.copy()
+    seen = []
+
+    def recorded(problem, *args, **kwargs):
+        seen.append(problem)
+        return sine(problem, *args, **kwargs)
+
+    sine = sinereg.experiments._sine
+    monkeypatch.setattr(sinereg.experiments, "_sine", recorded)
+    run(p, 1e-3, StoppingRule(1.001, 1e-3))
+    (copy,) = seen
+    assert copy is not p and copy.truth is None
+    assert copy.y_delta is p.y_delta and copy.operator is p.operator
+    assert p.y_delta is y and p.truth is truth
+    assert not truth.flags.writeable
+    np.testing.assert_array_equal(truth, before)
 
 
 @pytest.mark.parametrize("matrix_free", [False, True], ids=["diagonal", "projected"])
