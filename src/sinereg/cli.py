@@ -88,8 +88,10 @@ def _build_problem(pc):
         exact = multiplication_problem(
             _get(pc, "n", _int, 4096), _get(pc, "exponent", _float, 1.0), 0.0
         )
-        delta = _get(pc, "delta", _float, 1e-3)
-        y_delta = add_noise(exact.y_delta, delta, _get(pc, "noise", str, "constant"),
+        delta, noise = _get(pc, "delta", _float, 1e-3), _get(pc, "noise", str, "constant")
+        if noise != "random-direction" and pc.get("seed") is not None:
+            raise ConfigError(f"noise {noise!r} draws nothing and takes no 'seed'")
+        y_delta = add_noise(exact.y_delta, delta, noise,
                             space=exact.range_space, **_take(pc, seed=_int))
         return Problem(exact.operator, y_delta, delta, truth=exact.truth)
     if kind == "random":

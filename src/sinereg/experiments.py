@@ -258,9 +258,9 @@ def run_diagnostics(problem, gamma, rule):
     It checks its shift and rule once and drives ``_sine`` itself, for
     the run of :func:`run_sine` with ``keep_history`` on the problem
     without its truth, as no field reads an error; :mod:`sinereg.sine`
-    gives that run's cost. The analysis adds m forward applies, or one
-    matrix product on a dense operator, for the projected matrix and m
-    adjoint applies for the orthogonality audit.
+    gives that run's cost. The analysis adds m forward applies for the
+    projected matrix and m adjoint applies for the orthogonality audit,
+    or one matrix product for each on a dense operator.
 
     The solver's outcome is never changed. On a rank-deficient problem
     the run can continue past the rank of T on rounding noise; the

@@ -114,6 +114,11 @@ class LinearOperator:
             row[:] = self.apply(column)
         return out.T
 
+    def _apply_adjoint_each(self, vectors):
+        """T* v for each range vector of a sequence, in order, lazily: one
+        :meth:`apply_adjoint` per item taken, so no block is held."""
+        return map(self.apply_adjoint, vectors)
+
     def shift_solve(self, gamma):
         """``(name, solve)`` with ``solve(v) = (I + T*T/gamma)^{-1} v``; here
         "cg", inner CG in the domain's product to relative residual
@@ -269,6 +274,13 @@ class DenseOperator(LinearOperator):
 
     def _apply_block(self, block):
         return self.matrix @ block
+
+    def _apply_adjoint_each(self, vectors):
+        # one product (BLAS-3), on a copy as large as the vectors already held
+        block = np.empty((len(vectors), self.range_dim))
+        for row, v in zip(block, vectors):
+            row[:] = self.codomain.check_vector(v, "input")
+        return iter(self.codomain.gram(block.T, self.matrix) / self.domain.weights)
 
     def shift_solve(self, gamma):
         """Cholesky M = U^T U of M = W_d + A^T W_r A / gamma, factored

@@ -114,6 +114,34 @@ def mgs2_prefix(w_history, space):
     return (np.column_stack(vs) if vs else None), None
 
 
+def pairwise_audit(state):
+    """The orthogonality audit's lists (galerkin, galerkin_adjoint,
+    conjugacy), entry m - 1 for iterate m, from one ``apply_adjoint`` per
+    residual and one inner product per pair, each normalized as
+    :class:`~sinereg.OrthogonalityReport` says."""
+    op = state.op
+    dom, ran = op.domain, op.codomain
+    rs, qs, ws = state.residual_vectors, state.mapped_history, state.direction_history
+    r0_norm = ran.norm(rs[0])
+    q_norms = [ran.norm(q) for q in qs]
+    galerkin, galerkin_adjoint, conjugacy = [], [], []
+    for m in range(1, len(rs)):
+        tr = op.apply_adjoint(rs[m])
+        g = ga = c = 0.0
+        for j in range(m):
+            denom = r0_norm * q_norms[j]
+            if denom > 0:
+                g = max(g, abs(ran.inner(rs[m], qs[j])) / denom)
+                ga = max(ga, abs(dom.inner(tr, ws[j])) / denom)
+            cd = q_norms[m] * q_norms[j]
+            if cd > 0:
+                c = max(c, abs(ran.inner(qs[m], qs[j])) / cd)
+        galerkin.append(g)
+        galerkin_adjoint.append(ga)
+        conjugacy.append(c)
+    return galerkin, galerkin_adjoint, conjugacy
+
+
 def ratecheck_per_level(config):
     """The rate check with one benchmark problem built per noise level,
     truth included, so that every run also records its error history.

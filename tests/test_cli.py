@@ -282,16 +282,40 @@ class TestErrorsAndSeeds:
         assert base["config"]["problem"]["seed"] == 0
         assert seeded_a["config"]["problem"]["seed"] == 123
 
-    def test_seed_echoed_without_problem_section(self, tmp_path):
-        cfg = write_config(tmp_path, {"problem": {"kind": "multiplication", "n": 64}})
+    def test_seed_echoed_without_problem_section(self, tmp_path, capsys):
+        """--seed joins a problem section that draws with it; without one,
+        the default multiplication problem's constant noise draws nothing,
+        so the seed exits 1."""
+        problem = {"kind": "multiplication", "n": 64, "noise": "random-direction"}
+        cfg = write_config(tmp_path, {"problem": problem})
         bare = write_config(tmp_path, {}, name="bare.json")
-        for path, problem in ((cfg, {"kind": "multiplication", "n": 64, "seed": 5}),
-                              (bare, {"seed": 5})):
-            out = tmp_path / path.stem
-            assert main(["solve", "--config", str(path), "--out", str(out),
-                         "--seed", "5"]) == 0
-            payload = json.loads((out / "report.json").read_text())
-            assert payload["config"]["problem"] == problem
+        out = tmp_path / "cfg"
+        assert main(["solve", "--config", str(cfg), "--out", str(out),
+                     "--seed", "5"]) == 0
+        payload = json.loads((out / "report.json").read_text())
+        assert payload["config"]["problem"] == {**problem, "seed": 5}
+        assert main(["solve", "--config", str(bare), "--out", str(tmp_path / "bare"),
+                     "--seed", "5"]) == 1
+        assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", [None, "constant"])
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["solve", "compare", "diagnose"])
+    def test_multiplication_problem_without_drawn_noise_rejects_seed(
+            self, tmp_path, capsys, command, where, noise):
+        """Constant noise draws nothing, so a seed would only be echoed:
+        --seed 1 and --seed 2 gave identical residual histories that
+        reported seeds 1 and 2, with exit code 0."""
+        problem = {"kind": "multiplication", "n": 64, "noise": noise}
+        if where == "config":
+            problem["seed"] = 1
+        cfg = write_config(tmp_path, {"problem": problem})
+        out = tmp_path / "out"
+        seed_args = ["--seed", "1"] if where == "flag" else []
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     *seed_args]) == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     @pytest.mark.parametrize("command", ["solve", "compare", "diagnose"])

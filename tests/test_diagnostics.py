@@ -10,6 +10,7 @@ from sinereg import (
     DiagonalOperator,
     DimensionError,
     InnerProductSpace,
+    MatrixFreeOperator,
     NumericalError,
     Problem,
     ResidualFunction,
@@ -31,7 +32,7 @@ from sinereg import (
 from sinereg.diagnostics import INTERLACING_SLACK, _orthonormal_prefix
 
 
-from oracles import forward_difference_at_zero, mgs2_prefix
+from oracles import forward_difference_at_zero, mgs2_prefix, pairwise_audit
 
 
 @st.composite
@@ -477,6 +478,46 @@ class TestOrthogonalityAudit:
         audit = orthogonality_audit(state)
         assert len(audit.galerkin) == state.iteration
         assert all(np.isfinite(audit.conjugacy))
+
+    @staticmethod
+    def dense_problem(weighted, seed=6):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((30, 20)) / np.arange(1, 21)
+        dom = InnerProductSpace(20, rng.uniform(0.2, 2.0, 20) if weighted else None)
+        ran = InnerProductSpace(30, rng.uniform(0.2, 2.0, 30) if weighted else None)
+        op = DenseOperator(a, domain=dom, codomain=ran)
+        return Problem(operator=op, y_delta=a @ rng.standard_normal(20), delta=0.0)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_pairwise_reference_bit_for_bit_off_dense(self, weighted):
+        """Diagonal and matrix-free operators take one adjoint apply per
+        residual, as the reference does, so every entry is bit-equal."""
+        dense = self.dense_problem(weighted).operator
+        free = MatrixFreeOperator(dense.domain, dense.codomain, dense.apply,
+                                  dense.apply_adjoint)
+        d = np.random.default_rng(7).uniform(0.01, 1.0, 20)
+        diagonal = DiagonalOperator(d, dense.domain)
+        for op, y in ((free, dense.matrix @ np.ones(20)), (diagonal, d)):
+            state = run_with_history(Problem(operator=op, y_delta=y, delta=0.0),
+                                     1e-2, 8)
+            audit = orthogonality_audit(state)
+            assert state.iteration == 8
+            assert (audit.galerkin, audit.galerkin_adjoint,
+                    audit.conjugacy) == pairwise_audit(state)
+
+    @pytest.mark.parametrize("steps", [0, 8])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_dense_matches_pairwise_reference(self, weighted, steps):
+        """A dense operator takes the adjoint images from one matrix product,
+        which rounds apart from the reference's applies by about 1e-17."""
+        state = run_with_history(self.dense_problem(weighted), 1e-2, steps)
+        audit = orthogonality_audit(state)
+        want = pairwise_audit(state)
+        assert state.iteration == steps
+        for got, ref in zip((audit.galerkin, audit.galerkin_adjoint,
+                             audit.conjugacy), want):
+            assert len(got) == len(ref) == steps
+            assert np.max(np.abs(np.subtract(got, ref)), initial=0.0) <= 1e-14
 
     def test_report_serializes(self):
         p = random_problem(20, 12, rate=0.8, seed=5, delta=1e-3)

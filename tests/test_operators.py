@@ -107,6 +107,58 @@ class TestApplyColumns:
                 op.apply_columns(np.ones(shape))
 
 
+class TestApplyAdjointEach:
+    """``_apply_adjoint_each`` against one ``apply_adjoint`` per vector: the
+    base class's lazy map gives its bits, a dense operator's one matrix
+    product its values to rounding."""
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_base_items_are_bit_equal_to_adjoint_applies(self, weighted):
+        rng = np.random.default_rng(13)
+        free = random_backends(15, 9, seed=4, weighted=weighted)[1]
+        space = InnerProductSpace(9, rng.uniform(0.5, 2.0, 9) if weighted else None)
+        for op in (free, DiagonalOperator(rng.standard_normal(9), space)):
+            vectors = list(rng.standard_normal((5, op.range_dim)))
+            got = list(op._apply_adjoint_each(vectors))
+            assert len(got) == 5
+            for item, v in zip(got, vectors):
+                assert np.array_equal(item, op.apply_adjoint(v))
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    @pytest.mark.parametrize("rows", [40, 25], ids=["tall", "square"])
+    def test_dense_product_matches_adjoint_applies(self, rows, weighted):
+        dense = random_backends(rows, 25, seed=7, weighted=weighted)[0]
+        block = np.random.default_rng(9).standard_normal((6, rows))
+        got = np.array(list(dense._apply_adjoint_each(list(block))))
+        want = np.array([dense.apply_adjoint(v) for v in block])
+        bound = 1e-14 * np.linalg.norm(dense.matrix, 2) * np.linalg.norm(block, 2)
+        assert got.shape == (6, 25)
+        assert np.max(np.abs(got - want)) <= bound
+
+    def test_base_applies_only_the_items_taken(self):
+        calls = []
+
+        def adjoint(y):
+            calls.append(y)
+            return y[:2] + y[2]
+
+        op = MatrixFreeOperator(InnerProductSpace(2), InnerProductSpace(3),
+                                lambda x: np.array([x[0], x[1], x[0] + x[1]]),
+                                adjoint)
+        items = op._apply_adjoint_each([np.full(3, float(k)) for k in range(5)])
+        assert np.array_equal(next(items), np.zeros(2))
+        assert len(calls) == 1
+
+    def test_dense_vector_of_the_wrong_length_rejected(self):
+        dense = random_backends(12, 8, 21)[0]
+        with pytest.raises(DimensionError, match=r"shape \(11,\), expected \(12,\)"):
+            list(dense._apply_adjoint_each([np.ones(12), np.ones(11)]))
+
+    def test_empty_sequence_yields_nothing(self):
+        for op in random_backends(12, 8, 21) + [DiagonalOperator(np.ones(8))]:
+            assert list(op._apply_adjoint_each([])) == []
+
+
 class TestAdjoint:
     def test_diagonal_self_adjoint(self):
         op = DiagonalOperator(np.array([2.0, -1.0, 0.5]),
