@@ -51,19 +51,21 @@ def cgne_step(state):
     return state
 
 
-def run_cgne(problem, rule, x0=None):
+def run_cgne(problem, rule, x0=None, *, _gate=None):
     """Iterate CGLS to the discrepancy principle, breakdown, or the cap.
 
     Shares :func:`drive` with the rational-subspace runner, so the tests
     run in the same order (stopping index 0 is possible) and the report
-    has the identical shape.
+    has the identical shape. ``run_compare`` passes a :class:`_Gate` that
+    the run leads.
     """
     if not isinstance(rule, StoppingRule):
         raise DimensionError("run_cgne expects a StoppingRule")
     start = time.perf_counter()
     state = cgne_init(problem, x0=x0)
     cap = rule.resolve_cap(problem.operator.domain_dim)
-    terminated = drive(state, cgne_step, rule, cap)
+    step = cgne_step if _gate is None else _gate.leading(cgne_step)
+    terminated = drive(state, step, rule, cap)
     return RunReport.from_state(
         "cgne", state, terminated, time.perf_counter() - start
     )

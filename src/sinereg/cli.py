@@ -89,8 +89,9 @@ def _build_problem(pc):
             _get(pc, "n", _int, 4096), _get(pc, "exponent", _float, 1.0), 0.0
         )
         delta, noise = _get(pc, "delta", _float, 1e-3), _get(pc, "noise", str, "constant")
-        if noise != "random-direction" and pc.get("seed") is not None:
-            raise ConfigError(f"noise {noise!r} draws nothing and takes no 'seed'")
+        if pc.get("seed") is not None and (noise != "random-direction" or delta == 0):
+            raise ConfigError(f"noise {noise!r} at delta {delta:g} draws nothing "
+                              "and takes no 'seed'")
         y_delta = add_noise(exact.y_delta, delta, noise,
                             space=exact.range_space, **_take(pc, seed=_int))
         return Problem(exact.operator, y_delta, delta, truth=exact.truth)

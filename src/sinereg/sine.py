@@ -39,6 +39,7 @@ iterate nor the histories. Only hand-written :func:`sine_step` loops
 keep inner CG.
 """
 
+import functools
 import itertools
 import math
 import time
@@ -49,8 +50,8 @@ from .exceptions import DimensionError, NumericalError
 from .operators import LinearOperator, _golub_kahan
 from .problems import Problem
 from .spaces import InnerProductSpace, _real
-from .stopping import (KrylovState, RunReport, StoppingRule, _starting_iterate,
-                       drive)
+from .stopping import (KrylovState, RunReport, StoppingRule, _Gate,
+                       _starting_iterate, drive)
 
 __all__ = ["ShiftSolver", "build_shift_solver", "sine_init", "sine_step", "run_sine"]
 
@@ -155,9 +156,10 @@ def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
     ``run_diagnostics`` and each checkpoint of a projected run, at a
     ``gamma`` that :func:`_shift_and_rule` has checked, driven by ``rule``
     to ``cap``, and projected where the module docstring says. With
-    ``fill``, a discrepancy stop continues at threshold 0 to ``cap``.
-    Returns the final state, the first stop's reason, index and iterate,
-    and the reason the run ended."""
+    ``fill``, a discrepancy stop continues at threshold 0 to ``cap``. A
+    direct run's ``cap`` may be the :class:`_Gate` of ``run_compare``,
+    which drives it. Returns the final state, the first stop's reason,
+    index and iterate, and the reason the run ended."""
     op = problem.operator
     if type(op).shift_solve is LinearOperator.shift_solve:
         return _run_projected(problem, gamma, rule, cap, x0, keep_history, fill)
@@ -167,11 +169,13 @@ def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
     def step(st):
         sine_step(st, solver)
 
-    terminated = drive(state, step, rule, cap)
+    run = (functools.partial(cap.drive, state, step) if isinstance(cap, _Gate)
+           else functools.partial(drive, state, step, cap=cap))
+    terminated = run(rule)
     m, x, end = state.iteration, state.iterate, terminated
     if fill and terminated == "discrepancy":
         # a zero threshold stops only on an exactly zero residual
-        end = drive(state, step, StoppingRule(rule.tau, 0.0), cap)
+        end = run(StoppingRule(rule.tau, 0.0))
     return state, terminated, m, x, end
 
 

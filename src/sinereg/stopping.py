@@ -1,9 +1,11 @@
 """Shared iteration machinery: the Krylov state both solvers step, the
 discrepancy-principle stopping rule, the one breakdown test (used alike by
-the driver loop and by hand-written loops), the one driver loop, the run
-report, and the one JSON converter and base class of every report."""
+the driver loop and by hand-written loops), the one driver loop and the
+gate that drives one run behind another, the run report, and the one
+JSON converter and base class of every report."""
 
 import math
+import threading
 from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
@@ -191,6 +193,45 @@ def drive(state, step, rule, cap):
         if state.iteration >= cap:
             return "iteration_cap"
         step(state)
+
+
+class _Gate:
+    """Lets a run follow a leading one in another thread, as the SINE half
+    of ``run_compare`` follows its CGNE baseline: it steps to m + 1 only
+    once the leader has passed the tests of :func:`drive` at m, and once
+    the leader has ended (by a stop or an error) to its last index. So it
+    takes the steps it would with that index as its cap: :func:`drive`
+    repeats its tests, which read only the state, on each re-entry."""
+
+    def __init__(self):
+        self._turn = threading.Condition()
+        self._passed, self._ended = 0, False
+
+    def leading(self, step):
+        """``step``, publishing first that the state it advances passed."""
+        def publishing(state):
+            with self._turn:
+                self._passed = state.iteration + 1
+                self._turn.notify()
+            step(state)
+        return publishing
+
+    def end(self):
+        """Publish that the leader has ended, by a stop or an error."""
+        with self._turn:
+            self._ended = True
+            self._turn.notify()
+
+    def drive(self, state, step, rule):
+        """:func:`drive` in turns, each to the index last published."""
+        while True:
+            with self._turn:
+                cap, ended = self._passed, self._ended
+            reason = drive(state, step, rule, cap)
+            if reason != "iteration_cap" or ended:
+                return reason
+            with self._turn:
+                self._turn.wait_for(lambda: self._ended or self._passed > cap)
 
 
 def _plain(value):

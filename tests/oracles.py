@@ -5,15 +5,19 @@ from explicitly built basis matrices and a dense least-squares solve,
 derivatives from finite differences, spectra from full eigensolves. The
 eager driver reuses the step functions but none of the logic of
 ``drive`` or ``detect_breakdown``. The rate-check reference runs the
-solver as the sweep does, on a benchmark problem built per noise level.
+solver as the sweep does, on a benchmark problem built per noise level,
+and the compare reference runs its two halves one after the other, in
+one thread.
 """
 
 import numpy as np
 
-from sinereg import (RateCheckResult, RateRecord, StoppingRule, build_shift_solver,
-                     cgne_init, cgne_step, multiplication_problem, run_sine,
-                     sine_init, sine_step)
-from sinereg.experiments import fit_rate
+from sinereg import (CompareResult, RateCheckResult, RateRecord, StoppingRule,
+                     build_shift_solver, cgne_init, cgne_step,
+                     multiplication_problem, run_cgne, run_sine, sine_init,
+                     sine_step)
+from sinereg.experiments import DOMINANCE_TOL, fit_rate
+from sinereg.sine import _sine
 from sinereg.stopping import EPS_BREAKDOWN
 
 
@@ -140,6 +144,30 @@ def pairwise_audit(state):
         galerkin_adjoint.append(ga)
         conjugacy.append(c)
     return galerkin, galerkin_adjoint, conjugacy
+
+
+def sequential_compare(problem, gamma, rule):
+    """``run_compare`` with its halves in sequence, in the calling thread:
+    :func:`run_cgne`, then the SINE half driven to the last row of the
+    baseline's table. Takes a ``gamma`` that ``run_compare`` would
+    accept, and returns the :class:`CompareResult`."""
+    cgne = run_cgne(problem, rule)
+    res_c = cgne.residual_history
+    state, terminated, m_sine, iterate, _ = _sine(
+        problem, gamma, rule, len(res_c) - 1, fill=True)
+    res_s = list(state.residual_norms)
+    res_s += [res_s[-1]] * (len(res_c) - len(res_s))
+    return CompareResult(
+        residuals_sine=res_s,
+        residuals_cgne=res_c,
+        stopping_index_sine=m_sine,
+        stopping_index_cgne=cgne.stopping_index,
+        terminated_by_sine="table_exhausted" if terminated == "iteration_cap"
+        else terminated,
+        terminated_by_cgne=cgne.terminated_by,
+        dominance=[s <= c + DOMINANCE_TOL * res_s[0] for s, c in zip(res_s, res_c)],
+        iterate_sine=iterate,
+    )
 
 
 def ratecheck_per_level(config):

@@ -319,6 +319,25 @@ class TestErrorsAndSeeds:
 
     @pytest.mark.parametrize("where", ["flag", "config"])
     @pytest.mark.parametrize("command", ["solve", "compare", "diagnose"])
+    def test_noiseless_random_direction_rejects_seed(
+            self, tmp_path, capsys, command, where):
+        """At delta 0 random-direction noise draws nothing either: --seed 1
+        and --seed 2 gave identical residual histories that reported seeds
+        1 and 2, with exit code 0."""
+        problem = {"kind": "multiplication", "n": 64,
+                   "noise": "random-direction", "delta": 0}
+        if where == "config":
+            problem["seed"] = 1
+        cfg = write_config(tmp_path, {"problem": problem, "delta": 1e-3})
+        out = tmp_path / "out"
+        seed_args = ["--seed", "1"] if where == "flag" else []
+        assert main([command, "--config", str(cfg), "--out", str(out),
+                     *seed_args]) == 1
+        assert "'seed'" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["solve", "compare", "diagnose"])
     def test_files_problem_rejects_seed(self, tmp_path, capsys, command, where):
         """A files problem draws nothing, so a seed would only be echoed:
         --seed 1 and --seed 2 gave identical runs that reported seeds 1

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,8 +30,9 @@ from sinereg import (
 )
 import sinereg.experiments
 from sinereg.experiments import fit_rate
+from sinereg.sine import _sine
 
-from oracles import ratecheck_per_level
+from oracles import ratecheck_per_level, sequential_compare
 
 # the noise levels of the paper's rate check
 RATE_GRID = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
@@ -180,6 +183,192 @@ class TestCompare:
         rule = StoppingRule(tau=1.001, delta=1e-2)
         d = run_compare(p, gamma=1e-3, rule=rule).to_dict()
         assert json.loads(json.dumps(d)) == d
+
+
+def dense_compare_problem(weighted, cls=DenseOperator):
+    """A 200 x 120 dense problem of algebraic decay and noise 1e-3; when
+    ``weighted``, on a domain weighted 1/120 and a range weighted from 0.5
+    to 1.5. At gamma = 1e-2 and tau = 1.01 SINE stops at 18 (3 when
+    weighted) and CGNE at 31 (30)."""
+    base = random_problem(200, 120, "algebraic", 1.0, seed=4, delta=1e-3)
+    dom, ran = base.domain_space, base.range_space
+    if weighted:
+        dom = InnerProductSpace(120, np.full(120, 1 / 120))
+        ran = InnerProductSpace(200, np.linspace(0.5, 1.5, 200))
+    return Problem(cls(base.operator.matrix, dom, ran), base.y_delta, 1e-3)
+
+
+def same_compare(got, want):
+    """Whether two compare results are equal bit for bit: their JSON forms
+    (each float by its repr) and their SINE iterates' bytes."""
+    return (json.dumps(got.to_dict()) == json.dumps(want.to_dict())
+            and got.iterate_sine.tobytes() == want.iterate_sine.tobytes())
+
+
+@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+def cpus(request, monkeypatch):
+    """The CPUs ``run_compare`` may use: two overlap its halves on a dense
+    operator, whatever machine runs the tests."""
+    monkeypatch.setattr(sinereg.experiments, "_cpus", lambda: request.param,
+                        raising=False)
+    return request.param
+
+
+class ThreadRecording:
+    """Records in ``threads`` the thread of each adjoint apply."""
+
+    def apply_adjoint(self, y):
+        self.threads.add(threading.get_ident())
+        return super().apply_adjoint(y)
+
+
+class ThreadRecordingDense(ThreadRecording, DenseOperator):
+    pass
+
+
+class ThreadRecordingDiagonal(ThreadRecording, DiagonalOperator):
+    pass
+
+
+class NanAdjointFrom(DenseOperator):
+    """A dense operator whose adjoint returns NaN from the ``k``-th call
+    that each thread makes after :meth:`arm`."""
+
+    def arm(self, k):
+        self.k, self.counts = k, threading.local()
+
+    def apply_adjoint(self, y):
+        out = super().apply_adjoint(y)
+        if not hasattr(self, "counts"):
+            return out
+        self.counts.n = getattr(self.counts, "n", 0) + 1
+        return out * np.nan if self.counts.n >= self.k else out
+
+
+def failing_problem(weighted, k):
+    """:func:`dense_compare_problem` on a :class:`NanAdjointFrom` armed at
+    ``k``, after its norm estimate, so that counting starts at the runs."""
+    problem = dense_compare_problem(weighted, NanAdjointFrom)
+    problem.operator.norm_estimate()
+    problem.operator.arm(k)
+    return problem
+
+
+class TestOverlappedCompare:
+    """On a dense operator with two CPUs, run_compare runs its CGNE
+    baseline in a second thread beside the SINE half. These pin it to
+    :func:`sequential_compare`, which runs both halves in one thread."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("gamma, rule, stops", [
+        (1e-2, StoppingRule(1.01, 1e-3), ("discrepancy", "discrepancy")),
+        (1e-2, StoppingRule(1.01, 1e2), ("discrepancy", "discrepancy")),
+        (0.1, StoppingRule(1.01, 1e-3, max_iters=2),
+         ("table_exhausted", "iteration_cap")),
+    ], ids=["sine-first", "cgne-at-0", "table-exhausted"])
+    def test_matches_sequential_bit_for_bit(self, cpus, weighted, gamma, rule, stops):
+        problem = dense_compare_problem(weighted)
+        want = sequential_compare(problem, gamma, rule)
+        got = run_compare(problem, gamma, rule)
+        assert same_compare(got, want)
+        assert (got.terminated_by_sine, got.terminated_by_cgne) == stops
+        if rule.delta > 1:  # CGNE stops at 0, so SINE takes no step
+            assert got.stopping_index_cgne == got.stopping_index_sine == 0
+            assert len(got.residuals_sine) == 1
+        elif rule.max_iters is None:
+            assert got.stopping_index_sine < got.stopping_index_cgne
+
+    def test_repeats_exactly(self, cpus):
+        problem = dense_compare_problem(False)
+        rule = StoppingRule(1.01, 1e-3)
+        first = run_compare(problem, 1e-2, rule)
+        for _ in range(19):
+            assert same_compare(run_compare(problem, 1e-2, rule), first)
+
+    def test_concurrent_callers_under_fast_switching(self, cpus):
+        """Four callers at once, so eight threads on a dense operator, with
+        the interpreter switching threads every microsecond: each result
+        is still the sequential one, and every thread ends in time."""
+        problems = [dense_compare_problem(weighted) for weighted in (False, True)]
+        rule = StoppingRule(1.01, 1e-3)
+        want = [sequential_compare(p, 1e-2, rule) for p in problems]
+        got = {}
+
+        def call(i):
+            got[i] = run_compare(problems[i % 2], 1e-2, rule)
+
+        callers = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert sorted(got) == [0, 1, 2, 3]
+        assert all(same_compare(got[i], want[i % 2]) for i in got)
+
+    @pytest.mark.parametrize("kind", ["dense", "diagonal", "matrix-free"])
+    def test_halves_overlap_only_on_a_dense_operator(self, cpus, kind):
+        """Diagonal and matrix-free runs, and every run on one CPU, make
+        all their applies in the calling thread."""
+        if kind == "dense":
+            base = dense_compare_problem(False)
+            op = ThreadRecordingDense(base.operator.matrix)
+        else:
+            base = multiplication_problem(256, 1, 1e-3)
+            d, space = base.operator.diagonal, base.domain_space
+            def adjoint(v):
+                op.threads.add(threading.get_ident())
+                return d * v
+
+            op = (ThreadRecordingDiagonal(d, space) if kind == "diagonal" else
+                  MatrixFreeOperator(space, space, lambda v: d * v, adjoint))
+        op.threads = set()
+        before = threading.active_count()
+        run_compare(Problem(op, base.y_delta, 1e-3), 1e-2, StoppingRule(1.01, 1e-3))
+        assert threading.active_count() == before
+        overlapped = kind == "dense" and cpus > 1
+        assert len(op.threads) == (2 if overlapped else 1)
+        assert threading.get_ident() in op.threads
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_baseline_error_wins(self, cpus, weighted):
+        """The adjoint's third call in each thread returns NaN: CGNE's at
+        its step 2 and SINE's at its step 1. In sequence CGNE raised
+        first; overlapped, SINE raises first and CGNE's error still wins."""
+        rule = StoppingRule(1.01, 1e-3)
+        with pytest.raises(NumericalError) as want:
+            sequential_compare(failing_problem(weighted, 3), 1e-2, rule)
+        assert "at iteration 2" in str(want.value)
+        before = threading.active_count()
+        with pytest.raises(NumericalError) as got:
+            run_compare(failing_problem(weighted, 3), 1e-2, rule)
+        assert threading.active_count() == before
+        assert str(got.value) == str(want.value)
+        if cpus > 1:
+            assert isinstance(got.value.__context__, NumericalError)
+            assert "at iteration 1" in str(got.value.__context__)
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_sine_error_propagates(self, monkeypatch, weighted):
+        """NaN from the adjoint's call k = m + 2 in each thread, where the
+        CGNE baseline stops at m (31, or 30 when weighted) after m + 1
+        calls: at gamma = 0.1 the SINE half makes 2 m + 1, so only it
+        fails, as it does on its own."""
+        monkeypatch.setattr(sinereg.experiments, "_cpus", lambda: 2, raising=False)
+        rule = StoppingRule(1.01, 1e-3)
+        cap = run_cgne(dense_compare_problem(weighted), rule).stopping_index
+        with pytest.raises(NumericalError) as want:
+            _sine(failing_problem(weighted, cap + 2), 0.1, rule, cap, fill=True)
+        before = threading.active_count()
+        with pytest.raises(NumericalError) as got:
+            run_compare(failing_problem(weighted, cap + 2), 0.1, rule)
+        assert threading.active_count() == before
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("run", [run_compare, run_diagnostics])
