@@ -241,9 +241,7 @@ class DenseOperator(LinearOperator):
     def __init__(self, matrix, domain=None, codomain=None):
         import scipy.linalg  # noqa: F401  here, so that no solve pays the import
 
-        a = _as_finite(matrix, "matrix")
-        if a.ndim != 2:
-            raise DimensionError(f"matrix must be 2-d, got shape {a.shape}")
+        a = _as_finite(matrix, "matrix", ndim=2)
         # own C-ordered copy, frozen below, starting on a 4096-byte page:
         # one-thread BLAS products with a 2000 x 1000 matrix ran 8-15 %
         # slower, and less steadily, at the offsets the allocator picks
@@ -347,9 +345,7 @@ class DiagonalOperator(LinearOperator):
     """
 
     def __init__(self, diagonal, space=None):
-        d = _as_finite(diagonal, "diagonal", copy=True)  # own copy; frozen below
-        if d.ndim != 1:
-            raise DimensionError(f"diagonal must be 1-d, got shape {d.shape}")
+        d = _as_finite(diagonal, "diagonal", copy=True, ndim=1)  # own copy; frozen below
         space = space if space is not None else InnerProductSpace(d.size)
         if space.dim != d.size:
             raise DimensionError(
@@ -460,8 +456,9 @@ def load_diagonal_operator(path):
 
 def save_dense_operator(matrix, path):
     """Write a dense matrix to .mtx, .mtx.gz or CSV with full float64
-    precision; a non-finite entry, which no loader accepts, raises."""
-    a = _as_finite(matrix, "matrix")
+    precision. A non-finite entry, which no loader accepts, or an array
+    that is not 2-d raises before the file is opened."""
+    a = _as_finite(matrix, "matrix", ndim=2)
     path = str(path)
     if path.endswith((".mtx", ".mtx.gz")):
         import scipy.io
@@ -474,5 +471,5 @@ def save_dense_operator(matrix, path):
 
 
 def save_vector(v, path):
-    """Write a vector as one column, see :func:`save_dense_operator`."""
-    save_dense_operator(_as_finite(v, "vector")[:, None], path)
+    """Write a 1-d vector as one column, see :func:`save_dense_operator`."""
+    save_dense_operator(_as_finite(v, "vector", ndim=1)[:, None], path)

@@ -140,22 +140,23 @@ def add_noise(y, delta, mode, seed=0, space=None):
 
     "constant" adds the same shift to every entry, calibrated so the
     weighted norm of the perturbation is delta; "random-direction" adds a
-    seeded Gaussian vector rescaled to weighted norm delta.
+    seeded Gaussian vector rescaled to weighted norm delta. Another mode
+    raises ValueError, also at delta = 0, where no noise is drawn.
     """
     delta = _real(delta, "noise level", strict=False)
     seed = _count(seed, "seed", low=0)
     if space is None:
         space = InnerProductSpace(np.size(y))
     y = space.check_vector(y, "data")
+    if mode not in ("constant", "random-direction"):
+        raise ValueError(f"unknown noise mode {mode!r}")
     if delta == 0:
         return y.copy()
     if mode == "constant":
         ones_norm = space.norm(np.ones(space.dim))
         return y + delta / ones_norm
-    if mode == "random-direction":
-        g = np.random.default_rng(seed).standard_normal(space.dim)
-        return y + g * (delta / space.norm(g))
-    raise ValueError(f"unknown noise mode {mode!r}")
+    g = np.random.default_rng(seed).standard_normal(space.dim)
+    return y + g * (delta / space.norm(g))
 
 
 def load_problem(operator_path, data_path, delta, operator_kind="dense"):

@@ -30,12 +30,15 @@ def _as_real(a, what, copy=False):
     return a
 
 
-def _as_finite(a, what, copy=False):
+def _as_finite(a, what, copy=False, ndim=None):
     """:func:`_as_real` of ``a``, whose entries must all be finite; else
-    ValueError naming ``what``."""
+    ValueError naming ``what``. Given ``ndim``, another number of
+    dimensions raises :class:`DimensionError` naming the shape."""
     a = _as_real(a, what, copy)
     if not np.isfinite(a).all():
         raise ValueError(f"{what} contains non-finite entries")
+    if ndim is not None and a.ndim != ndim:
+        raise DimensionError(f"{what} must be {ndim}-d, got shape {a.shape}")
     return a
 
 

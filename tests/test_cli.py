@@ -74,28 +74,24 @@ class TestSolve:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
 
-    def test_file_problem(self, tmp_path):
-        save_dense_operator(np.eye(2), tmp_path / "op.mtx")
-        save_vector(np.array([1.0, 0.0]), tmp_path / "y.csv")
-        cfg = write_config(
-            tmp_path,
-            {
-                "solver": "sine",
-                "gamma": 1.0,
-                "tau": 1.01,
-                "delta": 1e-10,
-                "problem": {
-                    "kind": "files",
-                    "operator": str(tmp_path / "op.mtx"),
-                    "data": str(tmp_path / "y.csv"),
-                    "delta": 0.0,
-                },
-            },
-        )
+    @pytest.mark.parametrize("command", ["solve", "diagnose"])
+    @pytest.mark.parametrize("suffix", [".csv", ".mtx", ".mtx.gz"])
+    def test_file_problem(self, tmp_path, command, suffix):
+        """Operator and data in each file format the loaders read stop
+        where the library stops on the problem they were saved from."""
+        problem = random_problem(14, 9, "algebraic", 1.2, seed=3, delta=1e-3)
+        save_dense_operator(problem.operator.matrix, tmp_path / f"op{suffix}")
+        save_vector(problem.y_delta, tmp_path / f"y{suffix}")
+        cfg = write_config(tmp_path, {"gamma": 0.1, "tau": 1.2, "problem": {
+            "kind": "files", "operator": str(tmp_path / f"op{suffix}"),
+            "data": str(tmp_path / f"y{suffix}"), "delta": 1e-3}})
         out = tmp_path / "out"
-        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-        payload = json.loads((out / "report.json").read_text())
-        assert payload["report"]["stopping_index"] == 1
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        name = {"solve": "report.json", "diagnose": "diagnostics.json"}[command]
+        report = json.loads((out / name).read_text())["report"]
+        expected = run_sine(problem, 0.1, StoppingRule(1.2, 1e-3))
+        assert (report["stopping_index"], report["terminated_by"]) == (
+            expected.stopping_index, "discrepancy")
 
     def test_x0_from_csv(self, tmp_path):
         save_vector(np.zeros(64), tmp_path / "x0.csv")
@@ -451,6 +447,19 @@ class TestConfigTypes:
                      "--out", str(tmp_path / "out")]) == 1
         assert "finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("problem", [
+        {"kind": "multiplication", "n": 64, "delta": 1e-3},
+        {"kind": "multiplication", "n": 64, "delta": 0},
+        {"kind": "random", "rows": 6, "cols": 4, "delta": 1e-3},
+        {"kind": "random", "rows": 6, "cols": 4},
+    ], ids=["multiplication", "multiplication-exact", "random", "random-exact"])
+    def test_unknown_noise_mode_exit_one(self, tmp_path, capsys, problem):
+        """Exact data draws no noise, but its mode is checked all the same."""
+        cfg = write_config(tmp_path, {"problem": {**problem, "noise": "bogus"}})
+        assert main(["solve", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "unknown noise mode 'bogus'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sizes", [{"rows": 8}, {"rows": None, "cols": 5}],
                              ids=["no-cols", "null-rows"])
     def test_random_problem_needs_rows_and_cols(self, tmp_path, capsys, sizes):
@@ -557,11 +566,14 @@ class TestLibraryDefaults:
         assert payload["report"]["config"] == RateCheckConfig(grid, 0.5).to_dict()
 
 
-@pytest.mark.parametrize("name, text", [
-    ("zero-row.mtx", "%%MatrixMarket matrix array real general\n0 1\n"),
-    ("empty.csv", ""),
-], ids=["zero-row-mtx", "empty-csv"])
-def test_files_problem_with_no_entries_exits_one(tmp_path, name, text):
+@pytest.mark.parametrize("name, text, message", [
+    ("zero-row.mtx", "%%MatrixMarket matrix array real general\n0 1\n",
+     "file has no entries"),
+    ("empty.csv", "", "file has no entries"),
+    ("complex.mtx", "%%MatrixMarket matrix array complex general\n2 1\n"
+     "1.0 1.0\n2.0 -1.0\n", "file has complex entries"),
+], ids=["zero-row-mtx", "empty-csv", "complex-mtx"])
+def test_unreadable_files_problem_exits_one(tmp_path, name, text, message):
     """A zero-row Matrix Market operator ended ``solve`` by SIGFPE, so the
     command runs in a fresh interpreter."""
     (tmp_path / name).write_text(text)
@@ -574,8 +586,9 @@ def test_files_problem_with_no_entries_exits_one(tmp_path, name, text):
          "--out", str(tmp_path / "out")], capture_output=True, text=True,
         timeout=120)
     assert proc.returncode == 1, proc.stderr
-    assert f"error: {tmp_path / name}: file has no entries" in proc.stderr
-    assert "Warning" not in proc.stderr, proc.stderr
+    assert f"error: {tmp_path / name}: {message}" in proc.stderr
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr, (
+        proc.stderr)
 
 
 def test_console_entry_point(tmp_path):

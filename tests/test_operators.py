@@ -234,11 +234,13 @@ class TestNormEstimate:
         top = np.linalg.svd(embedded, compute_uv=False)[0]
         assert op.norm_estimate() == pytest.approx(top, rel=1e-10)
 
-    def test_matrix_free_circulant(self):
+    @pytest.mark.parametrize("n", [2**12, 2**14])
+    def test_matrix_free_circulant(self, n):
         """A periodic Gaussian blur applied by FFT, with the width of the
-        blur-mf benchmark: its norm is the largest eigenvalue magnitude,
-        the real FFT of the kernel, found to rounding in few steps."""
-        n, width = 2**12, 0.02
+        blur-mf benchmark and, at 2^14, its size: its norm is the largest
+        eigenvalue magnitude, the real FFT of the kernel, found to rounding
+        in few steps."""
+        width = 0.02
         lag = np.arange(n) / n
         kernel = np.exp(-np.minimum(lag, 1.0 - lag) ** 2 / (2.0 * width**2))
         eigenvalues = np.fft.rfft(kernel / kernel.sum()).real

@@ -4,11 +4,13 @@ survive a save/load round trip through each file format bit for bit."""
 
 import gzip
 import json
+import re
 
 import numpy as np
 import pytest
 
 from sinereg import (
+    DimensionError,
     RateCheckConfig,
     StoppingRule,
     load_dense_operator,
@@ -146,6 +148,12 @@ def test_vector_round_trip_bit_exact(tmp_path, suffix):
         save_vector(np.array([1 + 2j, 3j]), path)
     with pytest.raises(ValueError, match="vector contains non-finite entries"):
         save_vector(np.array([1.0, np.nan]), path)
+    # a 2-d vector left an empty or partial file, a 0-d one an IndexError
+    for bad in (np.ones((2, 2)), 1.0):
+        with pytest.raises(DimensionError,
+                           match=re.escape(f"must be 1-d, got shape {np.shape(bad)}")):
+            save_vector(bad, path)
+    assert list(tmp_path.iterdir()) == []
     save_vector(v, path)
     assert list(tmp_path.iterdir()) == [path]
     assert _is_matrix_market(path) == (suffix != ".csv")
@@ -162,6 +170,11 @@ def test_dense_operator_round_trip_bit_exact(tmp_path, suffix):
         save_dense_operator(a + 1j, path)
     with pytest.raises(ValueError, match="matrix contains non-finite entries"):
         save_dense_operator(np.full((2, 2), np.inf), path)
+    for bad in (np.ones(3), np.ones((2, 2, 2)), 1.0):
+        with pytest.raises(DimensionError,
+                           match=re.escape(f"must be 2-d, got shape {np.shape(bad)}")):
+            save_dense_operator(bad, path)
+    assert list(tmp_path.iterdir()) == []
     save_dense_operator(a, path)
     assert list(tmp_path.iterdir()) == [path]
     assert _is_matrix_market(path) == (suffix != ".csv")

@@ -89,10 +89,11 @@ class TestRandomProblem:
         p = random_problem(20, 10, seed=3)
         assert p.y_delta == pytest.approx(p.operator.apply(p.truth), rel=1e-14)
 
-    def test_exact_data_ignores_the_noise_mode(self):
-        """At delta = 0 no noise is drawn, so the mode goes unchecked."""
-        p = random_problem(20, 10, seed=3, delta=0.0, noise_mode="bogus")
-        assert np.array_equal(p.y_delta, random_problem(20, 10, seed=3).y_delta)
+    def test_exact_data_checks_the_noise_mode(self):
+        """At delta = 0 no noise is drawn, but an unknown mode still raises:
+        it was accepted, so a misspelt mode went unnoticed."""
+        with pytest.raises(ValueError, match="unknown noise mode 'bogus'"):
+            random_problem(20, 10, seed=3, delta=0.0, noise_mode="bogus")
 
     def test_size_validation(self):
         with pytest.raises(DimensionError):
@@ -142,9 +143,10 @@ class TestAddNoise:
         noise = add_noise(np.zeros(n), delta, mode, seed=seed, space=space)
         assert space.norm(noise) == pytest.approx(delta, rel=1e-14)
 
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            add_noise(np.ones(2), 0.1, "speckle")
+    @pytest.mark.parametrize("delta", [0.1, 0.0])
+    def test_unknown_mode(self, delta):
+        with pytest.raises(ValueError, match="unknown noise mode 'speckle'"):
+            add_noise(np.ones(2), delta, "speckle")
 
 
 class TestLoadProblem:
