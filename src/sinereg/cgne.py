@@ -44,8 +44,10 @@ def cgne_step(state):
     p = np.multiply(state.direction, beta, dtype=float)
     np.add(s, p, out=p)
     del s
-    x = np.multiply(state.direction, alpha, dtype=float)
-    np.add(state.iterate, x, out=x)
+    x = state.iterate
+    if x is not None:
+        x = np.multiply(state.direction, alpha, dtype=float)
+        np.add(state.iterate, x, out=x)
     state.normal_residual_sq = ns
     state.advance(x, r, p, alpha, beta)
     return state
@@ -57,14 +59,17 @@ def run_cgne(problem, rule, x0=None, *, _gate=None):
     Shares :func:`drive` with the rational-subspace runner, so the tests
     run in the same order (stopping index 0 is possible) and the report
     has the identical shape. ``run_compare`` passes a :class:`_Gate` that
-    the run leads.
+    the run leads, on a truthless problem; a led run reads its residuals
+    only, so it forms no iterate.
     """
     if not isinstance(rule, StoppingRule):
         raise DimensionError("run_cgne expects a StoppingRule")
     start = time.perf_counter()
     state = cgne_init(problem, x0=x0)
     cap = rule.resolve_cap(problem.operator.domain_dim)
-    step = cgne_step if _gate is None else _gate.leading(cgne_step)
+    step = cgne_step
+    if _gate is not None:
+        state.iterate, step = None, _gate.leading(cgne_step)
     terminated = drive(state, step, rule, cap)
     return RunReport.from_state(
         "cgne", state, terminated, time.perf_counter() - start

@@ -225,10 +225,11 @@ def orthogonality_audit(state):
 
     Requires a state run with ``keep_history=True``. Entry ``m-1`` of each
     report list covers iterate m; a zero-step history yields empty lists
-    and zero maxima. The images T* r_m take one adjoint apply each, or one
-    matrix product on a dense operator; the inner products are taken pair
-    by pair. Violations are returned for inspection; severe loss of
-    orthogonality on ill-conditioned problems is expected and not an error.
+    and zero maxima. The images T* r_m take one adjoint apply each, one
+    held at a time, or one matrix product on a dense operator; the inner
+    products are taken pair by pair. Violations are returned for
+    inspection; severe loss of orthogonality on ill-conditioned problems
+    is expected and not an error.
     """
     if state.residual_vectors is None or state.mapped_history is None:
         raise DimensionError(
@@ -242,7 +243,9 @@ def orthogonality_audit(state):
     r0_norm = ran.norm(rs[0])
     q_norms = [ran.norm(q) for q in qs]
     galerkin, galerkin_adjoint, conjugacy = [], [], []
-    for m, tr in zip(range(1, len(rs)), op._apply_adjoint_each(rs[1:])):
+    images = op._apply_adjoint_each(rs[1:])
+    for m in range(1, len(rs)):
+        tr = next(images)  # the image before it was freed below
         g = ga = c = 0.0
         for j in range(m):
             denom = r0_norm * q_norms[j]
@@ -252,6 +255,7 @@ def orthogonality_audit(state):
             cd = q_norms[m] * q_norms[j]
             if cd > 0:
                 c = max(c, abs(ran.inner(qs[m], qs[j])) / cd)
+        del tr
         galerkin.append(g)
         galerkin_adjoint.append(ga)
         conjugacy.append(c)

@@ -91,7 +91,7 @@ def run_compare(problem, gamma, rule):
     :class:`_Gate` keeps the result bit for bit the sequential one, and
     the baseline's error wins over SINE's, as in sequence. Other runs
     stay in sequence: a diagonal one for memory (10^6 points would peak
-    at 160 MB, not 104), a projected one because it needs the table's
+    at 137 MB, not 88), a projected one because it needs the table's
     length first, a matrix-free one because a callable need not be
     thread-safe, and any on one CPU, where the overlap gained nothing.
     """
@@ -105,7 +105,7 @@ def run_compare(problem, gamma, rule):
     if isinstance(problem.operator, DenseOperator) and _cpus() > 1:
         (res_c, m_cgne, terminated_c), sine = _beside_baseline(problem, gamma, rule)
     else:
-        res_c, m_cgne, terminated_c = _baseline(problem, rule)
+        res_c, m_cgne, terminated_c = _baseline(problem, rule, _Gate())
         sine = _sine(problem, gamma, rule, len(res_c) - 1, fill=True)
     state, terminated_s, m_sine, iterate_sine, _ = sine
     table_len = len(res_c)  # entries m = 0 .. m_table
@@ -139,9 +139,10 @@ def _cpus():
     return os.cpu_count() or 1
 
 
-def _baseline(problem, rule, gate=None):
+def _baseline(problem, rule, gate):
     """The residual history, stopping index and reason of ``run_compare``'s
-    CGNE run; its report, with its state's vectors, is freed here."""
+    CGNE run, led by ``gate`` (followed or not), so it forms no iterate;
+    its report, with its state's vectors, is freed here."""
     report = run_cgne(problem, rule, _gate=gate)
     return report.residual_history, report.stopping_index, report.terminated_by
 
@@ -314,8 +315,9 @@ def run_diagnostics(problem, gamma, rule):
     gamma = _shift_and_rule("run_diagnostics", gamma, rule)
     cap = rule.resolve_cap(problem.operator.domain_dim)
     problem = problem._without_truth()
-    state, terminated, steps, _, _ = _sine(problem, gamma, rule, cap, keep_history=True)
-    # each vector goes once its last reader is done, the unread iterate first
+    state, terminated, steps, _, _ = _sine(problem, gamma, rule, cap,
+                                           keep_history=True, iterate=False)
+    # each vector goes once its last reader is done, a projected iterate first
     state.iterate = None
     orthogonality = orthogonality_audit(state)
     diagonal = isinstance(problem.operator, DiagonalOperator)

@@ -345,7 +345,7 @@ class DiagonalOperator(LinearOperator):
     """
 
     def __init__(self, diagonal, space=None):
-        d = _as_finite(diagonal, "diagonal", copy=True, ndim=1)  # own copy; frozen below
+        d = _as_finite(diagonal, "diagonal", copy=True, ndim=1)  # own frozen copy
         space = space if space is not None else InnerProductSpace(d.size)
         if space.dim != d.size:
             raise DimensionError(
@@ -353,7 +353,6 @@ class DiagonalOperator(LinearOperator):
             )
         super().__init__(space, space)
         self.diagonal = d
-        self.diagonal.setflags(write=False)
         self._norm_estimate = float(max(d.max(), -d.min()))
 
     def apply(self, x):
@@ -454,11 +453,19 @@ def load_diagonal_operator(path):
     return DiagonalOperator(load_vector(path))
 
 
+def _savable(a, what, ndim):
+    """:func:`_as_finite` of ``a``, which must have an entry, as loaders do."""
+    a = _as_finite(a, what, ndim=ndim)
+    if not a.size:
+        raise ValueError(f"{what} has no entries")
+    return a
+
+
 def save_dense_operator(matrix, path):
     """Write a dense matrix to .mtx, .mtx.gz or CSV with full float64
-    precision. A non-finite entry, which no loader accepts, or an array
-    that is not 2-d raises before the file is opened."""
-    a = _as_finite(matrix, "matrix", ndim=2)
+    precision. A non-finite entry or an empty array, which no loader
+    accepts, or an array that is not 2-d raises before the file is opened."""
+    a = _savable(matrix, "matrix", 2)
     path = str(path)
     if path.endswith((".mtx", ".mtx.gz")):
         import scipy.io
@@ -472,4 +479,4 @@ def save_dense_operator(matrix, path):
 
 def save_vector(v, path):
     """Write a 1-d vector as one column, see :func:`save_dense_operator`."""
-    save_dense_operator(_as_finite(v, "vector", ndim=1)[:, None], path)
+    save_dense_operator(_savable(v, "vector", 1)[:, None], path)

@@ -46,11 +46,9 @@ class Problem:
         set_field(self, "delta", _real(self.delta, "noise level", strict=False))
         y = self.operator.codomain.check_vector(self.y_delta, "data")
         set_field(self, "y_delta", _as_finite(y, "data vector", copy=True))
-        self.y_delta.setflags(write=False)
         if self.truth is not None:
             x = self.operator.domain.check_vector(self.truth, "truth")
             set_field(self, "truth", _as_finite(x, "truth vector", copy=True))
-            self.truth.setflags(write=False)
 
     def _without_truth(self):
         """This problem without its truth, sharing its frozen data vector."""

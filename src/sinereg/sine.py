@@ -118,8 +118,10 @@ def sine_step(state, solver):
     w = np.multiply(state.direction, beta, dtype=float)
     np.subtract(t, w, out=w)
     del t
-    x = np.multiply(state.direction, alpha, dtype=float)
-    np.add(state.iterate, x, out=x)
+    x = state.iterate
+    if x is not None:
+        x = np.multiply(state.direction, alpha, dtype=float)
+        np.add(state.iterate, x, out=x)
     state.advance(x, r, w, alpha, beta)
     return state
 
@@ -151,20 +153,25 @@ def _shift_and_rule(name, gamma, rule):
     return _real(gamma, f"{name}: gamma")
 
 
-def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
+def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False,
+          iterate=True):
     """The SINE run of :func:`run_sine`, ``run_compare``,
     ``run_diagnostics`` and each checkpoint of a projected run, at a
     ``gamma`` that :func:`_shift_and_rule` has checked, driven by ``rule``
     to ``cap``, and projected where the module docstring says. With
-    ``fill``, a discrepancy stop continues at threshold 0 to ``cap``. A
-    direct run's ``cap`` may be the :class:`_Gate` of ``run_compare``,
-    which drives it. Returns the final state, the first stop's reason,
-    index and iterate, and the reason the run ended."""
+    ``fill``, a discrepancy stop of a truthless run continues at
+    threshold 0 to ``cap`` and forms no iterate past the stop's; without
+    ``iterate``, a direct truthless run forms none. A direct run's ``cap``
+    may be the :class:`_Gate` of ``run_compare``, which drives it.
+    Returns the final state, the first stop's reason, index and iterate,
+    and the reason the run ended."""
     op = problem.operator
     if type(op).shift_solve is LinearOperator.shift_solve:
         return _run_projected(problem, gamma, rule, cap, x0, keep_history, fill)
     solver = build_shift_solver(op, gamma)
     state = KrylovState.start(problem, x0, keep_history, solver.gamma)
+    if not iterate:
+        state.iterate = None
 
     def step(st):
         sine_step(st, solver)
@@ -174,6 +181,7 @@ def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False):
     terminated = run(rule)
     m, x, end = state.iteration, state.iterate, terminated
     if fill and terminated == "discrepancy":
+        state.iterate = None
         # a zero threshold stops only on an exactly zero residual
         end = run(StoppingRule(rule.tau, 0.0))
     return state, terminated, m, x, end

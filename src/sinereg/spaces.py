@@ -9,6 +9,7 @@ no weighted copy; other weights give (w * u)^T v. A unit space is the case
 c = 1, so unweighted problems behave bit-for-bit like plain numpy.
 """
 
+import functools
 import math
 import numbers
 
@@ -20,13 +21,16 @@ __all__ = ["InnerProductSpace"]
 
 
 def _as_real(a, what, copy=False):
-    """``a`` as a float array, copied if ``copy`` or if it is not one;
-    complex entries raise ValueError naming ``what``."""
+    """``a`` as a float array, copied if it is not one, and as an own
+    frozen copy if ``copy``; complex entries raise ValueError naming
+    ``what``."""
     a = np.array(a) if copy else np.asarray(a)
     if a.dtype != np.float64:
         if a.dtype.kind == "c":
             raise ValueError(f"{what} has complex entries; data must be real")
         a = a.astype(float)
+    if copy:
+        a.setflags(write=False)
     return a
 
 
@@ -84,26 +88,31 @@ class InnerProductSpace:
         Dimension of the space.
     weights : array_like, optional
         Positive quadrature weights of length ``dim``. ``None`` means unit
-        weights (Euclidean product).
+        weights (Euclidean product). A space keeps its own frozen copy,
+        or, when they all equal one value, only that value.
     """
 
     def __init__(self, dim, weights=None):
         self.dim = _count(dim, "space dimension", error=DimensionError)
-        if weights is None:
-            w = np.ones(self.dim)
-        else:
-            w = _as_finite(weights, "weights", copy=True)  # own copy
+        self._uniform = 1.0  # the common weight when all are equal, else None
+        if weights is not None:
+            w = _as_finite(weights, "weights")
             if w.shape != (self.dim,):
                 raise DimensionError(
                     f"weights shape {w.shape} does not match dim {self.dim}"
                 )
             if np.any(w <= 0):
                 raise ValueError("weights must be strictly positive")
-        # the weight vector, ones if the space is unweighted; frozen
-        self.weights = w
-        self.weights.setflags(write=False)
-        # the common weight when all weights are equal, else None
-        self._uniform = float(w[0]) if w.min() == w.max() else None
+            self._uniform = float(w[0]) if w.min() == w.max() else None
+            if self._uniform is None:
+                self.weights = _as_real(w, "weights", copy=True)
+
+    @functools.cached_property
+    def weights(self):
+        """The frozen weight vector; a uniform space forms it when read."""
+        w = np.full(self.dim, self._uniform)
+        w.setflags(write=False)
+        return w
 
     def check_vector(self, v, what="vector"):
         """``v`` as a real vector of the space, not copied if it is one."""

@@ -40,7 +40,9 @@ class KrylovState:
     buffer that it reuses. A ``keep_history`` state's three history lists
     thus hold the run's own w, q and r of every iterate, not copies.
     :meth:`advance` lets go of the replaced vectors before it applies T to
-    the new direction, so only a history keeps them past that apply.
+    the new direction, so only a history keeps them past that apply. A
+    state whose ``iterate`` is None steps without forming one; only a
+    state without a truth may, as each step's error norm reads x.
     """
 
     op: object

@@ -19,6 +19,7 @@ from sinereg import (
     build_shift_solver,
     check_interlacing,
     detect_breakdown,
+    multiplication_problem,
     orthogonality_audit,
     projected_gram,
     random_problem,
@@ -518,6 +519,22 @@ class TestOrthogonalityAudit:
                              audit.conjugacy), want):
             assert len(got) == len(ref) == steps
             assert np.max(np.abs(np.subtract(got, ref)), initial=0.0) <= 1e-14
+
+    def test_holds_one_adjoint_image_at_a_time(self):
+        """The loop kept image m - 1 while the lazy map formed image m, so
+        the audit of a 12-step diagonal history peaked at two images."""
+        n = 2**18
+        base = multiplication_problem(n, 1, 1e-3)
+        p = Problem(base.operator, base.y_delta, base.delta)
+        state = run_sine(p, 1e-2, StoppingRule(1.001, 1e-4), keep_history=True).state
+        assert state.iteration == 12
+        tracemalloc.start()
+        try:
+            orthogonality_audit(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * n
 
     def test_report_serializes(self):
         p = random_problem(20, 12, rate=0.8, seed=5, delta=1e-3)

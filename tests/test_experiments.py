@@ -529,21 +529,26 @@ def test_diagnostics_checks_once_and_drives_its_own_run(monkeypatch, matrix_free
 
 
 @pytest.mark.parametrize("run, vectors", [
-    (run_sine, 12), (lambda p, gamma, rule: run_cgne(p, rule), 11),
-    (run_compare, 12), (run_diagnostics, 13),
+    (run_sine, 11), (lambda p, gamma, rule: run_cgne(p, rule), 10),
+    (run_compare, 10), (run_diagnostics, 11),
 ], ids=["sine", "cgne", "compare", "diagnostics"])
 def test_peak_holds_only_the_vectors_in_use(run, vectors):
     """With the problem built inside the window, as the benchmark measures
-    it, a run peaks at the vectors its recurrence reads: sine at 12
-    vectors of 2^18 (15 while a step held T*q through the shift solve and
-    its state kept the replaced iterate and mapped direction through the
-    next apply), cgne at 11 (13), compare at 12 (15 while it copied the
-    data vector to drop the truth; 20 while the baseline's report, with
-    its state, and the continued run's error norms stayed alive) and
-    diagnostics at 13 (14 while its run kept the truth and formed error
-    norms; 17 while the final iterate lived through the audit and the
-    mapped and residual histories through the basis; 20 while the n x m
-    basis stayed alive past the projected matrix)."""
+    it, a run peaks at the vectors its recurrence reads: sine at 11
+    vectors of 2^18 (12 while the space kept a copy of its uniform
+    weights; 15 while a step held T*q through the shift solve and its
+    state kept the replaced iterate and mapped direction through the next
+    apply), cgne at 10 (11; 13), compare at 10 (11 while the baseline and
+    the continued SINE run formed iterates that nothing read; 12 while
+    the space kept its weights too; 15 while it copied the data vector to
+    drop the truth; 20 while the baseline's report, with its state, and
+    the continued run's error norms stayed alive) and diagnostics at 11
+    (12 until its run formed no iterate and the audit held one adjoint
+    image at a time, either alone left 12; 13 while the space kept its
+    weights too; 14 while its run kept the truth and formed error norms;
+    17 while the final iterate lived through the audit and the mapped and
+    residual histories through the basis; 20 while the n x m basis stayed
+    alive past the projected matrix)."""
     n = 2**18
     tracemalloc.start()
     try:
@@ -552,6 +557,33 @@ def test_peak_holds_only_the_vectors_in_use(run, vectors):
     finally:
         tracemalloc.stop()
     assert peak <= (vectors + 0.5) * 8 * n
+
+
+def wrapped_compare_problem():
+    """:func:`dense_compare_problem`'s operator behind a
+    ``MatrixFreeOperator``, so that its SINE half is projected."""
+    base = dense_compare_problem(False)
+    op = base.operator
+    free = MatrixFreeOperator(op.domain, op.codomain, op.apply, op.apply_adjoint)
+    return Problem(free, base.y_delta, base.delta)
+
+
+@pytest.mark.parametrize("kind", ["diagonal", "dense", "wrapped"])
+def test_compare_halves_are_the_single_runs(cpus, kind):
+    """The baseline forms no iterate and the SINE half none past its first
+    stop, and neither moves: the CGNE column is run_cgne's residual
+    history exactly, and ``iterate_sine`` run_sine's iterate bit for bit,
+    in sequence and, on the dense problem with two CPUs, overlapped."""
+    if kind == "diagonal":
+        p, gamma, rule = (multiplication_problem(512, 1, 1e-3), 1e-3,
+                          StoppingRule(1.001, 1e-3))
+    else:
+        p, gamma, rule = (dense_compare_problem(False) if kind == "dense"
+                          else wrapped_compare_problem()), 1e-2, StoppingRule(1.01, 1e-3)
+    result = run_compare(p, gamma, rule)
+    assert result.stopping_index_sine < result.stopping_index_cgne
+    assert repr(result.residuals_cgne) == repr(run_cgne(p, rule).residual_history)
+    assert result.iterate_sine.tobytes() == run_sine(p, gamma, rule).iterate.tobytes()
 
 
 class TestRateCheck:

@@ -153,6 +153,9 @@ def test_vector_round_trip_bit_exact(tmp_path, suffix):
         with pytest.raises(DimensionError,
                            match=re.escape(f"must be 1-d, got shape {np.shape(bad)}")):
             save_vector(bad, path)
+    # an empty vector was written, and no loader read it back
+    with pytest.raises(ValueError, match="vector has no entries"):
+        save_vector(np.array([]), path)
     assert list(tmp_path.iterdir()) == []
     save_vector(v, path)
     assert list(tmp_path.iterdir()) == [path]
@@ -174,6 +177,9 @@ def test_dense_operator_round_trip_bit_exact(tmp_path, suffix):
         with pytest.raises(DimensionError,
                            match=re.escape(f"must be 2-d, got shape {np.shape(bad)}")):
             save_dense_operator(bad, path)
+    for empty in (np.empty((0, 3)), np.empty((3, 0))):
+        with pytest.raises(ValueError, match="matrix has no entries"):
+            save_dense_operator(empty, path)
     assert list(tmp_path.iterdir()) == []
     save_dense_operator(a, path)
     assert list(tmp_path.iterdir()) == [path]

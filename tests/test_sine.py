@@ -10,6 +10,8 @@ from sinereg import (
     Problem,
     StoppingRule,
     build_shift_solver,
+    cgne_init,
+    cgne_step,
     detect_breakdown,
     multiplication_problem,
     random_problem,
@@ -320,3 +322,30 @@ class TestInvariants:
         assert report.state.direction_history is None
         report_h = run_sine(p, 1e-3, rule, keep_history=True)
         assert report_h.state.direction_history is not None
+
+
+@pytest.mark.parametrize("method", ["sine", "cgne"])
+def test_truthless_state_steps_without_an_iterate(method):
+    """A state whose iterate is None forms none, and its steps move
+    nothing else: the residuals, alpha and beta of each step are those of
+    the same loop with an iterate, bit for bit."""
+    base = random_problem(30, 20, rate=0.5, seed=3, delta=1e-3)
+    p = Problem(base.operator, base.y_delta, base.delta)
+    if method == "sine":
+        solver = build_shift_solver(p.operator, 1.0)
+        states = [sine_init(p, 1.0), sine_init(p, 1.0)]
+
+        def step(state):
+            sine_step(state, solver)
+    else:
+        states, step = [cgne_init(p), cgne_init(p)], cgne_step
+    with_x, without = states
+    without.iterate = None
+    for _ in range(8):
+        step(with_x)
+        step(without)
+        assert without.iterate is None
+        assert without.residual.tobytes() == with_x.residual.tobytes()
+    assert with_x.iterate is not None
+    for field in ("residual_norms", "alphas", "betas"):
+        assert repr(getattr(without, field)) == repr(getattr(with_x, field))

@@ -81,6 +81,27 @@ def test_uniform_basis_gram_allocates_no_weighted_copy():
     assert peak_bytes(uniform.gram, v, v) < 8 * n // 10
 
 
+def test_uniform_space_holds_no_weight_vector_until_read():
+    """A uniform space kept its own copy of the caller's weights, one
+    vector that its products never read."""
+    n = 2**16
+    caller = np.full(n, 1.0 / n)
+    tracemalloc.start()
+    try:
+        space = InnerProductSpace(n, caller)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1024
+    w = space.weights
+    assert w.dtype == np.float64 and w.flags.c_contiguous and w.strides == (8,)
+    assert not w.flags.writeable and w.tobytes() == caller.tobytes()
+    assert space.weights is w
+    caller[0] = 2.0  # the space kept no reference to it
+    assert space.weights[0] == 1.0 / n
+    assert space.inner(caller, caller) == (1.0 / n) * float(np.dot(caller, caller))
+
+
 @pytest.mark.parametrize("weights", [None, np.full(30, 0.3), "random"])
 def test_gram_of_column_blocks_equals_inner_entry_by_entry(weights):
     rng = np.random.default_rng(5)
