@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from .exceptions import DimensionError, NumericalError
+from .exceptions import DimensionError
 from .stopping import KrylovState, RunReport, StoppingRule, drive
 
 __all__ = ["cgne_init", "cgne_step", "run_cgne"]
@@ -30,12 +30,8 @@ def cgne_step(state):
     must not be called after breakdown. T* r is dropped once p is formed."""
     if state.normal_residual_sq is None:
         raise DimensionError("cgne_step expects a state from cgne_init")
-    if state.mapped_norm_sq == 0.0:
-        raise NumericalError(
-            f"cannot step after exact breakdown at iteration {state.iteration}"
-        )
     op = state.op
-    alpha = state.normal_residual_sq / state.mapped_norm_sq
+    alpha = state.normal_residual_sq / state._step_denominator()
     r = np.multiply(state.mapped_direction, alpha, dtype=float)
     np.subtract(state.residual, r, out=r)
     s = op.apply_adjoint(r)
@@ -44,12 +40,8 @@ def cgne_step(state):
     p = np.multiply(state.direction, beta, dtype=float)
     np.add(s, p, out=p)
     del s
-    x = state.iterate
-    if x is not None:
-        x = np.multiply(state.direction, alpha, dtype=float)
-        np.add(state.iterate, x, out=x)
     state.normal_residual_sq = ns
-    state.advance(x, r, p, alpha, beta)
+    state.advance(r, p, alpha, beta)
     return state
 
 

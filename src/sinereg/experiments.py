@@ -93,7 +93,7 @@ def run_compare(problem, gamma, rule):
     stay in sequence: a diagonal one for memory (10^6 points would peak
     at 137 MB, not 88), a projected one because it needs the table's
     length first, a matrix-free one because a callable need not be
-    thread-safe, and any on one CPU, where the overlap gained nothing.
+    thread-safe, and any on one CPU, where the overlap ran slower (README).
     """
     gamma = _shift_and_rule("run_compare", gamma, rule)
     top = problem.operator.norm_estimate()  # the baseline's breakdown scale

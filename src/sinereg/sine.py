@@ -105,11 +105,7 @@ def sine_step(state, solver):
         raise DimensionError(
             f"solver shift {solver.gamma} does not match state shift {state.gamma}"
         )
-    if state.mapped_norm_sq == 0.0:
-        raise NumericalError(
-            f"cannot step after exact breakdown at iteration {state.iteration}"
-        )
-    op, dj = state.op, state.mapped_norm_sq
+    op, dj = state.op, state._step_denominator()
     alpha = op.codomain.inner(state.residual, state.mapped_direction) / dj
     r = np.multiply(state.mapped_direction, alpha, dtype=float)
     np.subtract(state.residual, r, out=r)
@@ -118,11 +114,7 @@ def sine_step(state, solver):
     w = np.multiply(state.direction, beta, dtype=float)
     np.subtract(t, w, out=w)
     del t
-    x = state.iterate
-    if x is not None:
-        x = np.multiply(state.direction, alpha, dtype=float)
-        np.add(state.iterate, x, out=x)
-    state.advance(x, r, w, alpha, beta)
+    state.advance(r, w, alpha, beta)
     return state
 
 

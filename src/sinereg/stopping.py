@@ -38,11 +38,13 @@ class KrylovState:
     ``np.add`` or ``np.subtract`` with ``out=``), and no step writes into
     a state, data, operator or shift-solve array, so a solve may return a
     buffer that it reuses. A ``keep_history`` state's three history lists
-    thus hold the run's own w, q and r of every iterate, not copies.
-    :meth:`advance` lets go of the replaced vectors before it applies T to
-    the new direction, so only a history keeps them past that apply. A
-    state whose ``iterate`` is None steps without forming one; only a
-    state without a truth may, as each step's error norm reads x.
+    thus hold the run's own w, q and r of every iterate, not copies. A step
+    hands :meth:`advance` only r, w and its coefficients: ``advance`` forms
+    the iterate x + alpha w itself, and lets go of the replaced vectors
+    before it applies T to the new direction, so only a history keeps them
+    past that apply. A state whose ``iterate`` is None steps without
+    forming one; only a state without a truth may, as each step's error
+    norm reads x.
     """
 
     op: object
@@ -89,9 +91,20 @@ class KrylovState:
         state._record(x, r, w)
         return state
 
-    def advance(self, x, r, w, alpha, beta):
-        """Move to the next iterate x with residual r and direction w,
-        reached with step size alpha and conjugation coefficient beta."""
+    def _step_denominator(self):
+        """||q||^2; NumericalError after exact breakdown, where q is zero."""
+        if self.mapped_norm_sq == 0.0:
+            raise NumericalError(
+                f"cannot step after exact breakdown at iteration {self.iteration}")
+        return self.mapped_norm_sq
+
+    def advance(self, r, w, alpha, beta):
+        """Move to x + alpha w (if the state holds x), with residual r and
+        direction w; alpha is the step size, beta the conjugation factor."""
+        x = self.iterate
+        if x is not None:
+            x = np.multiply(self.direction, alpha, dtype=float)
+            np.add(self.iterate, x, out=x)
         self.iteration += 1
         self.alphas.append(alpha)
         self.betas.append(beta)

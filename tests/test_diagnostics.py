@@ -298,6 +298,9 @@ class TestInterlacing:
     def test_violating_pair(self):
         assert not check_interlacing(np.array([2.0]), np.array([3.0, 4.0]))
 
+    def test_slack_is_relative_1e_10(self):
+        assert not check_interlacing(np.array([1.0]), np.array([1.0 + 1e-6, 2.0]))
+
     def test_size_mismatch(self):
         with pytest.raises(DimensionError):
             check_interlacing(np.array([1.0]), np.array([1.0, 2.0, 3.0]))

@@ -131,6 +131,20 @@ class TestCompare:
         assert result.stopping_index_cgne == 1
         assert result.dominance_all
 
+    @pytest.mark.parametrize("scale, holds", [(1 + 1e-6, False), (1 + 1e-11, True)])
+    def test_dominance_slack_is_1e_10_of_r0(self, monkeypatch, scale, holds):
+        """A SINE residual at m = 0 above the baseline's by 1e-6 relative
+        violates dominance, and one above it by 1e-11 does not."""
+        def scaled(*args, **kwargs):
+            out = _sine(*args, **kwargs)
+            out[0].residual_norms[0] *= scale
+            return out
+
+        monkeypatch.setattr(sinereg.experiments, "_sine", scaled)
+        p = Problem(DiagonalOperator(np.ones(4)), np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+        result = run_compare(p, gamma=1.0, rule=StoppingRule(tau=1.001, delta=0.0))
+        assert result.dominance[0] is holds
+
     def test_benchmark_indices(self):
         p = multiplication_problem(4096, 1, 1e-3)
         rule = StoppingRule(tau=1.001, delta=1e-3)

@@ -191,6 +191,7 @@ def sine_loop(p, rule):
           p.operator.domain_dim)
 
 
+@pytest.mark.parametrize("factor", [1.5, 1 + 1e-6])
 @pytest.mark.parametrize("entry, adjoint_calls", [
     (lambda p, rule: run_sine(p, 1e-3, rule), 1),
     (lambda p, rule: run_diagnostics(p, 1e-3, rule), 1),
@@ -198,8 +199,9 @@ def sine_loop(p, rule):
     (lambda p, rule: run_compare(p, 1e-3, rule), 1),
     (sine_loop, 2),
 ], ids=["run_sine", "run_diagnostics", "run_cgne", "run_compare", "sine_loop"])
-def test_inconsistent_adjoint_fails_fast(entry, adjoint_calls):
-    """An adjoint of 1.5 A^T is caught by the forward apply of step 2,
+def test_inconsistent_adjoint_fails_fast(entry, adjoint_calls, factor):
+    """An adjoint of 1.5 A^T, or of (1 + 1e-6) A^T, which only a tolerance
+    of 1e-8 relative catches, is caught by the forward apply of step 2,
     long before the cap on the projection. A projected SINE run makes one
     adjoint call before it; a run that needs the breakdown scale makes the
     start's T* r first, and its norm estimate, which runs the same
@@ -210,7 +212,7 @@ def test_inconsistent_adjoint_fails_fast(entry, adjoint_calls):
 
     def adjoint(y):
         calls[0] += 1
-        return 1.5 * (matrix.T @ y)
+        return factor * (matrix.T @ y)
 
     with pytest.raises(NumericalError, match="inconsistent with the forward "
                        "map.* at Golub-Kahan step 2$"):
@@ -454,6 +456,22 @@ def test_discrepancy_stop_is_checked_in_the_full_space(monkeypatch):
     p = wrapped(random_problem(80, 50, "algebraic", 1, seed=0, delta=1e-3))
     with pytest.raises(NumericalError, match="exceeds tau"):
         run_sine(p, 1e-3, StoppingRule(1.01, 1e-3))
+
+
+@pytest.mark.parametrize("slack, raises", [(1e-7, True), (1e-10, False)])
+def test_full_space_residual_tolerance_is_1e_9(monkeypatch, slack, raises):
+    """A recomputed residual above tau * delta by 1e-7 relative fails the
+    full-space check of a discrepancy stop, and one above it by 1e-10
+    passes it."""
+    rule = StoppingRule(1.01, 1e-3)
+    monkeypatch.setattr(Problem, "residual_norm",
+                        lambda self, x: rule.threshold * (1 + slack))
+    p = wrapped(random_problem(80, 50, "algebraic", 1, seed=0, delta=1e-3))
+    if raises:
+        with pytest.raises(NumericalError, match=r"exceeds tau \* delta"):
+            run_sine(p, 1e-3, rule)
+    else:
+        assert run_sine(p, 1e-3, rule).terminated_by == "discrepancy"
 
 
 @pytest.mark.parametrize("seed", range(1, 11))

@@ -109,6 +109,18 @@ def test_run_stops_where_its_residual_equals_the_threshold(solver):
         assert report.residual_history == history[:m + 1]
 
 
+def test_breakdown_threshold_boundary():
+    """With ||T|| = ||w_0|| = 1 the breakdown test reads ||q|| <=
+    EPS_BREAKDOWN = 1e-14: a threshold of 1e-12 moved two compare runs on
+    the matrix-free blur."""
+    def state(q_norm):
+        return SimpleNamespace(op=DiagonalOperator(np.ones(1)), mapped_norm_sq=q_norm ** 2,
+                               initial_direction_norm=1.0)
+
+    assert not detect_breakdown(state(2e-14))
+    assert detect_breakdown(state(0.5e-14))
+
+
 def test_cap_resolution():
     assert StoppingRule(tau=2.0, delta=0.1).resolve_cap(50) == 50
     assert StoppingRule(tau=2.0, delta=0.1).resolve_cap(10**6) == 10000
