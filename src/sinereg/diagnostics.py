@@ -220,16 +220,28 @@ class OrthogonalityReport(_Record):
         self.max_conjugacy = max(self.conjugacy, default=0.0)
 
 
+def _regenerated(state):
+    """r_1, ..., r_m of a history that keeps r_0 alone, one at a time, each
+    formed from the one before by the step's own two ops, so bit for bit."""
+    r = state.residual_vectors[0]
+    for alpha, q in zip(state.alphas, state.mapped_history):
+        t = np.multiply(q, alpha, dtype=float)
+        r = np.subtract(r, t, out=t)
+        yield r
+
+
 def orthogonality_audit(state):
     """Audit the orthogonality identities over a retained run history.
 
-    Requires a state run with ``keep_history=True``. Entry ``m-1`` of each
-    report list covers iterate m; a zero-step history yields empty lists
-    and zero maxima. The images T* r_m take one adjoint apply each, one
-    held at a time, or one matrix product on a dense operator; the inner
-    products are taken pair by pair. Violations are returned for
-    inspection; severe loss of orthogonality on ill-conditioned problems
-    is expected and not an error.
+    Requires a state run with ``keep_history=True``; of a history that
+    keeps r_0 alone, as ``run_diagnostics``'s may, each later residual is
+    regenerated, bit for bit, one at a time. Entry ``m-1`` of each report
+    list covers iterate m; a zero-step history yields empty lists and zero
+    maxima. The images T* r_m take one adjoint apply each, one pair held at
+    a time, or one matrix product on a dense operator; the inner products
+    are taken pair by pair. Violations are returned for inspection; severe
+    loss of orthogonality on ill-conditioned problems is expected and not
+    an error.
     """
     if state.residual_vectors is None or state.mapped_history is None:
         raise DimensionError(
@@ -243,19 +255,20 @@ def orthogonality_audit(state):
     r0_norm = ran.norm(rs[0])
     q_norms = [ran.norm(q) for q in qs]
     galerkin, galerkin_adjoint, conjugacy = [], [], []
-    images = op._apply_adjoint_each(rs[1:])
-    for m in range(1, len(rs)):
-        tr = next(images)  # the image before it was freed below
+    later = rs[1:] if len(rs) == len(qs) else _regenerated(state)
+    pairs = op._apply_adjoint_each(later, len(qs) - 1)
+    for m in range(1, len(qs)):
+        r, tr = next(pairs)  # the pair before it was freed below
         g = ga = c = 0.0
         for j in range(m):
             denom = r0_norm * q_norms[j]
             if denom > 0:
-                g = max(g, abs(ran.inner(rs[m], qs[j])) / denom)
+                g = max(g, abs(ran.inner(r, qs[j])) / denom)
                 ga = max(ga, abs(dom.inner(tr, ws[j])) / denom)
             cd = q_norms[m] * q_norms[j]
             if cd > 0:
                 c = max(c, abs(ran.inner(qs[m], qs[j])) / cd)
-        del tr
+        del r, tr
         galerkin.append(g)
         galerkin_adjoint.append(ga)
         conjugacy.append(c)

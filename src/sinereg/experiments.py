@@ -301,9 +301,11 @@ def run_diagnostics(problem, gamma, rule):
     It checks its shift and rule once and drives ``_sine`` itself, for
     the run of :func:`run_sine` with ``keep_history`` on the problem
     without its truth, as no field reads an error; :mod:`sinereg.sine`
-    gives that run's cost. The analysis adds m forward applies for the
-    projected matrix and m adjoint applies for the orthogonality audit,
-    or one matrix product for each on a dense operator.
+    gives that run's cost. Off a diagonal operator that history keeps
+    r_0 alone of the residuals, and the audit regenerates the rest, bit
+    for bit. The analysis adds m forward applies for the projected matrix
+    and m adjoint applies for the orthogonality audit, or one matrix
+    product for each on a dense operator.
 
     The solver's outcome is never changed. On a rank-deficient problem
     the run can continue past the rank of T on rounding noise; the
@@ -315,12 +317,12 @@ def run_diagnostics(problem, gamma, rule):
     gamma = _shift_and_rule("run_diagnostics", gamma, rule)
     cap = rule.resolve_cap(problem.operator.domain_dim)
     problem = problem._without_truth()
-    state, terminated, steps, _, _ = _sine(problem, gamma, rule, cap,
-                                           keep_history=True, iterate=False)
+    diagonal = isinstance(problem.operator, DiagonalOperator)
+    state, terminated, steps, _, _ = _sine(problem, gamma, rule, cap, keep_history=True,
+                                           iterate=False, residuals=diagonal)
     # each vector goes once its last reader is done, a projected iterate first
     state.iterate = None
     orthogonality = orthogonality_audit(state)
-    diagonal = isinstance(problem.operator, DiagonalOperator)
     history = state.direction_history[:steps]
     residuals = state.residual_vectors[1:] if diagonal else None
     del state

@@ -114,10 +114,10 @@ class LinearOperator:
             row[:] = self.apply(column)
         return out.T
 
-    def _apply_adjoint_each(self, vectors):
-        """T* v for each range vector of a sequence, in order, lazily: one
-        :meth:`apply_adjoint` per item taken, so no block is held."""
-        return map(self.apply_adjoint, vectors)
+    def _apply_adjoint_each(self, vectors, count):
+        """The pair (v, T* v) for each of ``count`` range vectors, in order,
+        lazily: one :meth:`apply_adjoint` per pair taken, so no block is held."""
+        return ((v, self.apply_adjoint(v)) for v in vectors)
 
     def shift_solve(self, gamma):
         """``(name, solve)`` with ``solve(v) = (I + T*T/gamma)^{-1} v``; here
@@ -273,12 +273,12 @@ class DenseOperator(LinearOperator):
     def _apply_block(self, block):
         return self.matrix @ block
 
-    def _apply_adjoint_each(self, vectors):
-        # one product (BLAS-3), on a copy as large as the vectors already held
-        block = np.empty((len(vectors), self.range_dim))
+    def _apply_adjoint_each(self, vectors, count):
+        # one product (BLAS-3) over a block of copies; each pair holds its row
+        block = np.empty((count, self.range_dim))
         for row, v in zip(block, vectors):
             row[:] = self.codomain.check_vector(v, "input")
-        return iter(self.codomain.gram(block.T, self.matrix) / self.domain.weights)
+        return zip(block, self.codomain.gram(block.T, self.matrix) / self.domain.weights)
 
     def shift_solve(self, gamma):
         """Cholesky M = U^T U of M = W_d + A^T W_r A / gamma, factored

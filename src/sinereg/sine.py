@@ -34,9 +34,9 @@ with a truth, every iterate before it for the error history. That costs
 about 4k applies (k = 60 on a 2^14-point FFT blur) against one inner CG
 per step. A history adds m + 1 forward applies: the second pass forms
 w_j = V_k zeta_j from the small run's zeta_j, then q_j = T w_j, and
-r_{j+1} = r_j - alpha_j q_j from r_0, so it moves neither the stop, the
-iterate nor the histories. Only hand-written :func:`sine_step` loops
-keep inner CG.
+r_{j+1} = r_j - alpha_j q_j from r_0 (r_0 alone for ``run_diagnostics``),
+so it moves neither the stop, the iterate nor the histories. Only
+hand-written :func:`sine_step` loops keep inner CG.
 """
 
 import functools
@@ -146,24 +146,27 @@ def _shift_and_rule(name, gamma, rule):
 
 
 def _sine(problem, gamma, rule, cap, x0=None, keep_history=False, fill=False,
-          iterate=True):
+          iterate=True, residuals=True):
     """The SINE run of :func:`run_sine`, ``run_compare``,
     ``run_diagnostics`` and each checkpoint of a projected run, at a
     ``gamma`` that :func:`_shift_and_rule` has checked, driven by ``rule``
     to ``cap``, and projected where the module docstring says. With
     ``fill``, a discrepancy stop of a truthless run continues at
     threshold 0 to ``cap`` and forms no iterate past the stop's; without
-    ``iterate``, a direct truthless run forms none. A direct run's ``cap``
+    ``iterate``, a direct truthless run forms none; without ``residuals``,
+    a history keeps r_0 alone of its residuals. A direct run's ``cap``
     may be the :class:`_Gate` of ``run_compare``, which drives it.
     Returns the final state, the first stop's reason, index and iterate,
     and the reason the run ended."""
     op = problem.operator
     if type(op).shift_solve is LinearOperator.shift_solve:
-        return _run_projected(problem, gamma, rule, cap, x0, keep_history, fill)
+        return _run_projected(problem, gamma, rule, cap, x0, keep_history, fill,
+                              residuals)
     solver = build_shift_solver(op, gamma)
     state = KrylovState.start(problem, x0, keep_history, solver.gamma)
     if not iterate:
         state.iterate = None
+    state._every_residual = residuals
 
     def step(st):
         sine_step(st, solver)
@@ -251,7 +254,7 @@ def _settled(stops, z, stops_before, z_before, k):
     return np.linalg.norm(z - z_before) <= GK_SETTLE_RTOL * np.linalg.norm(z)
 
 
-def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
+def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill, residuals):
     """:func:`_sine` on Golub-Kahan projections of ``problem`` (see the
     module docstring), grown by ``GK_CHUNK`` steps until a checkpoint is
     :func:`_settled`, or at once when the process has ended and the
@@ -331,10 +334,10 @@ def _run_projected(problem, gamma, rule, cap, x0, keep_history, fill):
     history = {}
     if keep_history:
         qs, rs = [op.apply(w) for w in ws], [b]
-        for alpha, q in zip(state.alphas, qs):
+        for alpha, q in zip(state.alphas if residuals else (), qs):
             rs.append(rs[-1] - alpha * q)
         history = dict(direction_history=list(ws), mapped_history=qs,
-                       residual_vectors=rs)
+                       residual_vectors=rs, _every_residual=residuals)
     return KrylovState(
         op=op, initial_direction_norm=state.initial_direction_norm,
         iteration=state.iteration, iterate=x, truth=problem.truth, gamma=gamma,

@@ -38,7 +38,8 @@ class KrylovState:
     ``np.add`` or ``np.subtract`` with ``out=``), and no step writes into
     a state, data, operator or shift-solve array, so a solve may return a
     buffer that it reuses. A ``keep_history`` state's three history lists
-    thus hold the run's own w, q and r of every iterate, not copies. A step
+    thus hold the run's own w, q and r of every iterate, not copies; a
+    private history (``_sine``'s ``residuals=False``) keeps r_0 alone. A step
     hands :meth:`advance` only r, w and its coefficients: ``advance`` forms
     the iterate x + alpha w itself, and lets go of the replaced vectors
     before it applies T to the new direction, so only a history keeps them
@@ -65,6 +66,7 @@ class KrylovState:
     direction_history: list[np.ndarray] | None = None
     mapped_history: list[np.ndarray] | None = None
     residual_vectors: list[np.ndarray] | None = None
+    _every_residual: bool = field(default=True, repr=False)
 
     @classmethod
     def start(cls, problem, x0=None, keep_history=False, gamma=None):
@@ -123,7 +125,8 @@ class KrylovState:
         if self.direction_history is not None:
             self.direction_history.append(w)
             self.mapped_history.append(q)
-            self.residual_vectors.append(r)
+            if self._every_residual:
+                self.residual_vectors.append(r)
 
 
 def _starting_iterate(space, x0):

@@ -20,6 +20,7 @@ from sinereg import (
     add_noise,
     build_basis,
     multiplication_problem,
+    orthogonality_audit,
     random_problem,
     run_cgne,
     run_compare,
@@ -542,10 +543,19 @@ def test_diagnostics_checks_once_and_drives_its_own_run(monkeypatch, matrix_free
         want.terminated_by, want.stopping_index)
 
 
+def projected_diagnostics(p, gamma, rule):
+    """run_diagnostics on ``p`` behind a ``MatrixFreeOperator``, so on a
+    projected run; ``p`` itself, with its truth, is let go first."""
+    op = p.operator
+    p = Problem(MatrixFreeOperator(op.domain, op.codomain, op.apply, op.apply_adjoint),
+                p.y_delta, p.delta)
+    return run_diagnostics(p, gamma, rule)
+
+
 @pytest.mark.parametrize("run, vectors", [
     (run_sine, 11), (lambda p, gamma, rule: run_cgne(p, rule), 10),
-    (run_compare, 10), (run_diagnostics, 11),
-], ids=["sine", "cgne", "compare", "diagnostics"])
+    (run_compare, 10), (run_diagnostics, 11), (projected_diagnostics, 12),
+], ids=["sine", "cgne", "compare", "diagnostics", "projected-diagnostics"])
 def test_peak_holds_only_the_vectors_in_use(run, vectors):
     """With the problem built inside the window, as the benchmark measures
     it, a run peaks at the vectors its recurrence reads: sine at 11
@@ -562,7 +572,9 @@ def test_peak_holds_only_the_vectors_in_use(run, vectors):
     weights too; 14 while its run kept the truth and formed error norms;
     17 while the final iterate lived through the audit and the mapped and
     residual histories through the basis; 20 while the n x m basis stayed
-    alive past the projected matrix)."""
+    alive past the projected matrix). Projected, diagnostics peaks at 12
+    (14 while its run kept every residual vector, where the audit now
+    regenerates r_1, ..., r_m from r_0)."""
     n = 2**18
     tracemalloc.start()
     try:
@@ -792,6 +804,28 @@ class TestDiagnosticsDriver:
         truthless = Problem(p.operator, p.y_delta, p.delta)
         assert (run_diagnostics(p, 1.0, rule).to_dict()
                 == run_diagnostics(truthless, 1.0, rule).to_dict())
+
+    @pytest.mark.parametrize("kind", ["dense", "dense-weighted", "wrapped",
+                                      "wrapped-weighted"])
+    def test_audit_regenerates_the_kept_residuals_exactly(self, kind):
+        """Off a diagonal operator the run keeps r_0 alone of its residual
+        vectors; the audit regenerates the rest, and reports what the audit
+        of the same truthless run with its whole history does, exactly."""
+        p = {"dense": lambda: dense_compare_problem(False),
+             "dense-weighted": lambda: weighted_geometric_problem(False),
+             "wrapped": wrapped_compare_problem,
+             "wrapped-weighted": lambda: weighted_geometric_problem(True)}[kind]()
+        gamma, rule = 1e-2, StoppingRule(1.01, p.delta)
+        truthless = Problem(p.operator, p.y_delta, p.delta)
+        want = orthogonality_audit(run_sine(truthless, gamma, rule, keep_history=True).state)
+        report = run_diagnostics(p, gamma, rule)
+        assert len(want.galerkin) == report.stopping_index >= 3
+        assert report.orthogonality == want
+        assert json.dumps(report.orthogonality.to_dict()) == json.dumps(want.to_dict())
+        state = _sine(truthless, gamma, rule, rule.resolve_cap(p.operator.domain_dim),
+                      keep_history=True, residuals=False)[0]
+        assert len(state.residual_vectors) == 1
+        assert len(state.mapped_history) == report.stopping_index + 1
 
     def test_random_run_interlacing_all_true(self):
         p = random_problem(40, 30, rate=0.9, seed=6, delta=1e-4)

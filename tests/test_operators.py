@@ -109,8 +109,9 @@ class TestApplyColumns:
 
 class TestApplyAdjointEach:
     """``_apply_adjoint_each`` against one ``apply_adjoint`` per vector: the
-    base class's lazy map gives its bits, a dense operator's one matrix
-    product its values to rounding."""
+    base class's lazy pairs give its bits, a dense operator's one matrix
+    product its values to rounding; each pair holds the vector its image
+    was taken from, a dense operator's own copy."""
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_base_items_are_bit_equal_to_adjoint_applies(self, weighted):
@@ -119,9 +120,10 @@ class TestApplyAdjointEach:
         space = InnerProductSpace(9, rng.uniform(0.5, 2.0, 9) if weighted else None)
         for op in (free, DiagonalOperator(rng.standard_normal(9), space)):
             vectors = list(rng.standard_normal((5, op.range_dim)))
-            got = list(op._apply_adjoint_each(vectors))
+            got = list(op._apply_adjoint_each(iter(vectors), 5))
             assert len(got) == 5
-            for item, v in zip(got, vectors):
+            for (u, item), v in zip(got, vectors):
+                assert u is v
                 assert np.array_equal(item, op.apply_adjoint(v))
 
     @pytest.mark.parametrize("weighted", [False, True])
@@ -129,7 +131,9 @@ class TestApplyAdjointEach:
     def test_dense_product_matches_adjoint_applies(self, rows, weighted):
         dense = random_backends(rows, 25, seed=7, weighted=weighted)[0]
         block = np.random.default_rng(9).standard_normal((6, rows))
-        got = np.array(list(dense._apply_adjoint_each(list(block))))
+        pairs = list(dense._apply_adjoint_each(iter(list(block)), 6))
+        assert np.array_equal([v for v, _ in pairs], block)
+        got = np.array([image for _, image in pairs])
         want = np.array([dense.apply_adjoint(v) for v in block])
         bound = 1e-14 * np.linalg.norm(dense.matrix, 2) * np.linalg.norm(block, 2)
         assert got.shape == (6, 25)
@@ -145,18 +149,18 @@ class TestApplyAdjointEach:
         op = MatrixFreeOperator(InnerProductSpace(2), InnerProductSpace(3),
                                 lambda x: np.array([x[0], x[1], x[0] + x[1]]),
                                 adjoint)
-        items = op._apply_adjoint_each([np.full(3, float(k)) for k in range(5)])
-        assert np.array_equal(next(items), np.zeros(2))
+        items = op._apply_adjoint_each([np.full(3, float(k)) for k in range(5)], 5)
+        assert np.array_equal(next(items)[1], np.zeros(2))
         assert len(calls) == 1
 
     def test_dense_vector_of_the_wrong_length_rejected(self):
         dense = random_backends(12, 8, 21)[0]
         with pytest.raises(DimensionError, match=r"shape \(11,\), expected \(12,\)"):
-            list(dense._apply_adjoint_each([np.ones(12), np.ones(11)]))
+            list(dense._apply_adjoint_each([np.ones(12), np.ones(11)], 2))
 
     def test_empty_sequence_yields_nothing(self):
         for op in random_backends(12, 8, 21) + [DiagonalOperator(np.ones(8))]:
-            assert list(op._apply_adjoint_each([])) == []
+            assert list(op._apply_adjoint_each([], 0)) == []
 
 
 class TestAdjoint:
@@ -257,6 +261,23 @@ class TestNormEstimate:
         top = np.abs(eigenvalues).max()
         assert op.norm_estimate() == pytest.approx(top, rel=1e-12)
         assert len(calls) <= 25
+
+    def test_stops_at_the_step_cap(self):
+        """A spectrum packed evenly up to its top does not meet the Ritz
+        residual test within ``NORM_ITERS`` = 50 steps: the estimate stops
+        there, at 50 forward applies (30 under a cap of 30), short of the
+        norm 1 by about 3.3e-4."""
+        d = np.linspace(0.0, 1.0, 2000)
+        calls = []
+
+        def forward(x):
+            calls.append(1)
+            return d * x
+        space = InnerProductSpace(2000)
+        op = MatrixFreeOperator(space, space, forward, lambda y: d * y)
+        estimate = op.norm_estimate()
+        assert len(calls) == 50
+        assert 3e-4 < 1.0 - estimate < 4e-4
 
     def test_cached_on_operator(self):
         op = DiagonalOperator(np.array([1.0, 5.0]))
