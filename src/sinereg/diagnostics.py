@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DimensionError, NumericalError
-from .spaces import _as_finite, _as_real, _real
+from .spaces import _as_finite, _as_real, _elementwise, _real
 from .stopping import _Record
 
 __all__ = [
@@ -225,8 +225,7 @@ def _regenerated(state):
     formed from the one before by the step's own two ops, so bit for bit."""
     r = state.residual_vectors[0]
     for alpha, q in zip(state.alphas, state.mapped_history):
-        t = np.multiply(q, alpha, dtype=float)
-        r = np.subtract(r, t, out=t)
+        r = _elementwise(np.subtract, r, q, alpha)
         yield r
 
 

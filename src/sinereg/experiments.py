@@ -2,7 +2,6 @@
 checks with a log-log slope fit, and the diagnostics driver."""
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .problems import Problem, multiplication_problem
 # wraps them by their names in this module
 from .sine import (_shift_and_rule, _sine, build_shift_solver,  # noqa: F401
                    run_sine, sine_step)
-from .spaces import _count, _real
+from .spaces import _count, _real, _second_cpu
 from .stopping import StoppingRule, _Gate, _Record
 
 __all__ = [
@@ -85,15 +84,17 @@ def run_compare(problem, gamma, rule):
     the table's last row. Both run on the problem without its truth, since
     the table holds residuals only, and so compute no error norms.
 
-    On a :class:`DenseOperator`, when the process may run on two CPUs or
-    more, the baseline runs in a second thread beside the SINE half, so
-    both call the operator's applies and shift solve at once. A
-    :class:`_Gate` keeps the result bit for bit the sequential one, and
-    the baseline's error wins over SINE's, as in sequence. Other runs
-    stay in sequence: a diagonal one for memory (10^6 points would peak
+    On a :class:`DenseOperator`, when a second thread may take a CPU of
+    its own (``spaces._second_cpu``: two CPUs or more, and one thread in
+    every loaded OpenBLAS), the baseline runs in a second thread beside
+    the SINE half, so both call the operator's applies and shift solve at
+    once. A :class:`_Gate` keeps the result bit for bit the sequential
+    one, and the baseline's error wins over SINE's, as in sequence. Other
+    runs stay in sequence: a diagonal one for memory (10^6 points would peak
     at 137 MB, not 88), a projected one because it needs the table's
     length first, a matrix-free one because a callable need not be
-    thread-safe, and any on one CPU, where the overlap ran slower (README).
+    thread-safe, and any on one CPU or with a threaded BLAS, where the
+    overlap ran slower (README).
     """
     gamma = _shift_and_rule("run_compare", gamma, rule)
     top = problem.operator.norm_estimate()  # the baseline's breakdown scale
@@ -102,7 +103,7 @@ def run_compare(problem, gamma, rule):
             f"run_compare: the shifted operator I + T*T / gamma overflows, "
             f"since 1 + ||T||^2 / gamma does (gamma={gamma:g})")
     problem = problem._without_truth()
-    if isinstance(problem.operator, DenseOperator) and _cpus() > 1:
+    if isinstance(problem.operator, DenseOperator) and _second_cpu():
         (res_c, m_cgne, terminated_c), sine = _beside_baseline(problem, gamma, rule)
     else:
         res_c, m_cgne, terminated_c = _baseline(problem, rule, _Gate())
@@ -130,13 +131,6 @@ def run_compare(problem, gamma, rule):
         dominance=dominance,
         iterate_sine=iterate_sine,
     )
-
-
-def _cpus():
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):  # not on every platform
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _baseline(problem, rule, gate):

@@ -18,7 +18,8 @@ triangular solves, and ``scipy.io`` by the first Matrix Market file read
 or written, so diagonal and matrix-free runs never pay for scipy.
 
 Operators are immutable after construction and safe to share across
-threads for read-only application.
+threads for read-only application; a diagonal apply and shift solve over
+a long vector may run half on the worker thread of ``spaces._elementwise``.
 """
 
 import gzip
@@ -29,7 +30,7 @@ import warnings
 import numpy as np
 
 from .exceptions import DataFormatError, DimensionError, NumericalError
-from .spaces import InnerProductSpace, _as_finite
+from .spaces import _SPLIT, InnerProductSpace, _as_finite, _elementwise
 
 __all__ = [
     "LinearOperator",
@@ -357,7 +358,9 @@ class DiagonalOperator(LinearOperator):
 
     def apply(self, x):
         x = self.domain.check_vector(x, "input")
-        return self.diagonal * x
+        if len(x) < _SPLIT:  # a longer pass may split in two
+            return self.diagonal * x
+        return _elementwise(np.multiply, self.diagonal, x)
 
     def apply_adjoint(self, y):
         return self.apply(y)
@@ -372,7 +375,9 @@ class DiagonalOperator(LinearOperator):
             raise NumericalError(
                 f"the shift factors 1 + d_i^2 / gamma overflow (gamma={gamma:g})")
         factors = 1.0 + self.diagonal * self.diagonal / gamma
-        return "diagonal", lambda v: v / factors
+        if len(factors) < _SPLIT:
+            return "diagonal", lambda v: v / factors
+        return "diagonal", lambda v: _elementwise(np.divide, v, factors)
 
 
 class MatrixFreeOperator(LinearOperator):

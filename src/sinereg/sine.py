@@ -49,7 +49,7 @@ import numpy as np
 from .exceptions import DimensionError, NumericalError
 from .operators import LinearOperator, _golub_kahan
 from .problems import Problem
-from .spaces import InnerProductSpace, _real
+from .spaces import _SPLIT, InnerProductSpace, _all_finite, _elementwise, _real
 from .stopping import (KrylovState, RunReport, StoppingRule, _Gate,
                        _starting_iterate, drive)
 
@@ -77,7 +77,7 @@ class ShiftSolver:
     def apply(self, v):
         """Return (I + T*T/gamma)^{-1} v; a non-finite entry of v raises."""
         v = self.op.domain.check_vector(v, "input")
-        if not np.isfinite(v).all():
+        if not _all_finite(v):
             raise NumericalError("shift solve input has non-finite entries")
         return self._solve(v)
 
@@ -107,12 +107,18 @@ def sine_step(state, solver):
         )
     op, dj = state.op, state._step_denominator()
     alpha = op.codomain.inner(state.residual, state.mapped_direction) / dj
-    r = np.multiply(state.mapped_direction, alpha, dtype=float)
-    np.subtract(state.residual, r, out=r)
+    if len(state.residual) < _SPLIT:  # a longer pass may split in two
+        r = np.multiply(state.mapped_direction, alpha, dtype=float)
+        np.subtract(state.residual, r, out=r)
+    else:
+        r = _elementwise(np.subtract, state.residual, state.mapped_direction, alpha)
     t = solver.apply(op.apply_adjoint(r))
     beta = op.domain.inner(t, op.apply_adjoint(state.mapped_direction)) / dj
-    w = np.multiply(state.direction, beta, dtype=float)
-    np.subtract(t, w, out=w)
+    if len(t) < _SPLIT:
+        w = np.multiply(state.direction, beta, dtype=float)
+        np.subtract(t, w, out=w)
+    else:
+        w = _elementwise(np.subtract, t, state.direction, beta)
     del t
     state.advance(r, w, alpha, beta)
     return state

@@ -7,17 +7,30 @@ w_i. Every weighted product, of vectors or of column blocks, is
 on a midpoint grid with weights 1/n, it is c * (u^T v): one BLAS pass and
 no weighted copy; other weights give (w * u)^T v. A unit space is the case
 c = 1, so unweighted problems behave bit-for-bit like plain numpy.
+
+A run's elementwise passes over ``_SPLIT`` entries or more go through
+:func:`_elementwise` and :func:`_all_finite`, which run half of each on a
+worker thread when :func:`_second_cpu` holds, bit for bit as in one pass.
 """
 
+import contextvars
 import functools
 import math
 import numbers
+import os
+import sys
 
 import numpy as np
 
 from .exceptions import DimensionError
 
 __all__ = ["InnerProductSpace"]
+
+# The smallest power of two at which a split b - c * a measured faster, on 2
+# shared vCPUs at one BLAS thread: 2**16 entries took 52-62 us in one pass
+# and 64-73 us split, 2**17 took 146-160 against 112-131 (the hand-off to
+# the worker costs about 40-50 us).
+_SPLIT = 2**17
 
 
 def _as_real(a, what, copy=False):
@@ -77,6 +90,136 @@ def _count(value, name, low=1, error=ValueError):
         need = "a positive integer" if low == 1 else f"an integer of at least {low}"
         raise error(f"{name} must be {need}, got {value!r}")
     return int(value)
+
+
+def _cpus():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _second_cpu():
+    """Whether a second thread may take a CPU of its own: the process may
+    run on two or more, and the OpenBLAS bundled with numpy, and with scipy
+    once it is imported, reports one thread wherever it is loaded, so no
+    BLAS thread holds that CPU. Where no count can be read, no."""
+    if _cpus() < 2:
+        return False
+    for package in ("numpy", "scipy"):  # never imports scipy
+        if package in sys.modules:
+            files = _openblas_files(package)
+            if not files or any(_blas_threads(f) != 1 for f in files):
+                return False
+    return True
+
+
+@functools.cache
+def _openblas_files(package):
+    """The OpenBLAS libraries that the wheel of the imported ``package``
+    bundles, as ``bench/run.py`` finds them."""
+    import glob
+
+    module = os.path.realpath(sys.modules[package].__file__)
+    libs = os.path.join(os.path.dirname(os.path.dirname(module)), f"{package}.libs")
+    return tuple(glob.glob(os.path.join(libs, "lib*openblas*.so*")))
+
+
+_thread_queries = {}  # library path -> its thread-count query, once found
+
+
+def _blas_threads(path):
+    """The thread count of the OpenBLAS at ``path``, asked through ctypes:
+    1 if the process has not loaded it (it is not loaded here), None if it
+    has no query."""
+    query = _thread_queries.get(path)
+    if query is None:
+        import ctypes
+
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
+        except OSError:
+            return 1
+        names = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+        query = next((getattr(lib, n) for n in names if hasattr(lib, n)), None)
+        if query is None:
+            return None
+        query.argtypes, query.restype = [], ctypes.c_int
+        _thread_queries[path] = query
+    return query()
+
+
+_pool = None  # the worker: a one-thread executor, started by the first split
+
+
+def _forget_worker():
+    """A forked child has no worker thread; it starts its own."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # not on every platform
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _halves(half, n):
+    """``half(s)`` for the slices s of the two halves of range(n), the
+    second on the worker, in the caller's context, where numpy keeps
+    ``np.errstate``; returns both results. The worker runs these ufunc
+    halves only, never library code, so no split waits on itself. Each
+    half's result or error is its own, so an interrupted wait leaves
+    nothing for the next split to read; an error of either half raises
+    here once both have ended. Once the interpreter has begun to shut
+    down, both halves run here."""
+    global _pool
+    cut = n // 2
+    try:
+        if _pool is None:  # a racing thread's extra executor ends when collected
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="sinereg-pass")
+        second = _pool.submit(contextvars.copy_context().run, half, slice(cut, n))
+    except RuntimeError:  # raised by the executor after shutdown has begun
+        return half(slice(0, cut)), half(slice(cut, n))
+    try:
+        first = half(slice(0, cut))
+    except BaseException:
+        second.exception()  # wait for the worker's half, then raise the caller's
+        raise
+    return first, second.result()
+
+
+def _elementwise(op, b, a, c=None):
+    """op(b, a), or op(b, c * a) as the step contract of ``KrylovState``
+    forms it (np.multiply, then op in place), into one new float array; in
+    two halves when ``a`` has at least ``_SPLIT`` entries and
+    :func:`_second_cpu` holds. The step updates, the error difference and
+    the diagonal apply and solve test the length first and make a short
+    pass inline, since this call's own cost showed in the
+    interpreter-bound rate check."""
+    if len(a) < _SPLIT or not _second_cpu():
+        if c is None:
+            return op(b, a)
+        t = np.multiply(a, c, dtype=float)
+        return op(b, t, out=t)
+    out = np.empty(len(a))
+
+    def half(s):
+        t = out[s]
+        if c is None:
+            op(b[s], a[s], out=t)
+        else:
+            op(b[s], np.multiply(a[s], c, dtype=float, out=t), out=t)
+    _halves(half, len(a))
+    return out
+
+
+def _all_finite(v):
+    """Whether every entry of ``v`` is finite, in two halves as
+    :func:`_elementwise` splits."""
+    if len(v) < _SPLIT or not _second_cpu():
+        return np.isfinite(v).all()
+    return all(_halves(lambda s: np.isfinite(v[s]).all(), len(v)))
 
 
 class InnerProductSpace:

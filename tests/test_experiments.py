@@ -222,10 +222,11 @@ def same_compare(got, want):
 
 @pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
 def cpus(request, monkeypatch):
-    """The CPUs ``run_compare`` may use: two overlap its halves on a dense
-    operator, whatever machine runs the tests."""
-    monkeypatch.setattr(sinereg.experiments, "_cpus", lambda: request.param,
-                        raising=False)
+    """The CPUs ``run_compare`` may take, as its gate ``_second_cpu`` reads
+    them: two (with one BLAS thread) overlap its halves on a dense operator,
+    one (or a threaded BLAS) keeps them in sequence, whatever machine runs
+    the tests."""
+    monkeypatch.setattr(sinereg.experiments, "_second_cpu", lambda: request.param > 1)
     return request.param
 
 
@@ -374,7 +375,7 @@ class TestOverlappedCompare:
         CGNE baseline stops at m (31, or 30 when weighted) after m + 1
         calls: at gamma = 0.1 the SINE half makes 2 m + 1, so only it
         fails, as it does on its own."""
-        monkeypatch.setattr(sinereg.experiments, "_cpus", lambda: 2, raising=False)
+        monkeypatch.setattr(sinereg.experiments, "_second_cpu", lambda: True)
         rule = StoppingRule(1.01, 1e-3)
         cap = run_cgne(dense_compare_problem(weighted), rule).stopping_index
         with pytest.raises(NumericalError) as want:

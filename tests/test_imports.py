@@ -28,12 +28,13 @@ def scipy_modules():
 """
 
 
-def run_fresh(code):
+def run_fresh(code, **env):
     """Run PRELUDE and ``code`` in a new interpreter that imports sinereg
-    from this checkout; fail with its stderr if it exits nonzero."""
+    from this checkout, with ``env`` added to its environment; fail with
+    its stderr if it exits nonzero."""
     proc = subprocess.run(
         [sys.executable, "-c", PRELUDE + code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC), **env}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 
@@ -58,6 +59,24 @@ sr.run_diagnostics(p, 1e-2, rule)
 sr.run_ratecheck(sr.RateCheckConfig((1e-2, 1e-3), 0.5, n=256))
 assert scipy_modules() == [], scipy_modules()
 """)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_split_gate_imports_and_loads_nothing():
+    """The gate of the large-vector passes asks each OpenBLAS the process
+    has loaded: it imports no scipy, and after a bare ``import scipy`` it
+    asks scipy's library without loading it."""
+    run_fresh("""
+if not sr.spaces._openblas_files("numpy"):
+    sys.exit(0)  # numpy bundles no OpenBLAS here, so the gate reads no count
+sr.spaces._cpus = lambda: 2
+assert sr.spaces._second_cpu()
+assert scipy_modules() == [], scipy_modules()
+import scipy
+assert sr.spaces._second_cpu()
+with open("/proc/self/maps") as f:
+    assert "scipy.libs" not in f.read()
+""", OPENBLAS_NUM_THREADS="1")
 
 
 def test_dense_operator_loads_scipy_linalg():
