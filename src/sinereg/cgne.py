@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from .exceptions import DimensionError
-from .spaces import _SPLIT, _elementwise
+from .spaces import _elementwise
 from .stopping import KrylovState, RunReport, StoppingRule, drive
 
 __all__ = ["cgne_init", "cgne_step", "run_cgne"]
@@ -33,19 +33,11 @@ def cgne_step(state):
         raise DimensionError("cgne_step expects a state from cgne_init")
     op = state.op
     alpha = state.normal_residual_sq / state._step_denominator()
-    if len(state.residual) < _SPLIT:  # a longer pass may split in two
-        r = np.multiply(state.mapped_direction, alpha, dtype=float)
-        np.subtract(state.residual, r, out=r)
-    else:
-        r = _elementwise(np.subtract, state.residual, state.mapped_direction, alpha)
+    r = _elementwise(np.subtract, state.residual, state.mapped_direction, alpha)
     s = op.apply_adjoint(r)
     ns = op.domain.inner(s, s)
     beta = ns / state.normal_residual_sq
-    if len(s) < _SPLIT:
-        p = np.multiply(state.direction, beta, dtype=float)
-        np.add(s, p, out=p)
-    else:
-        p = _elementwise(np.add, s, state.direction, beta)
+    p = _elementwise(np.add, s, state.direction, beta)
     del s
     state.normal_residual_sq = ns
     state.advance(r, p, alpha, beta)

@@ -30,7 +30,7 @@ import warnings
 import numpy as np
 
 from .exceptions import DataFormatError, DimensionError, NumericalError
-from .spaces import _SPLIT, InnerProductSpace, _as_finite, _elementwise
+from .spaces import InnerProductSpace, _as_finite, _elementwise
 
 __all__ = [
     "LinearOperator",
@@ -358,8 +358,6 @@ class DiagonalOperator(LinearOperator):
 
     def apply(self, x):
         x = self.domain.check_vector(x, "input")
-        if len(x) < _SPLIT:  # a longer pass may split in two
-            return self.diagonal * x
         return _elementwise(np.multiply, self.diagonal, x)
 
     def apply_adjoint(self, y):
@@ -375,8 +373,6 @@ class DiagonalOperator(LinearOperator):
             raise NumericalError(
                 f"the shift factors 1 + d_i^2 / gamma overflow (gamma={gamma:g})")
         factors = 1.0 + self.diagonal * self.diagonal / gamma
-        if len(factors) < _SPLIT:
-            return "diagonal", lambda v: v / factors
         return "diagonal", lambda v: _elementwise(np.divide, v, factors)
 
 

@@ -49,7 +49,7 @@ import numpy as np
 from .exceptions import DimensionError, NumericalError
 from .operators import LinearOperator, _golub_kahan
 from .problems import Problem
-from .spaces import _SPLIT, InnerProductSpace, _all_finite, _elementwise, _real
+from .spaces import InnerProductSpace, _all_finite, _elementwise, _real
 from .stopping import (KrylovState, RunReport, StoppingRule, _Gate,
                        _starting_iterate, drive)
 
@@ -107,18 +107,10 @@ def sine_step(state, solver):
         )
     op, dj = state.op, state._step_denominator()
     alpha = op.codomain.inner(state.residual, state.mapped_direction) / dj
-    if len(state.residual) < _SPLIT:  # a longer pass may split in two
-        r = np.multiply(state.mapped_direction, alpha, dtype=float)
-        np.subtract(state.residual, r, out=r)
-    else:
-        r = _elementwise(np.subtract, state.residual, state.mapped_direction, alpha)
+    r = _elementwise(np.subtract, state.residual, state.mapped_direction, alpha)
     t = solver.apply(op.apply_adjoint(r))
     beta = op.domain.inner(t, op.apply_adjoint(state.mapped_direction)) / dj
-    if len(t) < _SPLIT:
-        w = np.multiply(state.direction, beta, dtype=float)
-        np.subtract(t, w, out=w)
-    else:
-        w = _elementwise(np.subtract, t, state.direction, beta)
+    w = _elementwise(np.subtract, t, state.direction, beta)
     del t
     state.advance(r, w, alpha, beta)
     return state

@@ -8,9 +8,10 @@ on a midpoint grid with weights 1/n, it is c * (u^T v): one BLAS pass and
 no weighted copy; other weights give (w * u)^T v. A unit space is the case
 c = 1, so unweighted problems behave bit-for-bit like plain numpy.
 
-A run's elementwise passes over ``_SPLIT`` entries or more go through
-:func:`_elementwise` and :func:`_all_finite`, which run half of each on a
-worker thread when :func:`_second_cpu` holds, bit for bit as in one pass.
+Every elementwise pass that a run may split is one call of
+:func:`_elementwise` or :func:`_all_finite` at any length, so only they
+test it: a pass over ``_SPLIT`` entries or more runs half on a worker
+thread when :func:`_second_cpu` holds, bit for bit as in one pass.
 """
 
 import contextvars
@@ -193,10 +194,9 @@ def _elementwise(op, b, a, c=None):
     """op(b, a), or op(b, c * a) as the step contract of ``KrylovState``
     forms it (np.multiply, then op in place), into one new float array; in
     two halves when ``a`` has at least ``_SPLIT`` entries and
-    :func:`_second_cpu` holds. The step updates, the error difference and
-    the diagonal apply and solve test the length first and make a short
-    pass inline, since this call's own cost showed in the
-    interpreter-bound rate check."""
+    :func:`_second_cpu` holds. The step updates, the iterate update and
+    error difference of ``KrylovState``, the diagonal apply and solve and
+    the audit's residuals call this at every length."""
     if len(a) < _SPLIT or not _second_cpu():
         if c is None:
             return op(b, a)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .spaces import _SPLIT, _as_finite, _count, _elementwise, _real
+from .spaces import _as_finite, _count, _elementwise, _real
 
 __all__ = ["KrylovState", "StoppingRule", "detect_breakdown", "drive", "RunReport"]
 
@@ -33,21 +33,20 @@ class KrylovState:
     maintained so that breakdown can be tested without an extra operator
     application. ``gamma`` is the shift of a SINE state and
     ``normal_residual_sq`` the squared norm of T* r of a CGNE state; each
-    is None for the other method. The step contract: each update goes
-    into a new float64 array of the step's own (``np.multiply``, then
-    ``np.add`` or ``np.subtract`` with ``out=``; ``spaces._elementwise``
-    does the same in two halves over a long vector, bit for bit), and no
-    step writes into a state, data, operator or shift-solve array, so a
-    solve may return a buffer that it reuses. A ``keep_history`` state's
-    three history lists thus hold the run's own w, q and r of every
-    iterate, not copies; a private history (``_sine``'s
-    ``residuals=False``) keeps r_0 alone. A step
-    hands :meth:`advance` only r, w and its coefficients: ``advance`` forms
-    the iterate x + alpha w itself, and lets go of the replaced vectors
-    before it applies T to the new direction, so only a history keeps them
-    past that apply. A state whose ``iterate`` is None steps without
-    forming one; only a state without a truth may, as each step's error
-    norm reads x.
+    is None for the other method. The step contract: each update is one
+    ``spaces._elementwise`` call into a new float64 array of the step's
+    own (``np.multiply``, then ``np.add`` or ``np.subtract`` with ``out=``,
+    in two halves over a long vector, bit for bit), and no step writes
+    into a state, data, operator or shift-solve array, so a solve may
+    return a buffer that it reuses. A ``keep_history`` state's three
+    history lists thus hold the run's own w, q and r of every iterate, not
+    copies; a private history (``_sine``'s ``residuals=False``) keeps r_0
+    alone. A step hands :meth:`advance` only r, w and its coefficients:
+    ``advance`` forms the iterate x + alpha w itself, and lets go of the
+    replaced vectors before it applies T to the new direction, so only a
+    history keeps them past that apply. A state whose ``iterate`` is None
+    steps without forming one; only a state without a truth may, as each
+    step's error norm reads x.
     """
 
     op: object
@@ -106,10 +105,7 @@ class KrylovState:
         """Move to x + alpha w (if the state holds x), with residual r and
         direction w; alpha is the step size, beta the conjugation factor."""
         x = self.iterate
-        if x is not None and len(x) < _SPLIT:  # a longer pass may split
-            x = np.multiply(self.direction, alpha, dtype=float)
-            np.add(self.iterate, x, out=x)
-        elif x is not None:
+        if x is not None:
             x = _elementwise(np.add, x, self.direction, alpha)
         self.iteration += 1
         self.alphas.append(alpha)
@@ -123,8 +119,7 @@ class KrylovState:
         self.mapped_direction = None
         self.residual_norms.append(op.codomain.norm(r))
         if self.error_norms is not None:
-            self.error_norms.append(op.domain.norm(x - self.truth if len(x) < _SPLIT
-                                                   else _elementwise(np.subtract, x, self.truth)))
+            self.error_norms.append(op.domain.norm(_elementwise(np.subtract, x, self.truth)))
         self.mapped_direction = q = op.apply(w)
         self.mapped_norm_sq = op.codomain.inner(q, q)
         if self.direction_history is not None:

@@ -220,7 +220,7 @@ def test_worker_runs_from_the_threshold_on(monkeypatch, worker_runs, name):
 @pytest.mark.parametrize("loop", LOOPS)
 def test_every_step_pass_splits_from_the_threshold_on(monkeypatch, worker_runs, loop):
     """Hand-written steps split as many passes at 2**17 entries as at 2**18,
-    so each call site tests the length as the threshold says, and none at
+    so every pass of a step splits from the threshold on, and none at
     2**17 - 1."""
     force_gate(monkeypatch, True)
     counts = []

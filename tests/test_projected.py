@@ -409,6 +409,16 @@ def test_cap_on_the_projection_raises(monkeypatch):
         run_sine(p, 1e-3, StoppingRule(1.01, 1e-3))
 
 
+def test_default_cap_on_the_projection(monkeypatch):
+    """A run that never settles raises at the default cap of 10 steps per
+    domain dimension: k = 50 here, where a cap of 9 raises at k = 40 and
+    one of 4 or less at the floor of two checkpoints, k = 20."""
+    monkeypatch.setattr(sinereg.sine, "_settled", lambda *args: False)
+    p = wrapped(random_problem(8, 5, seed=2, delta=1e-3))
+    with pytest.raises(NumericalError, match="not settled at k = 50 steps"):
+        run_sine(p, 1e-2, StoppingRule(1.01, 1e-3))
+
+
 @pytest.mark.parametrize("run", [run_sine, run_compare, run_diagnostics])
 def test_an_overflowing_shift_is_named(run):
     """At gamma = 1e-310 the pivots 1 + (alpha^2 + beta^2)/gamma of the
