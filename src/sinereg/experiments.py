@@ -26,7 +26,7 @@ from .problems import Problem, multiplication_problem
 # wraps them by their names in this module
 from .sine import (_shift_and_rule, _sine, build_shift_solver,  # noqa: F401
                    run_sine, sine_step)
-from .spaces import _count, _real, _second_cpu
+from .spaces import _beside, _count, _real, _second_cpu
 from .stopping import StoppingRule, _Gate, _Record
 
 __all__ = [
@@ -84,14 +84,11 @@ def run_compare(problem, gamma, rule):
     the table's last row. Both run on the problem without its truth, since
     the table holds residuals only, and so compute no error norms.
 
-    On a :class:`DenseOperator`, when a second thread may take a CPU of
-    its own (``spaces._second_cpu``: two CPUs or more, and one thread in
-    every loaded OpenBLAS), the baseline runs in a second thread beside
-    the SINE half, so both call the operator's applies and shift solve at
-    once. A :class:`_Gate` keeps the result bit for bit the sequential
-    one, and the baseline's error wins over SINE's, as in sequence. Other
-    runs stay in sequence: a diagonal one for memory (10^6 points would peak
-    at 137 MB, not 88), a projected one because it needs the table's
+    On a :class:`DenseOperator`, when ``spaces._second_cpu`` holds, the
+    baseline runs beside the SINE half by ``spaces._beside``, and a
+    :class:`_Gate` keeps the result bit for bit the sequential one. Other
+    runs stay in sequence: a diagonal one for memory (10^6 points would
+    peak at 137 MB, not 88), a projected one because it needs the table's
     length first, a matrix-free one because a callable need not be
     thread-safe, and any on one CPU or with a threaded BLAS, where the
     overlap ran slower (README).
@@ -103,10 +100,13 @@ def run_compare(problem, gamma, rule):
             f"run_compare: the shifted operator I + T*T / gamma overflows, "
             f"since 1 + ||T||^2 / gamma does (gamma={gamma:g})")
     problem = problem._without_truth()
+    gate = _Gate()
     if isinstance(problem.operator, DenseOperator) and _second_cpu():
-        (res_c, m_cgne, terminated_c), sine = _beside_baseline(problem, gamma, rule)
+        sine, (res_c, m_cgne, terminated_c) = _beside(
+            lambda: _sine(problem, gamma, rule, gate, fill=True),
+            lambda: _baseline(problem, rule, gate), own=True)
     else:
-        res_c, m_cgne, terminated_c = _baseline(problem, rule, _Gate())
+        res_c, m_cgne, terminated_c = _baseline(problem, rule, gate)
         sine = _sine(problem, gamma, rule, len(res_c) - 1, fill=True)
     state, terminated_s, m_sine, iterate_sine, _ = sine
     table_len = len(res_c)  # entries m = 0 .. m_table
@@ -135,27 +135,12 @@ def run_compare(problem, gamma, rule):
 
 def _baseline(problem, rule, gate):
     """The residual history, stopping index and reason of ``run_compare``'s
-    CGNE run, led by ``gate`` (followed or not), so it forms no iterate;
-    its report, with its state's vectors, is freed here."""
-    report = run_cgne(problem, rule, _gate=gate)
+    CGNE run, which leads ``gate`` and ends it; frees its report's vectors."""
+    try:
+        report = run_cgne(problem, rule, _gate=gate)
+    finally:
+        gate.end()
     return report.residual_history, report.stopping_index, report.terminated_by
-
-
-def _beside_baseline(problem, gamma, rule):
-    """:func:`_baseline` in a second thread, which the SINE half follows
-    in this one; the thread has ended when this returns or raises."""
-    from concurrent.futures import ThreadPoolExecutor  # not at import time
-
-    gate = _Gate()
-    with ThreadPoolExecutor(1) as pool:
-        baseline = pool.submit(_baseline, problem, rule, gate)
-        baseline.add_done_callback(lambda _: gate.end())
-        try:
-            sine = _sine(problem, gamma, rule, gate, fill=True)
-        except Exception:
-            baseline.result()  # waits, and raises the baseline's error first
-            raise
-        return baseline.result(), sine
 
 
 @dataclass(frozen=True)

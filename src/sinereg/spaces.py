@@ -12,6 +12,7 @@ Every elementwise pass that a run may split is one call of
 :func:`_elementwise` or :func:`_all_finite` at any length, so only they
 test it: a pass over ``_SPLIT`` entries or more runs half on a worker
 thread when :func:`_second_cpu` holds, bit for bit as in one pass.
+Every thread that sinereg starts is started by :func:`_beside`.
 """
 
 import contextvars
@@ -163,31 +164,45 @@ if hasattr(os, "register_at_fork"):  # not on every platform
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _halves(half, n):
-    """``half(s)`` for the slices s of the two halves of range(n), the
-    second on the worker, in the caller's context, where numpy keeps
-    ``np.errstate``; returns both results. The worker runs these ufunc
-    halves only, never library code, so no split waits on itself. Each
-    half's result or error is its own, so an interrupted wait leaves
-    nothing for the next split to read; an error of either half raises
-    here once both have ended. Once the interpreter has begun to shut
-    down, both halves run here."""
+def _beside(here, there, own=False):
+    """``here()`` in the caller and ``there()`` in a second thread, in the
+    caller's ``contextvars`` context, where numpy keeps ``np.errstate``;
+    both results once both have ended. ``there`` runs on the worker, which
+    runs only pass halves, so no split waits on itself, or with ``own`` on
+    a thread ended on return. ``there``'s error wins over ``here``'s, and
+    an interrupt in ``here`` over both; an interrupted wait leaves nothing
+    behind. Once shutdown has begun, ``there()`` then ``here()`` run here,
+    as ``here`` may follow ``there`` through a ``_Gate``."""
     global _pool
-    cut = n // 2
     try:
-        if _pool is None:  # a racing thread's extra executor ends when collected
-            from concurrent.futures import ThreadPoolExecutor
+        from concurrent.futures import ThreadPoolExecutor  # not at import time
 
-            _pool = ThreadPoolExecutor(1, thread_name_prefix="sinereg-pass")
-        second = _pool.submit(contextvars.copy_context().run, half, slice(cut, n))
+        pool = ThreadPoolExecutor(1) if own else _pool
+        if pool is None:  # a racing thread's extra executor ends when collected
+            pool = _pool = ThreadPoolExecutor(1, thread_name_prefix="sinereg-pass")
+        second = pool.submit(contextvars.copy_context().run, there)
     except RuntimeError:  # raised by the executor after shutdown has begun
-        return half(slice(0, cut)), half(slice(cut, n))
+        late = there()
+        return here(), late
     try:
-        first = half(slice(0, cut))
-    except BaseException:
-        second.exception()  # wait for the worker's half, then raise the caller's
+        first = here()
+    except Exception:
+        second.result()  # waits, and raises there's error first
         raise
+    except BaseException:
+        second.exception()  # waits; the interrupt wins
+        raise
+    finally:
+        if own:
+            pool.shutdown()
     return first, second.result()
+
+
+def _halves(half, n):
+    """``half(s)`` for the two halves s of range(n), by :func:`_beside`."""
+    cut = n // 2
+    return _beside(functools.partial(half, slice(0, cut)),
+                   functools.partial(half, slice(cut, n)))
 
 
 def _elementwise(op, b, a, c=None):

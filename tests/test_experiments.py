@@ -1,6 +1,10 @@
 import json
+import os
+import signal
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -246,6 +250,15 @@ class ThreadRecordingDiagonal(ThreadRecording, DiagonalOperator):
     pass
 
 
+class ErrstateRecordingDense(DenseOperator):
+    """Records in ``settings`` the thread and ``np.geterr()`` of each
+    adjoint apply."""
+
+    def apply_adjoint(self, y):
+        self.settings.add((threading.get_ident(), tuple(sorted(np.geterr().items()))))
+        return super().apply_adjoint(y)
+
+
 class NanAdjointFrom(DenseOperator):
     """A dense operator whose adjoint returns NaN from the ``k``-th call
     that each thread makes after :meth:`arm`."""
@@ -261,10 +274,24 @@ class NanAdjointFrom(DenseOperator):
         return out * np.nan if self.counts.n >= self.k else out
 
 
-def failing_problem(weighted, k):
-    """:func:`dense_compare_problem` on a :class:`NanAdjointFrom` armed at
-    ``k``, after its norm estimate, so that counting starts at the runs."""
-    problem = dense_compare_problem(weighted, NanAdjointFrom)
+class SlowInCallerNanAdjointFrom(NanAdjointFrom):
+    """A :class:`NanAdjointFrom` whose adjoint first sleeps 0.3 s in the
+    thread that armed it."""
+
+    def arm(self, k):
+        super().arm(k)
+        self.caller = threading.get_ident()
+
+    def apply_adjoint(self, y):
+        if threading.get_ident() == getattr(self, "caller", None):
+            time.sleep(0.3)
+        return super().apply_adjoint(y)
+
+
+def failing_problem(weighted, k, cls=NanAdjointFrom):
+    """:func:`dense_compare_problem` on a ``cls`` armed at ``k``, after its
+    norm estimate, so that counting starts at the runs."""
+    problem = dense_compare_problem(weighted, cls)
     problem.operator.norm_estimate()
     problem.operator.arm(k)
     return problem
@@ -351,6 +378,18 @@ class TestOverlappedCompare:
         assert len(op.threads) == (2 if overlapped else 1)
         assert threading.get_ident() in op.threads
 
+    def test_both_halves_keep_the_callers_errstate(self, cpus):
+        """Every adjoint apply, in either thread, runs under the caller's
+        ``np.errstate``, as in sequence."""
+        base = dense_compare_problem(False)
+        op = ErrstateRecordingDense(base.operator.matrix)
+        op.settings = set()
+        with np.errstate(over="raise"):
+            want = tuple(sorted(np.geterr().items()))
+            run_compare(Problem(op, base.y_delta, 1e-3), 1e-2, StoppingRule(1.01, 1e-3))
+        assert {setting for _, setting in op.settings} == {want}
+        assert len({thread for thread, _ in op.settings}) == (2 if cpus > 1 else 1)
+
     @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
     def test_baseline_error_wins(self, cpus, weighted):
         """The adjoint's third call in each thread returns NaN: CGNE's at
@@ -385,6 +424,57 @@ class TestOverlappedCompare:
             run_compare(failing_problem(weighted, cap + 2), 0.1, rule)
         assert threading.active_count() == before
         assert str(got.value) == str(want.value)
+
+    def test_interrupt_wins_over_the_baseline_error(self, monkeypatch):
+        """A signal handler raises a BaseException while the SINE half
+        sleeps in its first adjoint, and the baseline fails at its third:
+        the interrupt propagates, not the baseline's NumericalError, once
+        the baseline's thread has ended."""
+        monkeypatch.setattr(sinereg.experiments, "_second_cpu", lambda: True)
+
+        class Interrupt(BaseException):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupt
+        problem = failing_problem(False, 3, SlowInCallerNanAdjointFrom)
+        before = threading.active_count()
+        old = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.1)
+            with pytest.raises(Interrupt):
+                run_compare(problem, 1e-2, StoppingRule(1.01, 1e-3))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        assert threading.active_count() == before
+
+    def test_after_shutdown_began(self):
+        """A thread still running when the main thread has ended, so after
+        the interpreter began to shut its executors down, runs an
+        overlapped compare in sequence: the sequential result."""
+        src = os.path.dirname(os.path.dirname(sinereg.experiments.__file__))
+        out = subprocess.run([sys.executable, "-c", COMPARE_SHUTDOWN],
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert (out.returncode, out.stdout.strip(), out.stderr) == (0, "same", "")
+
+
+COMPARE_SHUTDOWN = """
+import json, threading, sinereg.experiments as experiments
+from sinereg import StoppingRule, random_problem, run_compare
+problem, rule = random_problem(40, 20, seed=1, delta=1e-3), StoppingRule(1.01, 1e-3)
+def result():
+    got = run_compare(problem, 1e-2, rule)
+    return json.dumps(got.to_dict()), got.iterate_sine.tobytes()
+experiments._second_cpu = lambda: False
+want = result()
+experiments._second_cpu = lambda: True
+def late():
+    threading.main_thread().join()
+    print("same" if result() == want else "differs")
+threading.Thread(target=late).start()
+"""
 
 
 @pytest.mark.parametrize("run", [run_compare, run_diagnostics])

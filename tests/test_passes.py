@@ -315,6 +315,17 @@ def test_error_in_either_half_reaches_the_caller(bad):
     assert spaces._halves(lambda s: threading.get_ident(), N)[1] != me
 
 
+def test_own_thread_is_not_the_worker():
+    """With ``own``, the second callable runs on a thread of its own, so a
+    split inside it cannot wait on itself, and that thread has ended when
+    ``_beside`` returns."""
+    worker = spaces._beside(lambda: None, threading.get_ident)[1]
+    before = threading.active_count()
+    here, there = spaces._beside(threading.get_ident, threading.get_ident, own=True)
+    assert threading.active_count() == before
+    assert len({here, there, worker}) == 3 and here == threading.get_ident()
+
+
 def test_interrupted_wait_leaves_nothing_behind():
     """A signal handler that raises while the caller waits for the worker's
     half ends that split; the next split gets its own halves, not the
@@ -439,7 +450,8 @@ def test_overlapped_compare_splits_in_both_halves(monkeypatch, worker_runs):
     got = run_compare(problem, GAMMA, rule)
     assert json.dumps(got.to_dict()) == json.dumps(want.to_dict())
     assert got.iterate_sine.tobytes() == want.iterate_sine.tobytes()
-    assert len(worker_runs) > 0
+    # the caller, the baseline's own thread and the worker
+    assert len(set(worker_runs)) >= 3 and threading.get_ident() in worker_runs
 
 
 def openblas_setter(path):
